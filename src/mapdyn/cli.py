@@ -26,7 +26,7 @@ import numpy as np
 
 import mapdyn
 from mapdyn.blas import blas_threads, bundled_openblas, set_blas_threads
-from mapdyn.dynamics import ConstraintAssembler, DynLayout
+from mapdyn.dynamics import ConstraintAssembler, DynLayout, kinematic_sweep
 from mapdyn.estimator import (
     EstimatorError,
     MapProblem,
@@ -47,6 +47,7 @@ from mapdyn.model import (
 from mapdyn.sensors import (
     ExcitationError,
     MeasurementAssembler,
+    assemble_system,
     channel_names,
     default_sensor_specs,
     estimate_sensor_pose,
@@ -146,13 +147,20 @@ def read_csv(path):
         with open(path) as fh:
             reader = csv.reader(fh)
             header = next(reader)
-            rows = [row for row in reader]
+            rows = [(reader.line_num, row) for row in reader]
     except FileNotFoundError as exc:
         raise InputError(f"input CSV not found: {path}") from exc
     except StopIteration as exc:
         raise InputError(f"input CSV is empty: {path}") from exc
-    data = np.array([[float(x) for x in row] for row in rows])
-    return header, data
+    data = []
+    for line, row in rows:
+        if len(row) != len(header):
+            raise InputError(f"{path}, line {line}: {len(row)} cells, the header has {len(header)}")
+        try:
+            data.append([float(x) for x in row])
+        except ValueError as exc:
+            raise InputError(f"{path}, line {line}: {exc}") from exc
+    return header, np.array(data)
 
 
 def load_model_from_config(cfg, override=None) -> tuple:
@@ -369,8 +377,7 @@ def _estimate_chunk(args):
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
         for row, (q, qd, y) in enumerate(zip(q_rows, qd_rows, y_rows)):
-            mat_d, b_d = casm.assemble(q, qd)
-            mat_y, b_y = masm.assemble(q, qd)
+            mat_d, b_d, mat_y, b_y = assemble_system(casm, masm, q, qd)
             problem = MapProblem(
                 mat_d, b_d, mat_y, b_y, y,
                 sigma_D=sigma_D, sigma_y=masm.variances, mu_d=mu_d, sigma_d=sigma_d,
@@ -435,9 +442,7 @@ def cmd_estimate(config_path, model_override, out_dir, workers):
     # rank condition checked once per run on the first sample
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
-        casm = ConstraintAssembler(model)
-        mat_d, b_d = casm.assemble(q_series[0], qd_series[0])
-        mat_y, b_y = masm.assemble(q_series[0], qd_series[0])
+        mat_d, b_d, mat_y, b_y = assemble_system(ConstraintAssembler(model), masm, q_series[0], qd_series[0])
         MapProblem(
             mat_d, b_d, mat_y, b_y, y_series[0],
             sigma_D=sigma_D, sigma_y=masm.variances, mu_d=mu_d, sigma_d=sigma_d,
@@ -603,7 +608,9 @@ def cmd_fusion(config_path, model_override, out_dir):
         warnings.simplefilter("ignore")
         casm = ConstraintAssembler(model)
         for q, qd in states:
-            mat_d, b_d = casm.assemble(q, qd)
+            # one sweep per state serves the constraints and every case
+            sweep = kinematic_sweep(model, q, qd)
+            mat_d, b_d = casm.assemble_sweep(sweep, qd)
             empty = MapProblem(
                 mat_d, b_d,
                 sparse.csc_matrix((0, layout.size)), np.zeros(0), np.zeros(0),
@@ -616,7 +623,7 @@ def cmd_fusion(config_path, model_override, out_dir):
                 for asm in assemblers:
                     names = channel_names(model, asm.specs)
                     new_rows = [i for i, nm in enumerate(names) if nm not in prev_names]
-                    mat, bias = asm.assemble(q, qd)
+                    mat, bias = asm.assemble_sweep(sweep)
                     groups.append((mat[new_rows], bias[new_rows], asm.variances[new_rows], np.zeros(len(new_rows))))
                     prev_names = set(names)
                 stages = incremental_fusion(empty, groups, tau_idx, labels=[n for n, _ in case_specs])
@@ -624,7 +631,7 @@ def cmd_fusion(config_path, model_override, out_dir):
                     per_case[ci] += stage.marginal_variances
             else:
                 for ci, asm in enumerate(assemblers):
-                    mat, bias = asm.assemble(q, qd)
+                    mat, bias = asm.assemble_sweep(sweep)
                     problem = MapProblem(
                         mat_d, b_d, mat, bias, np.zeros(asm.dim),
                         sigma_D=sigma_D, sigma_y=asm.variances, mu_d=mu_d, sigma_d=sigma_d,

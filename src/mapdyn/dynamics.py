@@ -100,7 +100,7 @@ class KinSweep:
 
     x_from_parent: list  # 6x6 motion adjoints, child <- parent coordinates
     x0_force: list       # 6x6 force adjoints, link <- base coordinates
-    x0_motion: list      # 6x6 motion adjoints, link <- base coordinates
+    poses: list          # link poses in base coordinates (forward kinematics)
     v: list              # spatial velocities, body coordinates
     s: list              # 6x1 joint motion subspaces (constant)
 
@@ -119,19 +119,33 @@ def kinematic_sweep(model, q, qd) -> KinSweep:
     n = model.n_moving
     xs = [None] * (n + 1)
     x0f = [None] * (n + 1)
-    x0m = [None] * (n + 1)
     v = [np.zeros(6, dtype=dtype)] * (n + 1)
     s = [None] * (n + 1)
     for i in range(1, n + 1):
         joint = model.joint_of(i)
         h_parent_child = joint_transform(joint, q[i - 1])
         xs[i] = adjoint_motion(h_parent_child.inverse())
-        inv_pose = poses[i].inverse()
-        x0f[i] = adjoint_force(inv_pose)
-        x0m[i] = adjoint_motion(inv_pose)
+        x0f[i] = adjoint_force(poses[i].inverse())
         s[i] = motion_subspace(joint)
         v[i] = xs[i] @ v[model.parent[i]] + s[i] * qd[i - 1]
-    return KinSweep(xs, x0f, x0m, v, s)
+    return KinSweep(xs, x0f, poses, v, s)
+
+
+def link_accelerations(model, sweep, qd, qdd, a0):
+    """Forward recursion: spatial acceleration of every link, body coordinates.
+
+    ``a0`` is the base acceleration: ``-GRAVITY_SPATIAL`` for the gravity
+    trick, zeros for the true (gravity-free) acceleration.
+    """
+    n = model.n_moving
+    a = [np.zeros(6)] * (n + 1)
+    a[0] = a0
+    for i in range(1, n + 1):
+        vj = sweep.s[i] * qd[i - 1]
+        a[i] = sweep.x_from_parent[i] @ a[model.parent[i]] + sweep.s[i] * qdd[i - 1] + cross_motion(
+            sweep.v[i], vj
+        )
+    return a
 
 
 def rnea(model, q, qd, qdd, fx_base=None, base_acc=None):
@@ -160,13 +174,7 @@ def rnea(model, q, qd, qdd, fx_base=None, base_acc=None):
     layout = DynLayout(model)
     d = np.zeros(layout.size)
 
-    a = [np.zeros(6)] * (n + 1)
-    a[0] = a0
-    for i in range(1, n + 1):
-        vj = sweep.s[i] * qd[i - 1]
-        a[i] = sweep.x_from_parent[i] @ a[model.parent[i]] + sweep.s[i] * qdd[i - 1] + cross_motion(
-            sweep.v[i], vj
-        )
+    a = link_accelerations(model, sweep, qd, qdd, a0)
 
     f = [np.zeros(6)] * (n + 1)
     fb = [np.zeros(6)] * (n + 1)
@@ -175,7 +183,8 @@ def rnea(model, q, qd, qdd, fx_base=None, base_acc=None):
         fb[i] = inertia @ a[i] + cross_force(sweep.v[i], inertia @ sweep.v[i])
         f[i] = fb[i] - sweep.x0_force[i] @ fx_base[i - 1]
         for c in model.children[i]:
-            f[i] = f[i] + _force_to_parent(sweep, i, c) @ f[c]
+            # parent <- child force adjoint: the transpose of the child's motion adjoint
+            f[i] = f[i] + sweep.x_from_parent[c].T @ f[c]
 
     for i in range(1, n + 1):
         d[layout.a(i)] = a[i]
@@ -187,10 +196,44 @@ def rnea(model, q, qd, qdd, fx_base=None, base_acc=None):
     return d
 
 
-def _force_to_parent(sweep, parent, child):
-    """Force adjoint taking child-frame wrenches into parent-frame ones."""
-    # p_X_c* equals the transpose of the motion adjoint c_X_p
-    return sweep.x_from_parent[child].T
+class BlockPattern:
+    """Fixed sparsity pattern of a matrix assembled from dense blocks.
+
+    Each block takes the next slice of the value vector, row-major, and all
+    its entries are stored, zeros included. Constant blocks carry their
+    values; the others are filled at each assembly. Block positions never
+    overlap, so the COO -> CSC permutation is computed once.
+    """
+
+    def __init__(self):
+        self._rows, self._cols, self._values = [], [], []
+        self.nnz = 0
+
+    def add(self, row0, col0, nr, nc, value=0.0):
+        """Append an nr x nc block at (row0, col0); return its value slice."""
+        r, c = np.divmod(np.arange(nr * nc), nc)
+        self._rows.append(row0 + r)
+        self._cols.append(col0 + c)
+        self._values.append(np.empty(nr * nc))
+        self._values[-1][:] = np.ravel(value)  # a scalar fills the whole block
+        self.nnz += nr * nc
+        return slice(self.nnz - nr * nc, self.nnz)
+
+    def freeze(self, shape):
+        """Fix the shape, the constant values and the CSC layout; no blocks may follow."""
+        self.shape = shape
+        self.values = np.concatenate(self._values)
+        marker = sp.coo_matrix(
+            (np.arange(self.nnz, dtype=np.int64), (np.concatenate(self._rows), np.concatenate(self._cols))),
+            shape=shape,
+        ).tocsc()
+        self._source = marker.data  # csc slot k takes vals[source[k]]
+        self._indices = marker.indices
+        self._indptr = marker.indptr
+
+    def csc(self, vals):
+        """The CSC matrix whose stored entries are `vals`, in the order the blocks were added."""
+        return sp.csc_matrix((vals[self._source], self._indices, self._indptr), shape=self.shape)
 
 
 class ConstraintAssembler:
@@ -206,78 +249,42 @@ class ConstraintAssembler:
         self.layout = DynLayout(model)
         self.n_rows = BLOCK_ROWS * model.n_moving
         self.n_cols = self.layout.size
-        self._build_pattern()
+        layout = self.layout
+        pattern = BlockPattern()
+        slots = {}  # name -> slice into the value vector, for the state-dependent blocks
+        eye = np.eye(6)
+        for i in range(1, model.n_moving + 1):
+            r0 = self._row_base(i)
+            c0 = layout.base_of(i)
+            s = motion_subspace(model.joint_of(i))
+            pattern.add(r0, c0 + OFF_A, 6, 6, -eye)
+            pattern.add(r0, c0 + OFF_DDQ, 6, 1, s)
+            if model.parent[i] != 0:
+                slots[("Xlam", i)] = pattern.add(r0, layout.base_of(model.parent[i]) + OFF_A, 6, 6)
+            pattern.add(r0 + 6, c0 + OFF_A, 6, 6, model.inertia_of(i).matrix())
+            pattern.add(r0 + 6, c0 + OFF_FB, 6, 6, -eye)
+            pattern.add(r0 + 12, c0 + OFF_FB, 6, 6, eye)
+            pattern.add(r0 + 12, c0 + OFF_F, 6, 6, -eye)
+            slots[("negX0", i)] = pattern.add(r0 + 12, c0 + OFF_FX, 6, 6)
+            for c in model.children[i]:
+                slots[("Xmu", i, c)] = pattern.add(r0 + 12, layout.base_of(c) + OFF_F, 6, 6)
+            pattern.add(r0 + 18, c0 + OFF_F, 1, 6, s)
+            pattern.add(r0 + 18, c0 + OFF_TAU, 1, 1, -1.0)
+        pattern.freeze((self.n_rows, self.n_cols))
+        self._pattern = pattern
+        self._slots = slots
 
     def _row_base(self, i):
         return BLOCK_ROWS * (i - 1)
 
-    def _build_pattern(self):
-        model = self.model
-        layout = self.layout
-        rows, cols = [], []
-        slots = {}  # name -> slice into the value vector
-
-        def add_block(key, row0, col0, nr, nc):
-            start = len(rows)
-            for r in range(nr):
-                for c in range(nc):
-                    rows.append(row0 + r)
-                    cols.append(col0 + c)
-            slots[key] = slice(start, len(rows))
-
-        for i in range(1, model.n_moving + 1):
-            r0 = self._row_base(i)
-            c0 = layout.base_of(i)
-            add_block(("neg_a", i), r0, c0 + OFF_A, 6, 6)
-            add_block(("S", i), r0, c0 + OFF_DDQ, 6, 1)
-            if model.parent[i] != 0:
-                add_block(("Xlam", i), r0, layout.base_of(model.parent[i]) + OFF_A, 6, 6)
-            add_block(("inertia", i), r0 + 6, c0 + OFF_A, 6, 6)
-            add_block(("neg_fb", i), r0 + 6, c0 + OFF_FB, 6, 6)
-            add_block(("pos_fb", i), r0 + 12, c0 + OFF_FB, 6, 6)
-            add_block(("neg_f", i), r0 + 12, c0 + OFF_F, 6, 6)
-            add_block(("negX0", i), r0 + 12, c0 + OFF_FX, 6, 6)
-            for c in model.children[i]:
-                add_block(("Xmu", i, c), r0 + 12, layout.base_of(c) + OFF_F, 6, 6)
-            add_block(("St", i), r0 + 18, c0 + OFF_F, 1, 6)
-            add_block(("neg_tau", i), r0 + 18, c0 + OFF_TAU, 1, 1)
-
-        self._rows = np.array(rows)
-        self._cols = np.array(cols)
-        self._slots = slots
-        self._nnz = len(rows)
-
-        # constant values
-        vals = np.zeros(self._nnz)
-        eye = np.eye(6).ravel()
-        for i in range(1, model.n_moving + 1):
-            s = motion_subspace(model.joint_of(i))
-            vals[slots[("neg_a", i)]] = -eye
-            vals[slots[("S", i)]] = s
-            vals[slots[("inertia", i)]] = model.inertia_of(i).matrix().ravel()
-            vals[slots[("neg_fb", i)]] = -eye
-            vals[slots[("pos_fb", i)]] = eye
-            vals[slots[("neg_f", i)]] = -eye
-            vals[slots[("St", i)]] = s
-            vals[slots[("neg_tau", i)]] = -1.0
-        self._const_vals = vals
-
-        # COO -> CSC permutation computed once (no duplicate positions)
-        marker = sp.coo_matrix(
-            (np.arange(self._nnz, dtype=np.int64), (self._rows, self._cols)),
-            shape=(self.n_rows, self.n_cols),
-        ).tocsc()
-        self._csc_source = marker.data  # csc slot k takes vals[csc_source[k]]
-        self._csc_indices = marker.indices
-        self._csc_indptr = marker.indptr
-
     def assemble(self, q, qd, dtype=float):
         """Return (D, b_D) at the given state; D is CSC."""
+        return self.assemble_sweep(kinematic_sweep(self.model, q, qd), qd, dtype)
+
+    def assemble_sweep(self, sweep, qd, dtype=float):
+        """(D, b_D) from a kinematic sweep already taken at (q, qd)."""
         model = self.model
-        q = np.asarray(q)
-        qd = np.asarray(qd)
-        sweep = kinematic_sweep(model, q, qd)
-        vals = self._const_vals.astype(dtype) if dtype is not float else self._const_vals.copy()
+        vals = self._pattern.values.astype(dtype)
         b = np.zeros(self.n_rows, dtype=dtype)
         a0 = -GRAVITY_SPATIAL
 
@@ -295,11 +302,7 @@ class ConstraintAssembler:
             for c in model.children[i]:
                 vals[self._slots[("Xmu", i, c)]] = sweep.x_from_parent[c].T.ravel()
 
-        mat = sp.csc_matrix(
-            (vals[self._csc_source], self._csc_indices, self._csc_indptr),
-            shape=(self.n_rows, self.n_cols),
-        )
-        return mat, b
+        return self._pattern.csc(vals), b
 
 
 @dataclass
@@ -407,14 +410,9 @@ def _require_chain(model):
 def _chain_data(model, q, qd, qdd):
     sweep = kinematic_sweep(model, q, qd)
     n = model.n_moving
-    a = [np.zeros(6)] * (n + 1)
-    a[0] = -GRAVITY_SPATIAL
+    a = link_accelerations(model, sweep, qd, qdd, -GRAVITY_SPATIAL)
     fb = [np.zeros(6)] * (n + 1)
     for i in range(1, n + 1):
-        vj = sweep.s[i] * qd[i - 1]
-        a[i] = sweep.x_from_parent[i] @ a[model.parent[i]] + sweep.s[i] * qdd[i - 1] + cross_motion(
-            sweep.v[i], vj
-        )
         inertia = model.inertia_of(i).matrix()
         fb[i] = inertia @ a[i] + cross_force(sweep.v[i], inertia @ sweep.v[i])
     return sweep, fb

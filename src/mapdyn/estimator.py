@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 import scipy.sparse as sp
-from scipy.linalg import cho_solve_banded, cholesky_banded
+from scipy.linalg import cho_solve_banded, get_lapack_funcs
 from scipy.sparse.csgraph import reverse_cuthill_mckee
 
 # pivots below this fraction of the largest diagonal entry are treated as
@@ -98,10 +98,14 @@ class SparseCholeskySolver:
         if jitter:
             ab[0] += jitter
         max_diag = np.max(ab[0]) if self.n else 0.0
-        try:
-            factor = cholesky_banded(ab, lower=True, check_finite=False)
-        except np.linalg.LinAlgError as exc:
-            raise NotPositiveDefiniteError(int(self.perm[_failed_pivot(ab)]), str(exc)) from exc
+        pbtrf, = get_lapack_funcs(("pbtrf",), (ab,))
+        factor, info = pbtrf(ab, lower=1)
+        if info < 0:
+            raise ValueError(f"illegal value in {-info}-th argument of internal pbtrf")
+        if info > 0:  # the leading minor of order info is not positive definite
+            raise NotPositiveDefiniteError(
+                int(self.perm[info - 1]), f"{info}-th leading minor not positive definite"
+            )
         small = factor[0] ** 2 < PIVOT_REL_TOL * max_diag
         if np.any(small):
             raise NotPositiveDefiniteError(int(self.perm[int(np.argmax(small))]))
@@ -149,15 +153,6 @@ class SparseCholeskySolver:
         if self._factor is None:
             raise EstimatorError("factorize() must run first")
         return int(np.count_nonzero(self._factor))
-
-
-def _failed_pivot(ab):
-    """Best-effort index of the first failing pivot via a plain sweep."""
-    n = ab.shape[1]
-    for j in range(n):
-        if ab[0, j] <= 0:
-            return j
-    return n - 1
 
 
 def sparse_cholesky_solve(matrix, rhs, solver: SparseCholeskySolver | None = None):

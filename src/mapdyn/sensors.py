@@ -19,7 +19,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.sparse as sp
 from scipy.signal import savgol_filter
 
 from mapdyn.spatial import (
@@ -30,7 +29,7 @@ from mapdyn.spatial import (
     matrix_to_rpy,
     skew,
 )
-from mapdyn.dynamics import DynLayout, kinematic_sweep
+from mapdyn.dynamics import OFF_F, OFF_FX, BlockPattern, DynLayout, kinematic_sweep
 from mapdyn.model.tree import KinematicTreeModel, ModelError
 
 IMU_LINEAR_ACCELERATION = "imu_linear_acceleration"
@@ -154,7 +153,11 @@ def channel_names(model, specs) -> list:
 
 
 class MeasurementAssembler:
-    """Builds (Y, b_Y) at a given state for a fixed, validated spec list."""
+    """Builds (Y, b_Y) at a given state for a fixed, validated spec list.
+
+    The sparsity pattern is fixed; only the IMU biases and the fixed-base
+    wrench blocks depend on the state.
+    """
 
     def __init__(self, model: KinematicTreeModel, specs):
         self.model = model
@@ -162,59 +165,65 @@ class MeasurementAssembler:
         self.layout = DynLayout(model)
         self.dim = measurement_dim(self.specs)
         self.variances = np.concatenate([s.variance for s in self.specs])
-
-    def assemble(self, q, qd, dtype=float):
-        model = self.model
         layout = self.layout
-        sweep = kinematic_sweep(model, q, qd)
-        rows, cols, vals = [], [], []
-        b = np.zeros(self.dim, dtype=dtype)
+        pattern = BlockPattern()
+        self._const_bias = np.zeros(self.dim)
+        self._imus = []  # (row, link, sensor <- link motion adjoint)
+        self._base_blocks = []  # (value slice, child of the base, plate <- base force adjoint)
         row0 = 0
         for spec in self.specs:
             if spec.kind == IMU_LINEAR_ACCELERATION:
                 li = model.link_index[spec.target]
                 x_sensor = adjoint_motion(spec.pose.inverse())  # sensor <- link
-                block = x_sensor[:3, :]  # linear slice of the sensor-frame acceleration
-                _add_block(rows, cols, vals, row0, layout.base_of(li), block)
-                v_s = x_sensor @ sweep.v[li]
-                b[row0: row0 + 3] = np.cross(v_s[3:], v_s[:3])
+                # the linear slice of the sensor-frame acceleration
+                pattern.add(row0, layout.base_of(li), 3, 6, x_sensor[:3, :])
+                self._imus.append((row0, li, x_sensor))
                 row0 += 3
             elif spec.kind == DOF_ACCELERATION:
                 ji = model.joint_index[spec.target] + 1
-                rows.append(row0)
-                cols.append(layout.ddq(ji))
-                vals.append(1.0)
+                pattern.add(row0, layout.ddq(ji), 1, 1, 1.0)
                 row0 += 1
             elif spec.kind == FIXED_BASE_WRENCH:
                 pose = spec.pose if spec.pose is not None else HomTransform.identity()
                 x_fp = adjoint_force(pose.inverse())  # plate <- base
                 for c in model.children[0]:
-                    # base <- child force adjoint is the transpose of the
-                    # child's motion adjoint from the parent
-                    block = x_fp @ sweep.x_from_parent[c].T
-                    _add_block(rows, cols, vals, row0, layout.base_of(c) + 12, block)
+                    slot = pattern.add(row0, layout.base_of(c) + OFF_F, 6, 6)
+                    self._base_blocks.append((slot, c, x_fp))
                 base_inertia = (
                     model.links[0].inertia.matrix() if model.links[0].inertia is not None else np.zeros((6, 6))
                 )
-                b[row0: row0 + 6] = -(x_fp @ (base_inertia @ GRAVITY_SPATIAL))
+                self._const_bias[row0: row0 + 6] = -(x_fp @ (base_inertia @ GRAVITY_SPATIAL))
                 row0 += 6
             else:  # external wrench
                 li = model.link_index[spec.target]
-                _add_block(rows, cols, vals, row0, layout.base_of(li) + 19, np.eye(6))
+                pattern.add(row0, layout.base_of(li) + OFF_FX, 6, 6, np.eye(6))
                 row0 += 6
-        mat = sp.coo_matrix(
-            (np.asarray(vals, dtype=dtype), (rows, cols)), shape=(self.dim, layout.size)
-        ).tocsc()
-        return mat, b
+        pattern.freeze((self.dim, layout.size))
+        self._pattern = pattern
+
+    def assemble(self, q, qd, dtype=float):
+        return self.assemble_sweep(kinematic_sweep(self.model, q, qd), dtype)
+
+    def assemble_sweep(self, sweep, dtype=float):
+        """(Y, b_Y) from a kinematic sweep already taken at the state."""
+        vals = self._pattern.values.astype(dtype)
+        b = self._const_bias.astype(dtype)
+        for row0, li, x_sensor in self._imus:
+            v_s = x_sensor @ sweep.v[li]
+            b[row0: row0 + 3] = np.cross(v_s[3:], v_s[:3])
+        for slot, c, x_fp in self._base_blocks:
+            # base <- child force adjoint is the transpose of the child's
+            # motion adjoint from the parent
+            vals[slot] = (x_fp @ sweep.x_from_parent[c].T).ravel()
+        return self._pattern.csc(vals), b
 
 
-def _add_block(rows, cols, vals, r0, c0, block):
-    nr, nc = block.shape
-    for r in range(nr):
-        for c in range(nc):
-            rows.append(r0 + r)
-            cols.append(c0 + c)
-            vals.append(block[r, c])
+def assemble_system(constraints, measurements, q, qd, dtype=float):
+    """(D, b_D, Y, b_Y) at one state from a single kinematic sweep."""
+    sweep = kinematic_sweep(constraints.model, q, qd)
+    mat_d, b_d = constraints.assemble_sweep(sweep, qd, dtype)
+    mat_y, b_y = measurements.assemble_sweep(sweep, dtype)
+    return mat_d, b_d, mat_y, b_y
 
 
 def assemble_measurements(model, specs, q, qd):

@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.interpolate import CubicSpline
 
-from mapdyn.dynamics import ConstraintAssembler, DynLayout, rnea
+from mapdyn.dynamics import ConstraintAssembler, DynLayout, kinematic_sweep, link_accelerations, rnea
 from mapdyn.model.tree import KinematicTreeModel, Joint, Link, ModelError
 from mapdyn.sensors import MeasurementAssembler
 from mapdyn.spatial import HomTransform, SpatialInertia
@@ -202,22 +202,8 @@ def link_motion(model, q, qd, qdd):
     Velocities/accelerations are in body coordinates; the acceleration is
     the true one (no gravity offset).
     """
-    from mapdyn.dynamics import kinematic_sweep
-    from mapdyn.model.kinematics import forward_kinematics
-    from mapdyn.spatial import cross_motion
-
     sweep = kinematic_sweep(model, q, qd)
-    poses = forward_kinematics(model, q)
-    n = model.n_moving
-    acc = [np.zeros(6)] * (n + 1)
-    for i in range(1, n + 1):
-        vj = sweep.s[i] * qd[i - 1]
-        acc[i] = (
-            sweep.x_from_parent[i] @ acc[model.parent[i]]
-            + sweep.s[i] * qdd[i - 1]
-            + cross_motion(sweep.v[i], vj)
-        )
-    return poses, sweep.v, acc
+    return sweep.poses, sweep.v, link_accelerations(model, sweep, qd, qdd, np.zeros(6))
 
 
 def synthesize_sensor_streams(model, trajectory: TrajectorySpec, sensor, noise_std=0.0, rng=None):

@@ -219,6 +219,49 @@ class TestEstimate:
         rc = main(["estimate", "--config", write_config(tmp_path, est_cfg, "e.json")])
         assert rc == 2
 
+    def _simulate(self, tmp_path, cfg):
+        """Simulate, and return an estimate config over the outputs with the sample count."""
+        assert main(["simulate", "--config", write_config(tmp_path, cfg, "sim.json")]) == 0
+        sim_dir = Path(cfg["out"])
+        est_cfg = dict(cfg)
+        est_cfg["out"] = str(tmp_path / "est")
+        est_cfg["inputs"] = {
+            "observations": str(sim_dir / "observations.csv"),
+            "state": str(sim_dir / "trajectory.csv"),
+        }
+        return write_config(tmp_path, est_cfg, "est.json"), len(read_rows(sim_dir / "trajectory.csv")[1])
+
+    @pytest.mark.parametrize("corrupt", ["non_numeric", "ragged"])
+    def test_malformed_observation_row_exits_2(self, two_link_setup, capsys, corrupt):
+        tmp_path, cfg = two_link_setup
+        config, _ = self._simulate(tmp_path, cfg)
+        obs = Path(cfg["out"]) / "observations.csv"
+        lines = obs.read_text().splitlines()
+        cells = lines[3].split(",")
+        lines[3] = ",".join(cells[:1] + ["abc"] + cells[2:] if corrupt == "non_numeric" else cells[:-1])
+        obs.write_text("\n".join(lines) + "\n")
+        assert main(["estimate", "--config", config, "--workers", "1"]) == 2
+        assert f"{obs}, line 4" in capsys.readouterr().err
+
+    def test_one_kinematic_sweep_per_sample(self, two_link_setup, monkeypatch):
+        """A serial run sweeps once per sample, plus once for the rank check."""
+        import mapdyn.dynamics
+        import mapdyn.sensors
+
+        tmp_path, cfg = two_link_setup
+        config, n_samples = self._simulate(tmp_path, cfg)
+        calls = []
+        sweep = mapdyn.dynamics.kinematic_sweep
+
+        def counting_sweep(*args, **kwargs):
+            calls.append(args)
+            return sweep(*args, **kwargs)
+
+        monkeypatch.setattr(mapdyn.dynamics, "kinematic_sweep", counting_sweep)
+        monkeypatch.setattr(mapdyn.sensors, "kinematic_sweep", counting_sweep)
+        assert main(["estimate", "--config", config, "--workers", "1"]) == 0
+        assert len(calls) == n_samples + 1
+
 
 def _bundled_openblas_files():
     """OpenBLAS libraries shipped inside the numpy and scipy wheels, by path."""

@@ -75,6 +75,16 @@ class TestSparseCholesky:
             solver.factorize(mat)
         assert err.value.pivot_index == 2
 
+    def test_non_positive_definite_reports_failing_minor(self):
+        # every diagonal entry is positive; the leading minor of order 4 is not
+        dense = np.eye(5)
+        dense[2, 3] = dense[3, 2] = 2.0
+        mat = sp.csc_matrix(dense)
+        solver = SparseCholeskySolver(mat, use_permutation=False)
+        with pytest.raises(NotPositiveDefiniteError) as err:
+            solver.factorize(mat)
+        assert err.value.pivot_index == 3
+
     def test_tiny_pivot_is_failure_not_silent_jitter(self):
         mat = sp.csc_matrix(np.diag([1.0, 1e-16, 1.0]))
         solver = SparseCholeskySolver(mat)

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from mapdyn.dynamics import DynLayout, rnea
+from mapdyn.dynamics import ConstraintAssembler, DynLayout, rnea
 from mapdyn.model import parse_model
 from mapdyn.sensors import (
     DOF_ACCELERATION,
@@ -14,6 +14,7 @@ from mapdyn.sensors import (
     MeasurementSet,
     SensorSpec,
     assemble_measurements,
+    assemble_system,
     channel_names,
     default_sensor_specs,
     estimate_sensor_pose,
@@ -24,7 +25,9 @@ from mapdyn.simharness import (
     Sine,
     TrajectorySpec,
     link_motion,
+    random_chain_model,
     random_state,
+    random_tree_model,
     synthesize_sensor_streams,
 )
 from mapdyn.spatial import GRAVITY_SPATIAL, HomTransform, matrix_to_rpy, rotation_about_axis
@@ -43,6 +46,41 @@ def two_link_specs(model):
 
 
 class TestMeasurementAssembly:
+    @pytest.mark.parametrize("dtype", [float, complex])
+    @pytest.mark.parametrize("make_model", [random_chain_model, random_tree_model])
+    def test_assemble_system_matches_separate_assembly(self, make_model, dtype):
+        """One shared sweep gives the same bytes as a sweep per assembler."""
+        rng = np.random.default_rng(23)
+
+        def pose():
+            return HomTransform.from_rpy(rng.normal(0.0, 0.3, 3), rng.normal(0.0, 0.1, 3))
+
+        for _ in range(4):
+            n = int(rng.integers(2, 9))
+            model = make_model(n, rng)
+            specs = default_sensor_specs(model, contact_links=["link1"], fp_pose=pose())
+            # two IMUs on one link occupy separate rows
+            specs += [SensorSpec(IMU_LINEAR_ACCELERATION, f"link{i}", pose()) for i in (1, n, n)]
+            casm, masm = ConstraintAssembler(model), MeasurementAssembler(model, specs)
+            q, qd, _ = random_state(model, rng)
+            if dtype is complex:  # complex-step states, as the bias Jacobians use
+                q = q + 1e-3j * rng.normal(0.0, 1.0, n)
+                qd = qd + 1e-3j * rng.normal(0.0, 1.0, n)
+            mat_d, b_d, mat_y, b_y = assemble_system(casm, masm, q, qd, dtype=dtype)
+            separate = casm.assemble(q, qd, dtype=dtype) + masm.assemble(q, qd, dtype=dtype)
+            for got, ref in zip((mat_d, b_d, mat_y, b_y), separate):
+                assert got.dtype == np.dtype(dtype)
+                if isinstance(got, np.ndarray):
+                    assert got.tobytes() == ref.tobytes()
+                else:
+                    assert np.array_equal(got.indices, ref.indices)
+                    assert np.array_equal(got.indptr, ref.indptr)
+                    assert got.data.tobytes() == ref.data.tobytes()
+            # Y stores the same entries, zeros included, at any state
+            at_rest, _ = masm.assemble(np.zeros(n), np.zeros(n), dtype=dtype)
+            assert np.array_equal(at_rest.indices, mat_y.indices)
+            assert np.array_equal(at_rest.indptr, mat_y.indptr)
+
     def test_illustrative_dimensions(self, two_link_model, rng):
         specs = two_link_specs(two_link_model)
         q, qd, _ = random_state(two_link_model, rng)
