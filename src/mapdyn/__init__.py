@@ -12,7 +12,6 @@ from mapdyn.spatial import (
     HomTransform,
     SpatialInertia,
     adjoint_force,
-    adjoint_from_hom,
     adjoint_motion,
     body_equation_of_motion,
     cross_force,
@@ -29,7 +28,6 @@ __all__ = [
     "HomTransform",
     "SpatialInertia",
     "adjoint_force",
-    "adjoint_from_hom",
     "adjoint_motion",
     "body_equation_of_motion",
     "cross_force",

@@ -152,6 +152,8 @@ def read_csv(path):
         raise InputError(f"input CSV not found: {path}") from exc
     except StopIteration as exc:
         raise InputError(f"input CSV is empty: {path}") from exc
+    if not rows:
+        raise InputError(f"input CSV has a header but no data rows: {path}")
     data = []
     for line, row in rows:
         if len(row) != len(header):
@@ -519,6 +521,14 @@ def _state_from_poses(model, cfg, poses_path):
     """IK + smoothing differentiation from a per-link world-pose series."""
     header, data = read_csv(poses_path)
     times = data[:, 0]
+    sg_cfg = cfg.get("sg", {})
+    window = int(sg_cfg.get("window", 57))
+    order = int(sg_cfg.get("order", 3))
+    min_window = order + 1 + order % 2  # the smallest odd window above the order
+    if times.size < min_window:
+        raise InputError(
+            f"{poses_path}: smoothing order {order} needs at least {min_window} pose samples, got {times.size}"
+        )
     col = {name: i for i, name in enumerate(header)}
     real = [l.name for l in model.links if not l.is_dummy]
     for name in real:
@@ -543,13 +553,8 @@ def _state_from_poses(model, cfg, poses_path):
         q_series[k] = result.q
         q_prev = result.q
 
-    sg_cfg = cfg.get("sg", {})
-    window = int(sg_cfg.get("window", 57))
-    order = int(sg_cfg.get("order", 3))
     if times.size < window:
-        window = max(order + 2 + (order % 2), min(window, times.size - (1 - times.size % 2)))
-        if window % 2 == 0:
-            window -= 1
+        window = times.size - (1 - times.size % 2)  # the largest odd window that fits
         log.warning("short series: smoothing window reduced to %d", window)
     dt = float(np.median(np.diff(times))) if times.size > 1 else 1.0
     qd_series, _ = savitzky_golay_derivatives(q_series, dt, window=window, order=order)
@@ -585,7 +590,10 @@ def cmd_fusion(config_path, model_override, out_dir):
 
     traj = trajectory_from_config(model, cfg)
     _, q_series, qd_series, _ = traj.sample()
-    stride = max(1, q_series.shape[0] // int(fusion_cfg.get("max_states", 10)))
+    max_states = fusion_cfg.get("max_states", 10)
+    if isinstance(max_states, bool) or not isinstance(max_states, int) or max_states < 1:
+        raise InputError(f"'fusion.max_states' must be a positive integer, got {max_states!r}")
+    stride = max(1, q_series.shape[0] // max_states)
     states = list(zip(q_series[::stride], qd_series[::stride]))
 
     case_specs = []

@@ -23,6 +23,7 @@ from mapdyn.spatial import (
     GRAVITY_SPATIAL,
     adjoint_force,
     adjoint_motion,
+    body_equation_of_motion,
     cross_force,
     cross_motion,
 )
@@ -179,8 +180,7 @@ def rnea(model, q, qd, qdd, fx_base=None, base_acc=None):
     f = [np.zeros(6)] * (n + 1)
     fb = [np.zeros(6)] * (n + 1)
     for i in range(n, 0, -1):
-        inertia = model.inertia_of(i).matrix()
-        fb[i] = inertia @ a[i] + cross_force(sweep.v[i], inertia @ sweep.v[i])
+        fb[i] = body_equation_of_motion(model.inertia_of(i), sweep.v[i], a[i])
         f[i] = fb[i] - sweep.x0_force[i] @ fx_base[i - 1]
         for c in model.children[i]:
             # parent <- child force adjoint: the transpose of the child's motion adjoint
@@ -413,8 +413,7 @@ def _chain_data(model, q, qd, qdd):
     a = link_accelerations(model, sweep, qd, qdd, -GRAVITY_SPATIAL)
     fb = [np.zeros(6)] * (n + 1)
     for i in range(1, n + 1):
-        inertia = model.inertia_of(i).matrix()
-        fb[i] = inertia @ a[i] + cross_force(sweep.v[i], inertia @ sweep.v[i])
+        fb[i] = body_equation_of_motion(model.inertia_of(i), sweep.v[i], a[i])
     return sweep, fb
 
 

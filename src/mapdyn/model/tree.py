@@ -6,7 +6,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from mapdyn.spatial import HomTransform, SpatialInertia
+from mapdyn.spatial import HomTransform, SpatialInertia, snap_rotation
 
 DUMMY_MASS = 1e-4
 DUMMY_INERTIA = 3e-4
@@ -56,6 +56,7 @@ class Joint:
                 raise ModelError(f"joint {self.name!r} has a zero axis")
             axis = axis / n
         object.__setattr__(self, "axis", axis)
+        object.__setattr__(self, "origin", snap_rotation(self.origin))
         if self.limits[0] > self.limits[1]:
             raise ModelError(f"joint {self.name!r} has inverted limits")
 
@@ -70,6 +71,7 @@ class SensorAttachment:
     def __post_init__(self):
         if self.kind not in ("accelerometer", "gyroscope"):
             raise ModelError(f"unsupported sensor kind {self.kind!r}")
+        object.__setattr__(self, "pose", snap_rotation(self.pose))
 
 
 def dummy_link(name: str) -> Link:

@@ -28,6 +28,7 @@ from mapdyn.spatial import (
     adjoint_motion,
     matrix_to_rpy,
     skew,
+    snap_rotation,
 )
 from mapdyn.dynamics import OFF_F, OFF_FX, BlockPattern, DynLayout, kinematic_sweep
 from mapdyn.model.tree import KinematicTreeModel, ModelError
@@ -59,6 +60,8 @@ class SensorSpec:
             raise MeasurementModelError(f"unknown sensor kind {self.kind!r}")
         if self.kind == IMU_LINEAR_ACCELERATION and self.pose is None:
             raise MeasurementModelError("IMU channels require the sensor pose in the link frame")
+        if self.pose is not None:
+            object.__setattr__(self, "pose", snap_rotation(self.pose))
         var = np.asarray(self.variance, dtype=float)
         if var.ndim == 0:
             var = np.full(_KIND_DIM[self.kind], float(var))
@@ -210,7 +213,7 @@ class MeasurementAssembler:
         b = self._const_bias.astype(dtype)
         for row0, li, x_sensor in self._imus:
             v_s = x_sensor @ sweep.v[li]
-            b[row0: row0 + 3] = np.cross(v_s[3:], v_s[:3])
+            b[row0: row0 + 3] = skew(v_s[3:]) @ v_s[:3]
         for slot, c, x_fp in self._base_blocks:
             # base <- child force adjoint is the transpose of the child's
             # motion adjoint from the parent

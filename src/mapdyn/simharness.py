@@ -16,7 +16,7 @@ from scipy.interpolate import CubicSpline
 from mapdyn.dynamics import ConstraintAssembler, DynLayout, kinematic_sweep, link_accelerations, rnea
 from mapdyn.model.tree import KinematicTreeModel, Joint, Link, ModelError
 from mapdyn.sensors import MeasurementAssembler
-from mapdyn.spatial import HomTransform, SpatialInertia
+from mapdyn.spatial import HomTransform, SpatialInertia, skew
 
 
 # ---------------------------------------------------------------------------
@@ -237,14 +237,14 @@ def synthesize_sensor_streams(model, trajectory: TrajectorySpec, sensor, noise_s
         v = vels[li]
         a = accs[li]
         body_rot[k] = r_b
-        body_acc[k] = r_b @ (a[:3] + np.cross(v[3:], v[:3]))
+        body_acc[k] = r_b @ (a[:3] + skew(v[3:]) @ v[:3])
         omegas[k] = r_b @ v[3:]
         omega_dots[k] = r_b @ a[3:]
         r_s = r_b @ r_ls
         sensor_rot[k] = r_s
         v_s = x_sensor @ v
         a_s = x_sensor @ a
-        proper = a_s[:3] + np.cross(v_s[3:], v_s[:3]) - r_s.T @ gravity
+        proper = a_s[:3] + skew(v_s[3:]) @ v_s[:3] - r_s.T @ gravity
         sensor_acc[k] = proper
     if noise_std and rng is not None:
         sensor_acc = sensor_acc + rng.normal(0.0, noise_std, sensor_acc.shape)

@@ -27,7 +27,7 @@ GRAVITY = 9.81
 #: (z up): linear part (0, 0, -9.81), zero angular part.
 GRAVITY_SPATIAL = np.array([0.0, 0.0, -GRAVITY, 0.0, 0.0, 0.0])
 
-# Drift threshold above which rotation matrices are re-orthonormalized.
+# Drift threshold above which a model pose's rotation is re-orthonormalized.
 ORTHONORMALITY_TOL = 1e-9
 
 
@@ -39,24 +39,6 @@ def skew(v):
     z[1, 0], z[1, 2] = v[2], -v[0]
     z[2, 0], z[2, 1] = -v[1], v[0]
     return z
-
-
-def motion_vec(linear, angular):
-    """Stack linear and angular 3-vectors into a 6D motion vector."""
-    return np.concatenate([np.asarray(linear, dtype=float), np.asarray(angular, dtype=float)])
-
-
-def force_vec(force, moment):
-    """Stack force and moment 3-vectors into a 6D force vector."""
-    return np.concatenate([np.asarray(force, dtype=float), np.asarray(moment, dtype=float)])
-
-
-def lin_part(v6):
-    return np.asarray(v6)[:3]
-
-
-def ang_part(v6):
-    return np.asarray(v6)[3:]
 
 
 def cross_motion_matrix(v):
@@ -85,19 +67,13 @@ def cross_force_matrix(v):
 
 
 def cross_motion(v, u):
-    """Spatial cross product of two motion vectors."""
-    v = np.asarray(v)
-    u = np.asarray(u)
-    w = v[3:]
-    return np.concatenate([np.cross(w, u[:3]) + np.cross(v[:3], u[3:]), np.cross(w, u[3:])])
+    """Spatial cross product of two motion vectors: v x u."""
+    return cross_motion_matrix(v) @ np.asarray(u)
 
 
 def cross_force(v, f):
-    """Dual spatial cross product of a motion vector with a force vector."""
-    v = np.asarray(v)
-    f = np.asarray(f)
-    w = v[3:]
-    return np.concatenate([np.cross(w, f[:3]), np.cross(v[:3], f[:3]) + np.cross(w, f[3:])])
+    """Dual spatial cross product of a motion vector with a force vector: v x* f."""
+    return cross_force_matrix(v) @ np.asarray(f)
 
 
 # ---------------------------------------------------------------------------
@@ -163,11 +139,6 @@ def orthonormalize(r):
     return out
 
 
-def is_rotation(r, tol=1e-12):
-    r = np.asarray(r)
-    return orthonormality_drift(r) <= tol and abs(np.linalg.det(r) - 1.0) <= tol
-
-
 def random_rotation(rng):
     """Uniform-ish random rotation from the exponential of a random skew."""
     w = rng.normal(size=3)
@@ -198,9 +169,6 @@ class HomTransform:
         t = np.asarray(self.translation)
         if r.shape != (3, 3) or t.shape != (3,):
             raise ValueError("HomTransform needs a 3x3 rotation and 3-vector translation")
-        if not np.iscomplexobj(r) and orthonormality_drift(r) > ORTHONORMALITY_TOL:
-            # long chains accumulate rounding: snap back to SO(3)
-            r = orthonormalize(r)
         object.__setattr__(self, "rotation", r)
         object.__setattr__(self, "translation", t)
 
@@ -212,14 +180,11 @@ class HomTransform:
     def from_rpy(cls, xyz, rpy):
         return cls(rpy_to_matrix(*rpy), np.asarray(xyz, dtype=float))
 
-    def compose(self, other: "HomTransform") -> "HomTransform":
+    def __matmul__(self, other: "HomTransform") -> "HomTransform":
         return HomTransform(
             self.rotation @ other.rotation,
             self.rotation @ other.translation + self.translation,
         )
-
-    def __matmul__(self, other):
-        return self.compose(other)
 
     def inverse(self) -> "HomTransform":
         rt = self.rotation.T
@@ -239,6 +204,18 @@ class HomTransform:
             np.allclose(self.rotation, other.rotation, atol=tol)
             and np.allclose(self.translation, other.translation, atol=tol)
         )
+
+
+def snap_rotation(h: HomTransform) -> HomTransform:
+    """``h`` with its rotation snapped to SO(3) if it drifted beyond ORTHONORMALITY_TOL.
+
+    Called where a pose enters a model from outside input (joint origins,
+    sensor poses). Poses composed from those stay within rounding of SO(3),
+    so ``HomTransform`` itself does not check.
+    """
+    if orthonormality_drift(h.rotation) <= ORTHONORMALITY_TOL:
+        return h
+    return HomTransform(orthonormalize(h.rotation), h.translation)
 
 
 def adjoint_motion(h: HomTransform):
@@ -268,15 +245,6 @@ def adjoint_force(h: HomTransform):
     x[3:, :3] = skew(h.translation) @ r
     x[3:, 3:] = r
     return x
-
-
-def adjoint_from_hom(h: HomTransform, kind: str):
-    """Adjoint of a homogeneous transform; kind is 'motion' or 'force'."""
-    if kind == "motion":
-        return adjoint_motion(h)
-    if kind == "force":
-        return adjoint_force(h)
-    raise ValueError(f"unknown adjoint kind {kind!r}")
 
 
 def se3_log(h: HomTransform):
@@ -332,20 +300,6 @@ class SpatialInertia:
         out[3:, 3:] = self.inertia + m * (cx @ cx.T)
         return out
 
-    def apply(self, v6):
-        """Momentum-style product: matrix() @ v6 without materializing it."""
-        v6 = np.asarray(v6)
-        lin, ang = v6[:3], v6[3:]
-        m = self.mass
-        c = self.com
-        p = m * lin - m * np.cross(c, ang)
-        l = self.inertia @ ang + m * np.cross(c, lin) - m * np.cross(c, np.cross(c, ang))
-        return np.concatenate([p, l])
-
-
-def spatial_inertia_apply(inertia: SpatialInertia, v6):
-    return inertia.matrix() @ np.asarray(v6)
-
 
 def body_equation_of_motion(inertia: SpatialInertia, v, a):
     """Net force on one rigid body: I a + v x* (I v)."""
@@ -393,10 +347,11 @@ def point_velocity(o_dot, omega, rotation, p_body):
     o_dot, omega are the frame origin velocity / angular velocity in the
     reference frame; p_body is the point in body coordinates.
     """
-    return np.asarray(o_dot) + np.cross(omega, rotation @ np.asarray(p_body))
+    return np.asarray(o_dot) + skew(omega) @ (rotation @ np.asarray(p_body))
 
 
 def point_acceleration(o_ddot, omega, omega_dot, rotation, p_body):
     """Acceleration of a body-fixed point given the frame's motion."""
     rp = rotation @ np.asarray(p_body)
-    return np.asarray(o_ddot) + np.cross(omega_dot, rp) + np.cross(omega, np.cross(omega, rp))
+    w = skew(omega)
+    return np.asarray(o_ddot) + skew(omega_dot) @ rp + w @ (w @ rp)

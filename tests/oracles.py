@@ -1,0 +1,79 @@
+"""Closed-form oracles the tests compare the MAP estimator against.
+
+Dense and slow on purpose: each restates an estimate in its textbook form,
+independent of the sparse Cholesky path in ``mapdyn.estimator``.
+"""
+
+import numpy as np
+import scipy.sparse as sp
+
+from mapdyn.estimator import EstimatorError, MapProblem, RankDeficiencyError
+
+
+def gls_solve(a, b, weights):
+    """Generalized least squares x = (A^T W A)^{-1} A^T W b.
+
+    ``weights`` is the SPD weight matrix W given as a vector of diagonal
+    entries, a list of per-block diagonal vectors matching row blocks of A,
+    or a full dense matrix.
+    """
+    dense = a.toarray() if sp.issparse(a) else np.asarray(a, dtype=float)
+    b = np.asarray(b, dtype=float)
+    if isinstance(weights, (list, tuple)):
+        weights = np.concatenate([np.asarray(w, dtype=float).ravel() for w in weights])
+    weights = np.asarray(weights, dtype=float)
+    if weights.ndim == 1:
+        if weights.shape[0] != dense.shape[0]:
+            raise EstimatorError("diagonal weight length must match the row count")
+        atw = dense.T * weights
+    else:
+        atw = dense.T @ weights
+    normal = atw @ dense
+    rank = np.linalg.matrix_rank(dense)
+    if rank < dense.shape[1]:
+        raise RankDeficiencyError(dense.shape[1] - rank)
+    return np.linalg.solve(normal, atw @ b)
+
+
+def map_as_gls(problem: MapProblem):
+    """The MAP mean through the explicit stacked weighted least squares.
+
+    Stacks [D; Y; I] against [-b_D; y - b_Y; mu_d] with block weights
+    (1/sigma_D, 1/sigma_y, 1/sigma_d). The constraint target enters with a
+    minus sign since the constraint reads D d + b_D = 0.
+    """
+    dim = problem.dim_d
+    a = sp.vstack([problem.D, problem.Y, sp.identity(dim, format="csc")])
+    b = np.concatenate([-problem.b_D, problem.y - problem.b_Y, problem.mu_d])
+    w = np.concatenate([1.0 / problem.sigma_D, 1.0 / problem.sigma_y, 1.0 / problem.sigma_d])
+    return gls_solve(a, b, w)
+
+
+def lmmse_forms_check(c, sigma_x, sigma_e, mu_x, y):
+    """Both algebraic forms of the linear-regressor Gaussian estimator.
+
+    Returns ((mean_1, cov_1), (mean_2, cov_2)): the innovation/gain form and
+    its information-form rewrite obtained through the matrix-inversion
+    identities. The two agree to rounding whenever both inner inverses
+    exist.
+    """
+    c = np.atleast_2d(np.asarray(c, dtype=float))
+    m, n = c.shape
+    sigma_x = np.asarray(sigma_x, dtype=float)
+    sigma_e = np.asarray(sigma_e, dtype=float)
+    if sigma_x.ndim == 1:
+        sigma_x = np.diag(sigma_x)
+    if sigma_e.ndim == 1:
+        sigma_e = np.diag(sigma_e)
+    mu_x = np.asarray(mu_x, dtype=float).reshape(n)
+    y = np.asarray(y, dtype=float).reshape(m)
+
+    s = c @ sigma_x @ c.T + sigma_e
+    gain = sigma_x @ c.T @ np.linalg.inv(s)
+    mean1 = mu_x + gain @ (y - c @ mu_x)
+    cov1 = sigma_x - gain @ c @ sigma_x
+
+    info = np.linalg.inv(sigma_x) + c.T @ np.linalg.inv(sigma_e) @ c
+    cov2 = np.linalg.inv(info)
+    mean2 = cov2 @ (c.T @ np.linalg.inv(sigma_e) @ y + np.linalg.solve(sigma_x, mu_x))
+    return (mean1, cov1), (mean2, cov2)

@@ -27,8 +27,6 @@ from mapdyn.estimator import (
     complex_step_bias_jacobians,
     finite_difference_bias_jacobians,
     incremental_fusion,
-    lmmse_forms_check,
-    map_as_gls,
     map_solve,
     map_solve_augmented,
     posterior_precision_terms,
@@ -53,6 +51,7 @@ from mapdyn.simharness import (
 from mapdyn.spatial import matrix_to_rpy
 
 from conftest import TWO_LINK_XML
+from oracles import lmmse_forms_check, map_as_gls
 
 CONTACT_LINKS = ("RightFoot", "RightToe", "LeftToe")
 

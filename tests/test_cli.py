@@ -231,17 +231,32 @@ class TestEstimate:
         }
         return write_config(tmp_path, est_cfg, "est.json"), len(read_rows(sim_dir / "trajectory.csv")[1])
 
-    @pytest.mark.parametrize("corrupt", ["non_numeric", "ragged"])
+    @pytest.mark.parametrize("corrupt", ["non_numeric", "ragged", "header_only"])
     def test_malformed_observation_row_exits_2(self, two_link_setup, capsys, corrupt):
         tmp_path, cfg = two_link_setup
         config, _ = self._simulate(tmp_path, cfg)
         obs = Path(cfg["out"]) / "observations.csv"
         lines = obs.read_text().splitlines()
         cells = lines[3].split(",")
-        lines[3] = ",".join(cells[:1] + ["abc"] + cells[2:] if corrupt == "non_numeric" else cells[:-1])
+        if corrupt == "header_only":
+            lines = lines[:1]
+        else:
+            lines[3] = ",".join(cells[:1] + ["abc"] + cells[2:] if corrupt == "non_numeric" else cells[:-1])
         obs.write_text("\n".join(lines) + "\n")
         assert main(["estimate", "--config", config, "--workers", "1"]) == 2
-        assert f"{obs}, line 4" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert (f"no data rows: {obs}" if corrupt == "header_only" else f"{obs}, line 4") in err
+
+    def test_too_short_pose_series_exits_2(self, two_link_setup, capsys):
+        tmp_path, cfg = two_link_setup
+        config, _ = self._simulate(tmp_path, cfg)
+        est_cfg = json.loads(Path(config).read_text())
+        poses = Path(cfg["out"]) / "link_poses.csv"
+        poses.write_text("\n".join(poses.read_text().splitlines()[:4]) + "\n")  # header and 3 samples
+        est_cfg["inputs"]["link_poses"] = str(poses)
+        del est_cfg["inputs"]["state"]
+        assert main(["estimate", "--config", write_config(tmp_path, est_cfg, "short.json"), "--workers", "1"]) == 2
+        assert "smoothing order 3 needs at least 5 pose samples, got 3" in capsys.readouterr().err
 
     def test_one_kinematic_sweep_per_sample(self, two_link_setup, monkeypatch):
         """A serial run sweeps once per sample, plus once for the rank check."""
@@ -364,6 +379,20 @@ class TestFusion:
         for row in rows:
             assert float(row[2]) <= float(row[1]) + 1e-12
             assert row[3] == "True"
+
+
+    @pytest.mark.parametrize("max_states", [0, -2, 2.5, "4", True])
+    def test_bad_max_states_exits_2(self, two_link_setup, capsys, max_states):
+        tmp_path, cfg = two_link_setup
+        fus_cfg = dict(cfg)
+        fus_cfg["out"] = str(tmp_path / "fus3")
+        sensors = {"contact_links": ["link2"]}
+        fus_cfg["fusion"] = {
+            "cases": [{"name": "case1", "sensors": sensors}, {"name": "case2", "sensors": sensors}],
+            "max_states": max_states,
+        }
+        assert main(["fusion", "--config", write_config(tmp_path, fus_cfg, "f.json")]) == 2
+        assert "'fusion.max_states' must be a positive integer" in capsys.readouterr().err
 
 
 class TestSensorPose:

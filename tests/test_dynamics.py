@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -8,6 +10,7 @@ from mapdyn.dynamics import (
     extract_lagrangian_terms,
     id_bottomup,
     id_topdown,
+    kinematic_sweep,
     rnea,
 )
 from mapdyn.model import parse_model
@@ -132,6 +135,32 @@ class TestConstraintAssembly:
             mat, b = assembler.assemble(q, qd)
             res = np.abs(mat @ d + b).max()
             assert res <= 1e-9 * (1 + np.abs(d).max())
+
+
+class TestNoRotationCheckPerSample:
+    def test_sweep_rnea_and_assembly_check_no_rotation(self, human_model, rng, monkeypatch):
+        """Rotations are checked where they enter the model, never per sample."""
+        import mapdyn.spatial
+        from mapdyn.sensors import MeasurementAssembler, assemble_system, default_sensor_specs
+
+        constraints = ConstraintAssembler(human_model)
+        measurements = MeasurementAssembler(human_model, default_sensor_specs(human_model))
+        q, qd, qdd = random_state(human_model, rng, q_scale=0.4)
+        calls = []
+        drift = mapdyn.spatial.orthonormality_drift
+
+        def counting_drift(r):
+            calls.append(r)
+            return drift(r)
+
+        monkeypatch.setattr(mapdyn.spatial, "orthonormality_drift", counting_drift)
+        kinematic_sweep(human_model, q, qd)
+        rnea(human_model, q, qd, qdd)
+        assemble_system(constraints, measurements, q, qd)
+        assert calls == []
+        # the counter does see the check at the model boundary
+        dataclasses.replace(human_model.joints[0])
+        assert len(calls) == 1
 
 
 class TestLagrangianTerms:

@@ -12,10 +12,7 @@ from mapdyn.estimator import (
     SparseCholeskySolver,
     complex_step_bias_jacobians,
     finite_difference_bias_jacobians,
-    gls_solve,
     incremental_fusion,
-    lmmse_forms_check,
-    map_as_gls,
     map_solve,
     map_solve_augmented,
     posterior_precision_terms,
@@ -24,6 +21,8 @@ from mapdyn.estimator import (
 )
 from mapdyn.sensors import MeasurementAssembler
 from mapdyn.simharness import random_state
+
+from oracles import gls_solve, lmmse_forms_check, map_as_gls
 
 
 def random_spd(rng, n, density=0.2):

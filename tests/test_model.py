@@ -17,7 +17,8 @@ from mapdyn.model import (
     relative_angular_jacobian,
 )
 from mapdyn.model.tree import DUMMY_INERTIA, DUMMY_MASS
-from mapdyn.spatial import HomTransform, rotation_about_axis
+from mapdyn.simharness import random_chain_model
+from mapdyn.spatial import HomTransform, orthonormality_drift, rotation_about_axis
 
 from conftest import TWO_LINK_XML
 
@@ -242,6 +243,13 @@ class TestForwardKinematics:
     def test_dimension_mismatch(self, two_link_model):
         with pytest.raises(ModelError):
             forward_kinematics(two_link_model, np.zeros(3))
+
+    def test_long_chain_poses_stay_in_so3(self, rng):
+        """Composed poses drift far below the snap threshold, so FK output needs no snap."""
+        for _ in range(5):
+            model = random_chain_model(200, rng)
+            poses = forward_kinematics(model, rng.uniform(-np.pi, np.pi, model.n_dof))
+            assert max(orthonormality_drift(p.rotation) for p in poses) <= 1e-12
 
 
 class TestInverseKinematics:

@@ -1,12 +1,13 @@
 import numpy as np
 import pytest
 
+from mapdyn.model.tree import Joint, SensorAttachment
+from mapdyn.sensors import IMU_LINEAR_ACCELERATION, SensorSpec
 from mapdyn.spatial import (
     GRAVITY_SPATIAL,
     HomTransform,
     SpatialInertia,
     adjoint_force,
-    adjoint_from_hom,
     adjoint_motion,
     body_equation_of_motion,
     cross_force,
@@ -66,6 +67,21 @@ class TestCrossOperators:
             assert np.allclose(cross_motion(v, u), cross_motion_matrix(v) @ u, atol=1e-14)
             assert np.allclose(cross_force(v, f), cross_force_matrix(v) @ f, atol=1e-14)
 
+    def test_complex_inputs_match_cross_product_reference(self, rng):
+        # the 3-vector form, kept here as the reference for the 6x6 operators
+        def motion_reference(v, u):
+            w = v[3:]
+            return np.concatenate([np.cross(w, u[:3]) + np.cross(v[:3], u[3:]), np.cross(w, u[3:])])
+
+        def force_reference(v, f):
+            w = v[3:]
+            return np.concatenate([np.cross(w, f[:3]), np.cross(v[:3], f[:3]) + np.cross(w, f[3:])])
+
+        for _ in range(20):
+            v, u, f = rng.normal(0, 1, (3, 6)) + 1j * rng.normal(0, 1, (3, 6))
+            assert np.abs(cross_motion(v, u) - motion_reference(v, u)).max() < 1e-14
+            assert np.abs(cross_force(v, f) - force_reference(v, f)).max() < 1e-14
+
     def test_self_cross_angular_part(self, rng):
         v = rng.normal(0, 1, 6)
         assert np.allclose(cross_motion(v, v)[3:], 0, atol=1e-15)
@@ -85,8 +101,8 @@ class TestCrossOperators:
 class TestAdjoints:
     def test_identity(self):
         h = HomTransform.identity()
-        assert np.allclose(adjoint_from_hom(h, "motion"), np.eye(6))
-        assert np.allclose(adjoint_from_hom(h, "force"), np.eye(6))
+        assert np.allclose(adjoint_motion(h), np.eye(6))
+        assert np.allclose(adjoint_force(h), np.eye(6))
 
     def test_pure_rotation_block_diagonal(self, rng):
         r = random_rotation(rng)
@@ -108,16 +124,12 @@ class TestAdjoints:
         assert np.allclose(adjoint_force(h), adjoint_motion(h.inverse()).T, atol=1e-13)
 
     def test_composition_homomorphism(self, rng):
-        for kind in ("motion", "force"):
+        for adjoint in (adjoint_motion, adjoint_force):
             for _ in range(20):
                 h1, h2 = random_transform(rng), random_transform(rng)
-                lhs = adjoint_from_hom(h1 @ h2, kind)
-                rhs = adjoint_from_hom(h1, kind) @ adjoint_from_hom(h2, kind)
+                lhs = adjoint(h1 @ h2)
+                rhs = adjoint(h1) @ adjoint(h2)
                 assert np.max(np.abs(lhs - rhs)) < 1e-12
-
-    def test_unknown_kind(self):
-        with pytest.raises(ValueError):
-            adjoint_from_hom(HomTransform.identity(), "wrench")
 
 
 class TestRotations:
@@ -136,10 +148,21 @@ class TestRotations:
             assert np.allclose(back, rpy, atol=1e-12)
 
     def test_reorthonormalization_on_drift(self, rng):
+        """A pose entering a model is snapped to SO(3); a bare HomTransform keeps what it is given."""
         r = random_rotation(rng)
-        drifted = r + 1e-6 * rng.normal(0, 1, (3, 3))
-        h = HomTransform(drifted, np.zeros(3))
-        assert orthonormality_drift(h.rotation) < 1e-12
+        raw = r + 1e-6 * rng.normal(0, 1, (3, 3))
+        drifted = HomTransform(raw, rng.normal(0, 0.1, 3))
+        assert np.array_equal(drifted.rotation, raw)
+        assert orthonormality_drift(raw) > 1e-7
+        held = [
+            Joint("j", "a", "b", np.array([0.0, 0.0, 1.0]), drifted).origin,
+            SensorAttachment("s", "accelerometer", "b", drifted).pose,
+            SensorSpec(IMU_LINEAR_ACCELERATION, "b", drifted).pose,
+        ]
+        for pose in held:
+            assert orthonormality_drift(pose.rotation) < 1e-12
+            assert np.abs(pose.rotation - r).max() < 1e-5
+            assert np.array_equal(pose.translation, drifted.translation)
 
     def test_se3_log_of_identity(self):
         assert np.allclose(se3_log(HomTransform.identity()), 0)
@@ -190,11 +213,6 @@ class TestInertia:
             m = si.matrix()
             assert np.allclose(m, m.T, atol=1e-14)
             assert np.linalg.eigvalsh(m).min() > 0
-
-    def test_apply_matches_matrix(self, rng):
-        si = SpatialInertia(1.7, rng.normal(0, 0.1, 3), np.diag(rng.uniform(0.01, 0.1, 3)))
-        v = rng.normal(0, 1, 6)
-        assert np.allclose(si.apply(v), si.matrix() @ v, atol=1e-13)
 
 
 class TestBodyEquationOfMotion:
