@@ -30,6 +30,7 @@ from mapdyn.dynamics import ConstraintAssembler, DynLayout, kinematic_sweep
 from mapdyn.estimator import (
     EstimatorError,
     MapProblem,
+    PrecisionPlan,
     RankDeficiencyError,
     SparseCholeskySolver,
     incremental_fusion,
@@ -357,7 +358,7 @@ def _estimate_worker_init(model_xml, sensors_cfg, cov_cfg, marginal_mode):
     _WORKER["layout"] = layout
     _WORKER["cov"] = cov_cfg
     _WORKER["marginal_idx"] = _marginal_indices(layout, marginal_mode)
-    _WORKER["solver"] = None
+    _WORKER["plan"] = None
 
 
 def _marginal_indices(layout, mode):
@@ -376,24 +377,24 @@ def _estimate_chunk(args):
     marg_idx = _WORKER["marginal_idx"]
     means = np.empty((len(indices), casm.layout.size))
     stds = np.empty((len(indices), marg_idx.size))
+    min_pivot_ratio = np.inf
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
         for row, (q, qd, y) in enumerate(zip(q_rows, qd_rows, y_rows)):
             mat_d, b_d, mat_y, b_y = assemble_system(casm, masm, q, qd)
-            problem = MapProblem(
-                mat_d, b_d, mat_y, b_y, y,
-                sigma_D=sigma_D, sigma_y=masm.variances, mu_d=mu_d, sigma_d=sigma_d,
-            )
-            precision, rhs = posterior_precision_terms(problem)
-            if _WORKER["solver"] is None:
-                from mapdyn.estimator import structural_pattern
-
-                _WORKER["solver"] = SparseCholeskySolver(structural_pattern(problem))
-            solver = _WORKER["solver"]
-            solver.factorize(precision)
+            if _WORKER["plan"] is None:
+                # the layout of D and Y is fixed: check and plan it once
+                _WORKER["plan"] = PrecisionPlan(MapProblem(
+                    mat_d, b_d, mat_y, b_y, y,
+                    sigma_D=sigma_D, sigma_y=masm.variances, mu_d=mu_d, sigma_d=sigma_d,
+                ))
+            plan = _WORKER["plan"]
+            band, rhs = plan.terms(mat_d, b_d, mat_y, b_y, y)
+            solver = plan.solver.factorize_band(band)
             means[row] = solver.solve(rhs)
             stds[row] = np.sqrt(solver.marginal_variances(marg_idx))
-    return indices, means, stds, blas_threads()
+            min_pivot_ratio = min(min_pivot_ratio, solver.min_pivot_ratio)
+    return indices, means, stds, blas_threads(), min_pivot_ratio
 
 
 @cli.command("estimate")
@@ -421,6 +422,8 @@ def cmd_estimate(config_path, model_override, out_dir, workers):
         raise InputError("observation CSV channels do not match the sensor config")
     times = obs_data[:, 0]
     y_series = obs_data[:, 1:]
+    # a non-finite reading is missing: the estimator gives it zero weight
+    missing = int(np.count_nonzero(~np.isfinite(y_series)))
 
     input_files = [model_path, Path(obs_path)]
     if inputs_cfg.get("state"):
@@ -482,9 +485,11 @@ def cmd_estimate(config_path, model_override, out_dir, workers):
     stds = np.empty((n_samples, marg_idx.size))
     # per bundled copy, the most threads any worker read back
     worker_blas = {}
-    for indices, mean_rows, std_rows, threads in results:
+    min_pivot_ratio = np.inf
+    for indices, mean_rows, std_rows, threads, pivot_ratio in results:
         means[indices] = mean_rows
         stds[indices] = std_rows
+        min_pivot_ratio = min(min_pivot_ratio, pivot_ratio)
         for name, n in threads.items():
             worker_blas[name] = max(n, worker_blas.get(name, n))
 
@@ -497,13 +502,19 @@ def cmd_estimate(config_path, model_override, out_dir, workers):
 
     manifest = write_manifest(
         out, "estimate", cfg, cfg.get("seed"), inputs=input_files, outputs=[est_path, marg_path],
-        extra={"workers": n_workers, "worker_blas_threads": worker_blas},
+        extra={
+            "workers": n_workers,
+            "worker_blas_threads": worker_blas,
+            "missing_readings": missing,
+            "min_pivot_ratio": min_pivot_ratio,
+        },
     )
     per_sample = wall / max(n_samples, 1) * 1e3
     blas_note = ", ".join(f"{n} {name.split('/')[0]}" for name, n in worker_blas.items()) or "not capped"
     click.echo(
         f"estimated {n_samples} samples in {wall:.2f} s ({per_sample:.1f} ms/sample, "
-        f"{n_workers} workers, BLAS threads per worker: {blas_note}) -> {out} (manifest {manifest.name})"
+        f"{n_workers} workers, BLAS threads per worker: {blas_note}, {missing} missing readings) "
+        f"-> {out} (manifest {manifest.name})"
     )
 
 

@@ -21,13 +21,14 @@ import scipy.sparse as sp
 
 from mapdyn.spatial import (
     GRAVITY_SPATIAL,
+    HomTransform,
     adjoint_force,
     adjoint_motion,
     body_equation_of_motion,
     cross_force,
     cross_motion,
 )
-from mapdyn.model.kinematics import forward_kinematics, joint_transform
+from mapdyn.model.kinematics import check_joint_angles, joint_transform
 from mapdyn.model.tree import KinematicTreeModel, ModelError
 
 BLOCK_COLS = 26  # per-link slice of d
@@ -113,11 +114,12 @@ def motion_subspace(joint):
 
 
 def kinematic_sweep(model, q, qd) -> KinSweep:
-    q = np.asarray(q)
+    """Forward kinematics and the outward velocity pass, one joint transform per link."""
+    q = check_joint_angles(model, q)
     qd = np.asarray(qd)
     dtype = np.result_type(q, qd, float)
-    poses = forward_kinematics(model, q)
     n = model.n_moving
+    poses = [HomTransform.identity()] + [None] * n
     xs = [None] * (n + 1)
     x0f = [None] * (n + 1)
     v = [np.zeros(6, dtype=dtype)] * (n + 1)
@@ -125,6 +127,7 @@ def kinematic_sweep(model, q, qd) -> KinSweep:
     for i in range(1, n + 1):
         joint = model.joint_of(i)
         h_parent_child = joint_transform(joint, q[i - 1])
+        poses[i] = poses[model.parent[i]] @ h_parent_child
         xs[i] = adjoint_motion(h_parent_child.inverse())
         x0f[i] = adjoint_force(poses[i].inverse())
         s[i] = motion_subspace(joint)
@@ -441,7 +444,7 @@ def id_topdown(model, q, qd, qdd, f_fp, fp_pose=None) -> InconsistencyReport:
     No external forces act on the moving links in this classical setting.
     """
     _require_chain(model)
-    fp_pose = fp_pose if fp_pose is not None else _identity_pose()
+    fp_pose = fp_pose if fp_pose is not None else HomTransform.identity()
     sweep, fb = _chain_data(model, q, qd, qdd)
     n = model.n_moving
     f = {}
@@ -462,7 +465,7 @@ def id_bottomup(model, q, qd, qdd, f_fp, fp_pose=None) -> InconsistencyReport:
     wrench disagrees with that link's own equation of motion.
     """
     _require_chain(model)
-    fp_pose = fp_pose if fp_pose is not None else _identity_pose()
+    fp_pose = fp_pose if fp_pose is not None else HomTransform.identity()
     sweep, fb = _chain_data(model, q, qd, qdd)
     n = model.n_moving
     f = {}
@@ -475,9 +478,3 @@ def id_bottomup(model, q, qd, qdd, f_fp, fp_pose=None) -> InconsistencyReport:
         f[model.links[child].name] = f_child
         f_prev = f_child
     return InconsistencyReport(f, f_prev, fb[n], model.links[n].name)
-
-
-def _identity_pose():
-    from mapdyn.spatial import HomTransform
-
-    return HomTransform.identity()

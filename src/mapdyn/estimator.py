@@ -5,8 +5,12 @@ sources: the sparse Newton-Euler constraints weighted by a model-confidence
 covariance, the sensor readings weighted per channel, and a regularizing
 Gaussian prior on d (mandatory: without it the constraint-only distribution
 is degenerate). All solves go through a sparse permuted Cholesky
-factorization whose fill-reducing permutation is computed once per sparsity
-pattern and reused across time samples.
+factorization in band storage whose fill-reducing permutation is computed
+once per sparsity pattern and reused across time samples. Over a series with
+one pattern, ``PrecisionPlan`` turns the values of D and Y straight into the
+band of the posterior precision through a precomputed product plan, and the
+marginal variances come from a blocked Takahashi selected inversion of the
+band factor.
 """
 
 from __future__ import annotations
@@ -15,7 +19,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 import scipy.sparse as sp
-from scipy.linalg import cho_solve_banded, get_lapack_funcs
+from scipy.linalg import cho_solve_banded
+from scipy.linalg.blas import dsbmv
+from scipy.linalg.lapack import dpbtrf, dtrtri
 from scipy.sparse.csgraph import reverse_cuthill_mckee
 
 # pivots below this fraction of the largest diagonal entry are treated as
@@ -50,10 +56,13 @@ class RankDeficiencyError(EstimatorError):
 class SparseCholeskySolver:
     """SPD solver with a cached fill-reducing permutation.
 
-    The symbolic phase orders the matrix with reverse Cuthill-McKee (a
-    fill-reducing heuristic that confines the factor to a narrow band) and
-    is computed once per sparsity pattern; the numeric phase factorizes the
-    permuted matrix in banded storage through LAPACK. Symbolic state is
+    The symbolic phase orders the matrix with reverse Cuthill-McKee, which
+    confines the factor to a band of half-width ``bandwidth``, and lays out
+    the block gathers of the selected inversion; it runs once per sparsity
+    pattern. The numeric phase factorizes the permuted matrix in LAPACK lower
+    band storage (``factorize_band``). Marginal variances come from the
+    blocked Takahashi recurrence on that factor, at about the cost of one
+    factorization and without forming an n x n array. Symbolic state is
     read-only after construction and shareable across workers; numeric
     factorizations are per-instance.
     """
@@ -73,8 +82,10 @@ class SparseCholeskySolver:
         rows = self.iperm[coo.row]
         cols = self.iperm[coo.col]
         self.bandwidth = int(np.max(np.abs(rows - cols))) if coo.nnz else 0
+        self._blocks = _takahashi_blocks(self.n, self.bandwidth)
+        self._band = None
         self._factor = None
-        self._matrix = None
+        self.min_pivot_ratio = None
 
     def factorize(self, matrix: sp.spmatrix, jitter=0.0):
         """Numeric factorization; raises on non-SPD input unless jittered.
@@ -97,20 +108,34 @@ class SparseCholeskySolver:
         np.add.at(ab, (r - c, c), v)
         if jitter:
             ab[0] += jitter
+        return self.factorize_band(ab)
+
+    def factorize_band(self, ab):
+        """Numeric factorization of the permuted matrix in lower band storage.
+
+        ``ab[i - j, j]`` holds entry (i, j) of the permuted matrix, for
+        ``0 <= i - j <= bandwidth``. The band is kept, unfactored, for the
+        refinement step of ``solve``. Reported pivot indices refer to the
+        caller's (unpermuted) ordering; ``min_pivot_ratio`` is the smallest
+        squared pivot over the largest diagonal entry.
+        """
+        if ab.shape != (self.bandwidth + 1, self.n):
+            raise EstimatorError("band shape does not match the symbolic pattern")
         max_diag = np.max(ab[0]) if self.n else 0.0
-        pbtrf, = get_lapack_funcs(("pbtrf",), (ab,))
-        factor, info = pbtrf(ab, lower=1)
+        factor, info = dpbtrf(ab, lower=1)
         if info < 0:
             raise ValueError(f"illegal value in {-info}-th argument of internal pbtrf")
         if info > 0:  # the leading minor of order info is not positive definite
             raise NotPositiveDefiniteError(
                 int(self.perm[info - 1]), f"{info}-th leading minor not positive definite"
             )
-        small = factor[0] ** 2 < PIVOT_REL_TOL * max_diag
+        pivots = factor[0] ** 2
+        small = pivots < PIVOT_REL_TOL * max_diag
         if np.any(small):
             raise NotPositiveDefiniteError(int(self.perm[int(np.argmax(small))]))
+        self._band = ab
         self._factor = factor
-        self._matrix = matrix
+        self.min_pivot_ratio = float(np.min(pivots) / max_diag) if self.n else 1.0
         return self
 
     def solve(self, rhs, refine_steps=1):
@@ -118,34 +143,48 @@ class SparseCholeskySolver:
 
         One refinement pass restores dense-solve accuracy on badly scaled
         systems (the precision matrices here mix weights across many orders
-        of magnitude).
+        of magnitude). ``rhs`` is one vector; the residual is a symmetric
+        band product with the unfactored band.
         """
         if self._factor is None:
             raise EstimatorError("factorize() must run before solve()")
-        rhs = np.asarray(rhs, dtype=float)
-        out = cho_solve_banded((self._factor, True), rhs[self.perm], check_finite=False)
-        x = out[self.iperm]
+        b = np.asarray(rhs, dtype=float)[self.perm]
+        x = cho_solve_banded((self._factor, True), b, check_finite=False)
         for _ in range(refine_steps):
-            residual = rhs - self._matrix @ x
-            corr = cho_solve_banded((self._factor, True), residual[self.perm], check_finite=False)
-            x = x + corr[self.iperm]
-        return x
+            residual = b - dsbmv(self.bandwidth, 1.0, self._band, x, lower=1)
+            x = x + cho_solve_banded((self._factor, True), residual, check_finite=False)
+        return x[self.iperm]
 
     def marginal_variances(self, indices):
         """Diagonal entries of the inverse for the requested indices.
 
-        Each marginal costs one banded triangular solve: the squared norm of
-        the corresponding column of the inverse Cholesky factor.
+        Blocked Takahashi recurrence (Takahashi, Fagan & Chen, 1973; Rue &
+        Held, 2005, section 2.3) on the band factor ``L``. With blocks of
+        ``max(bandwidth, 1)`` columns ``L`` is block lower-bidiagonal, so the
+        inverse ``S`` satisfies, from the last block upward,
+        ``S[k+1, k] = -S[k+1, k+1] L[k+1, k] W`` and
+        ``S[k, k] = W^T (W - L[k+1, k]^T S[k+1, k])`` with ``W = L[k, k]^-1``.
+        Every diagonal block is computed, whatever the indices.
         """
-        from scipy.linalg import solve_banded
-
         if self._factor is None:
             raise EstimatorError("factorize() must run before marginal_variances()")
         indices = np.atleast_1d(np.asarray(indices, dtype=int))
-        rhs = np.zeros((self.n, indices.size))
-        rhs[self.iperm[indices], np.arange(indices.size)] = 1.0
-        z = solve_banded((self.bandwidth, 0), self._factor, rhs, check_finite=False)
-        return np.einsum("ij,ij->j", z, z)
+        flat = np.append(self._factor.ravel(), 0.0)  # the gathers read outside the band as this zero
+        diag = np.empty(self.n)
+        below = None  # S[k+1, k+1]
+        for c0, diag_gather, sub_gather in reversed(self._blocks):
+            inv_diag, info = dtrtri(flat[diag_gather], lower=1)
+            if info:
+                raise EstimatorError(f"singular factor block at column {c0 + info - 1}")
+            if sub_gather is None:
+                block = inv_diag.T @ inv_diag
+            else:
+                sub = flat[sub_gather]
+                cross = -below @ (sub @ inv_diag)
+                block = inv_diag.T @ (inv_diag - sub.T @ cross)
+            diag[c0: c0 + block.shape[0]] = np.diagonal(block)
+            below = block
+        return diag[self.iperm[indices]]
 
     @property
     def factor_nnz(self) -> int:
@@ -153,6 +192,34 @@ class SparseCholeskySolver:
         if self._factor is None:
             raise EstimatorError("factorize() must run first")
         return int(np.count_nonzero(self._factor))
+
+
+def _takahashi_blocks(n, bandwidth):
+    """Band-storage gathers of the blocks the selected inversion reads.
+
+    Blocks are runs of ``max(bandwidth, 1)`` columns, the last one possibly
+    shorter. For each block starting at column ``c0`` this returns
+    ``(c0, diagonal gather, sub-diagonal gather)``: flat indices into the
+    factor's band storage (entry (i, j) at ``(i - j) * n + j``) of the
+    diagonal block and of the block below it (None for the last block).
+    Positions outside the band point one past the band, where
+    ``marginal_variances`` appends a zero.
+    """
+    width = max(bandwidth, 1)
+    outside = (bandwidth + 1) * n
+    blocks = []
+    for c0 in range(0, n, width):
+        m = min(width, n - c0)
+        cols = c0 + np.arange(m)
+        offset = np.arange(m)[:, None] - np.arange(m)
+        diag_gather = np.where(offset >= 0, offset * n + cols, outside)
+        m_below = min(width, n - c0 - m)
+        sub_gather = None
+        if m_below:
+            offset = m + np.arange(m_below)[:, None] - np.arange(m)
+            sub_gather = np.where(offset <= bandwidth, offset * n + cols, outside)
+        blocks.append((c0, diag_gather, sub_gather))
+    return blocks
 
 
 def sparse_cholesky_solve(matrix, rhs, solver: SparseCholeskySolver | None = None):
@@ -322,6 +389,81 @@ def posterior_precision_terms(problem: MapProblem):
     precision = (prior_precision + wy @ problem.Y).tocsc()
     rhs = prior_rhs + wy @ (problem.y - problem.b_Y)
     return precision, rhs
+
+
+class PrecisionPlan:
+    """Posterior precision band and right-hand side from a fixed index plan.
+
+    ``D`` and ``Y`` keep one CSC layout from sample to sample, stored zeros
+    included, so every entry of the posterior precision is a fixed sum of
+    products ``M[r, i] M[r, j] / sigma[r]`` over the rows of the stacked
+    ``M = [D; Y]``. Once per pattern the plan lists, for each pair of stored
+    entries that share a row and land in the lower band of the permuted
+    precision, the two entries, the row and the band slot. A sample then
+    costs one gather and one ``np.bincount``. ``MapProblem``'s shape and
+    variance checks run once, on the problem the plan is built from; the
+    solver is built from that problem's structural pattern.
+
+    A non-finite reading is missing: its row gets zero weight for that sample
+    and adds nothing to the right-hand side.
+    """
+
+    def __init__(self, problem: MapProblem):
+        self.solver = solver = SparseCholeskySolver(structural_pattern(problem))
+        mat_d, mat_y = problem.D, problem.Y
+        n_rows = mat_d.shape[0] + mat_y.shape[0]
+        rows = np.concatenate([mat_d.indices, mat_y.indices + mat_d.shape[0]])
+        cols = np.concatenate([_csc_columns(mat_d), _csc_columns(mat_y)])
+        # every ordered pair (a, b) of stored entries in one row: each entry a
+        # repeats once per entry of its row, and b runs over that row
+        order = np.argsort(rows, kind="stable")  # entries grouped by row
+        per_row = np.bincount(rows, minlength=n_rows)
+        row_start = np.cumsum(per_row) - per_row
+        count = per_row[rows[order]]
+        a = np.repeat(order, count)
+        within_row = np.arange(count.sum()) - np.repeat(np.cumsum(count) - count, count)
+        b = order[np.repeat(row_start[rows[order]], count) + within_row]
+        pa, pb = solver.iperm[cols[a]], solver.iperm[cols[b]]
+        lower = pa >= pb
+        # native-width indices: gathers with int32 ones took about twice as long
+        self._a = a[lower]
+        self._b = b[lower]
+        self._slot = ((pa - pb) * solver.n + pb)[lower].astype(np.intp)
+        self._rows = rows
+        self._cols = cols
+        self._nnz = (mat_d.nnz, mat_y.nnz)
+        self._inv_sigma_D = 1.0 / problem.sigma_D
+        self._inv_sigma_y = 1.0 / problem.sigma_y
+        self._prior_diag = (1.0 / problem.sigma_d)[solver.perm]
+        self._prior_rhs = problem.mu_d / problem.sigma_d
+
+    def terms(self, mat_d, b_d, mat_y, b_y, y):
+        """(band, rhs) of the posterior at one sample.
+
+        ``band`` is the permuted precision in the solver's lower band storage,
+        ready for ``solver.factorize_band``; ``rhs`` is in the caller's
+        ordering. ``mat_d`` and ``mat_y`` must have the plan's CSC layout.
+        """
+        if (mat_d.nnz, mat_y.nnz) != self._nnz:
+            raise EstimatorError("D or Y does not have the sparsity layout the plan was built for")
+        y = np.asarray(y, dtype=float)
+        missing = ~np.isfinite(y)
+        weights = np.concatenate([self._inv_sigma_D, np.where(missing, 0.0, self._inv_sigma_y)])
+        residual = np.concatenate([-np.asarray(b_d), np.where(missing, 0.0, y - b_y)])
+        values = np.concatenate([mat_d.data, mat_y.data])
+        weighted = values * weights[self._rows]
+        solver = self.solver
+        band = np.bincount(
+            self._slot, weighted[self._a] * values[self._b], minlength=(solver.bandwidth + 1) * solver.n
+        ).reshape(solver.bandwidth + 1, solver.n)
+        band[0] += self._prior_diag
+        rhs = self._prior_rhs + np.bincount(self._cols, weighted * residual[self._rows], minlength=solver.n)
+        return band, rhs
+
+
+def _csc_columns(mat):
+    """Column index of every stored entry of a CSC matrix."""
+    return np.repeat(np.arange(mat.shape[1]), np.diff(mat.indptr))
 
 
 def map_solve(problem: MapProblem, solver: SparseCholeskySolver | None = None) -> GaussianBelief:

@@ -17,11 +17,10 @@ def joint_transform(joint, q):
     return HomTransform(joint.origin.rotation @ rot, joint.origin.translation)
 
 
-def forward_kinematics(model: KinematicTreeModel, q) -> list:
-    """Per-link pose w.r.t. the base; entry 0 is the identity.
+def check_joint_angles(model: KinematicTreeModel, q):
+    """``q`` as an array of length ``n_dof``; joint-limit violations warn.
 
-    Joint-limit violations warn but never fail: estimation must accept any
-    measured posture.
+    They never fail: estimation must accept any measured posture.
     """
     q = np.asarray(q)
     if q.shape != (model.n_dof,):
@@ -31,7 +30,17 @@ def forward_kinematics(model: KinematicTreeModel, q) -> list:
         bad = np.where((q < lo - 1e-12) | (q > hi + 1e-12))[0]
         if bad.size:
             names = ", ".join(model.joints[i].name for i in bad[:5])
-            warnings.warn(f"joint limits violated at: {names}", stacklevel=2)
+            # the warning points at the caller of forward_kinematics or kinematic_sweep
+            warnings.warn(f"joint limits violated at: {names}", stacklevel=3)
+    return q
+
+
+def forward_kinematics(model: KinematicTreeModel, q) -> list:
+    """Per-link pose w.r.t. the base; entry 0 is the identity.
+
+    Joint-limit violations warn but never fail (see ``check_joint_angles``).
+    """
+    q = check_joint_angles(model, q)
     poses = [HomTransform.identity()]
     for i in range(1, model.n_moving + 1):
         joint = model.joint_of(i)

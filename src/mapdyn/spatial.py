@@ -288,9 +288,6 @@ class SpatialInertia:
             raise ValueError("body mass must be positive")
         if np.max(np.abs(self.inertia - self.inertia.T)) > 1e-9:
             raise ValueError("rotational inertia must be symmetric")
-
-    def matrix(self):
-        """Symmetric 6x6 realization in [linear; angular] coordinates."""
         m = self.mass
         cx = skew(self.com)
         out = np.zeros((6, 6))
@@ -298,7 +295,15 @@ class SpatialInertia:
         out[:3, 3:] = m * cx.T
         out[3:, :3] = m * cx
         out[3:, 3:] = self.inertia + m * (cx @ cx.T)
-        return out
+        out.flags.writeable = False
+        object.__setattr__(self, "_matrix", out)
+
+    def matrix(self):
+        """Symmetric 6x6 realization in [linear; angular] coordinates.
+
+        Built once with the (immutable) body and shared read-only.
+        """
+        return self._matrix
 
 
 def body_equation_of_motion(inertia: SpatialInertia, v, a):

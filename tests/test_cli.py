@@ -258,6 +258,49 @@ class TestEstimate:
         assert main(["estimate", "--config", write_config(tmp_path, est_cfg, "short.json"), "--workers", "1"]) == 2
         assert "smoothing order 3 needs at least 5 pose samples, got 3" in capsys.readouterr().err
 
+    def test_missing_reading_gets_zero_weight(self, two_link_setup, capsys):
+        """A NaN cell drops that channel for that sample; the run counts it."""
+        from mapdyn.cli import covariances_from_config, sensor_specs_from_config
+        from mapdyn.dynamics import ConstraintAssembler
+        from mapdyn.estimator import MapProblem, map_solve
+        from mapdyn.sensors import MeasurementAssembler, assemble_system
+
+        tmp_path, cfg = two_link_setup
+        config, _ = self._simulate(tmp_path, cfg)
+        obs = Path(cfg["out"]) / "observations.csv"
+        lines = obs.read_text().splitlines()
+        sample, channel = 4, 2
+        cells = lines[1 + sample].split(",")
+        cells[1 + channel] = "nan"
+        lines[1 + sample] = ",".join(cells)
+        obs.write_text("\n".join(lines) + "\n")
+        assert main(["estimate", "--config", config, "--workers", "1"]) == 0
+        assert "1 missing readings" in capsys.readouterr().out
+
+        est_dir = tmp_path / "est"
+        manifest = json.loads((est_dir / "manifest.json").read_text())
+        assert manifest["missing_readings"] == 1
+        assert 0.0 < manifest["min_pivot_ratio"] <= 1.0
+        _, est_rows = read_rows(est_dir / "estimates.csv")
+        row = np.array(est_rows[sample], dtype=float)[1:]
+        assert np.isfinite(row).all()
+
+        model = parse_model(TWO_LINK_XML)
+        masm = MeasurementAssembler(model, sensor_specs_from_config(model, cfg))
+        _, traj = read_rows(Path(cfg["out"]) / "trajectory.csv")
+        state = np.array(traj[sample], dtype=float)
+        mat_d, b_d, mat_y, b_y = assemble_system(
+            ConstraintAssembler(model), masm, state[1: 1 + model.n_dof], state[1 + model.n_dof: 1 + 2 * model.n_dof]
+        )
+        y = np.array(cells[1:], dtype=float)
+        keep = np.arange(masm.dim) != channel
+        sigma_D, sigma_d, mu_d = covariances_from_config(cfg)
+        expected = map_solve(MapProblem(
+            mat_d, b_d, mat_y[keep], b_y[keep], y[keep],
+            sigma_D=sigma_D, sigma_y=masm.variances[keep], mu_d=mu_d, sigma_d=sigma_d,
+        )).mean
+        assert np.abs(row - expected).max() <= 1e-10 * np.abs(expected).max()
+
     def test_one_kinematic_sweep_per_sample(self, two_link_setup, monkeypatch):
         """A serial run sweeps once per sample, plus once for the rank check."""
         import mapdyn.dynamics

@@ -137,6 +137,28 @@ class TestConstraintAssembly:
             assert res <= 1e-9 * (1 + np.abs(d).max())
 
 
+class TestKinematicSweep:
+    def test_one_joint_transform_per_link(self, human_model, rng, monkeypatch):
+        """The sweep's poses are forward kinematics, from one rotation per link."""
+        import mapdyn.model.kinematics as kinematics
+
+        q, qd, _ = random_state(human_model, rng, q_scale=0.4)
+        expected = kinematics.forward_kinematics(human_model, q)
+        calls = []
+        rotation = kinematics.rotation_about_axis
+
+        def counting_rotation(axis, angle):
+            calls.append(angle)
+            return rotation(axis, angle)
+
+        monkeypatch.setattr(kinematics, "rotation_about_axis", counting_rotation)
+        sweep = kinematic_sweep(human_model, q, qd)
+        assert len(calls) == human_model.n_moving
+        for pose, reference in zip(sweep.poses, expected):
+            assert np.array_equal(pose.rotation, reference.rotation)
+            assert np.array_equal(pose.translation, reference.translation)
+
+
 class TestNoRotationCheckPerSample:
     def test_sweep_rnea_and_assembly_check_no_rotation(self, human_model, rng, monkeypatch):
         """Rotations are checked where they enter the model, never per sample."""

@@ -8,6 +8,7 @@ from mapdyn.estimator import (
     GaussianBelief,
     MapProblem,
     NotPositiveDefiniteError,
+    PrecisionPlan,
     RankDeficiencyError,
     SparseCholeskySolver,
     complex_step_bias_jacobians,
@@ -20,7 +21,7 @@ from mapdyn.estimator import (
     sparse_cholesky_solve,
 )
 from mapdyn.sensors import MeasurementAssembler
-from mapdyn.simharness import random_state
+from mapdyn.simharness import random_chain_model, random_state, random_tree_model
 
 from oracles import gls_solve, lmmse_forms_check, map_as_gls
 
@@ -99,6 +100,138 @@ class TestSparseCholesky:
         dense = np.linalg.inv(mat.toarray())
         idx = np.array([0, 7, 13, 39])
         assert np.allclose(solver.marginal_variances(idx), np.diag(dense)[idx], rtol=1e-10)
+
+
+def random_band_spd(rng, n, bandwidth):
+    """Symmetric positive definite matrix with every entry of its band drawn.
+
+    The off-diagonal entries are as large as the diagonal allows, so a
+    recurrence that drops any block of the factor is visibly wrong.
+    """
+    lower = np.tril(rng.normal(0.0, 1.0, (n, n)), -1)
+    lower[np.subtract.outer(np.arange(n), np.arange(n)) > bandwidth] = 0.0
+    mat = lower + lower.T
+    mat += np.diag(np.abs(mat).sum(axis=1) + 0.05)
+    return sp.csc_matrix(mat)
+
+
+def human_posterior(model, rng):
+    from mapdyn.sensors import assemble_system, default_sensor_specs
+
+    casm = ConstraintAssembler(model)
+    masm = MeasurementAssembler(model, default_sensor_specs(model))
+    q, qd, _ = random_state(model, rng, 0.2, 0.3, 0.3)
+    mat_d, b_d, mat_y, b_y = assemble_system(casm, masm, q, qd)
+    return MapProblem(mat_d, b_d, mat_y, b_y, rng.normal(0.0, 1.0, masm.dim), sigma_y=masm.variances)
+
+
+class TestSelectedInversion:
+    @pytest.mark.parametrize(
+        "n, bandwidth",
+        [
+            (1, 0),
+            (30, 0),  # diagonal: blocks of one column
+            (8, 7),  # the whole matrix is one block
+            (21, 7),  # three full blocks
+            (40, 7),  # a short last block
+            (45, 1),
+        ],
+    )
+    def test_matches_dense_inverse_on_band_matrices(self, rng, n, bandwidth):
+        mat = random_band_spd(rng, n, bandwidth)
+        solver = SparseCholeskySolver(mat, use_permutation=False).factorize(mat)
+        assert solver.bandwidth == bandwidth
+        expected = np.diag(np.linalg.inv(mat.toarray()))
+        np.testing.assert_allclose(solver.marginal_variances(np.arange(n)), expected, rtol=1e-10)
+        idx = np.array([n - 1, 0, n // 2])
+        np.testing.assert_allclose(solver.marginal_variances(idx), expected[idx], rtol=1e-10)
+
+    def test_48dof_posterior_matches_dense_inverse(self, human_model_foot, rng):
+        precision, _ = posterior_precision_terms(human_posterior(human_model_foot, rng))
+        solver = SparseCholeskySolver(precision).factorize(precision)
+        expected = np.diag(np.linalg.inv(precision.toarray()))
+        np.testing.assert_allclose(solver.marginal_variances(np.arange(solver.n)), expected, rtol=1e-10)
+
+    def test_all_marginals_of_48dof_posterior_allocate_under_4mb(self, human_model_foot, rng):
+        import tracemalloc
+
+        precision, _ = posterior_precision_terms(human_posterior(human_model_foot, rng))
+        solver = SparseCholeskySolver(precision).factorize(precision)
+        assert solver.n == 1248
+        tracemalloc.start()
+        try:
+            solver.marginal_variances(np.arange(1248))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 4 * 2**20
+
+
+class TestPrecisionPlan:
+    def _band_of(self, solver, precision):
+        """The permuted lower band of a sparse precision, by a plain scatter."""
+        coo = precision.tocoo()
+        rows, cols = solver.iperm[coo.row], solver.iperm[coo.col]
+        keep = rows >= cols
+        band = np.zeros((solver.bandwidth + 1, solver.n))
+        np.add.at(band, (rows[keep] - cols[keep], cols[keep]), coo.data[keep])
+        return band
+
+    def _check(self, problem):
+        plan = PrecisionPlan(problem)
+        band, rhs = plan.terms(problem.D, problem.b_D, problem.Y, problem.b_Y, problem.y)
+        precision, expected_rhs = posterior_precision_terms(problem)
+        expected = self._band_of(plan.solver, precision)
+        np.testing.assert_allclose(band, expected, rtol=1e-13, atol=1e-13 * np.abs(expected).max())
+        np.testing.assert_allclose(rhs, expected_rhs, rtol=1e-13, atol=1e-13 * np.abs(expected_rhs).max())
+
+    @pytest.mark.parametrize("make_model", [random_chain_model, random_tree_model])
+    def test_band_matches_posterior_terms_on_random_models(self, make_model):
+        from mapdyn.sensors import assemble_system, default_sensor_specs
+
+        rng = np.random.default_rng(31)
+        for _ in range(4):
+            model = make_model(int(rng.integers(2, 9)), rng)
+            casm = ConstraintAssembler(model)
+            masm = MeasurementAssembler(model, default_sensor_specs(model, contact_links=["link1"]))
+            q, qd, _ = random_state(model, rng)
+            mat_d, b_d, mat_y, b_y = assemble_system(casm, masm, q, qd)
+            dim = casm.layout.size
+            self._check(MapProblem(
+                mat_d, b_d, mat_y, b_y, rng.normal(0.0, 1.0, masm.dim),
+                sigma_D=rng.uniform(1e-5, 1e-3, casm.n_rows),
+                sigma_y=masm.variances * rng.uniform(0.5, 2.0, masm.dim),
+                mu_d=rng.normal(0.0, 1.0, dim),
+                sigma_d=rng.uniform(1e3, 1e5, dim),
+            ))
+
+    def test_band_matches_posterior_terms_on_48dof_model(self, human_model_foot, rng):
+        self._check(human_posterior(human_model_foot, rng))
+
+    def test_missing_reading_equals_deleted_row(self, two_link_problem):
+        problem, _, _ = two_link_problem
+        y = problem.y.copy()
+        y[2] = np.nan
+        plan = PrecisionPlan(problem)
+        band, rhs = plan.terms(problem.D, problem.b_D, problem.Y, problem.b_Y, y)
+        assert np.isfinite(band).all() and np.isfinite(rhs).all()
+        mean = plan.solver.factorize_band(band).solve(rhs)
+        keep = np.arange(problem.Y.shape[0]) != 2
+        expected = map_solve(MapProblem(
+            problem.D, problem.b_D, problem.Y[keep], problem.b_Y[keep], problem.y[keep],
+            sigma_D=problem.sigma_D, sigma_y=problem.sigma_y[keep], mu_d=problem.mu_d, sigma_d=problem.sigma_d,
+        ))
+        assert np.abs(mean - expected.mean).max() <= 1e-10 * np.abs(expected.mean).max()
+        idx = np.arange(problem.dim_d)
+        np.testing.assert_allclose(
+            plan.solver.marginal_variances(idx), expected.marginal_variance(idx), rtol=1e-10
+        )
+
+    def test_rejects_other_layout(self, two_link_problem):
+        problem, _, _ = two_link_problem
+        plan = PrecisionPlan(problem)
+        with pytest.raises(EstimatorError):
+            plan.terms(problem.D[:, :-1], problem.b_D, problem.Y, problem.b_Y, problem.y)
 
 
 class TestShapePrior:

@@ -206,6 +206,15 @@ class TestInertia:
         with pytest.raises(ValueError):
             inertia_of_shape("cylinder", (0.1, 0.5), -1.0)
 
+    def test_matrix_built_once_and_read_only(self):
+        si = SpatialInertia(2.0, np.array([0.1, -0.2, 0.05]), np.diag([0.02, 0.03, 0.04]))
+        m = si.matrix()
+        assert si.matrix() is m
+        assert not m.flags.writeable
+        cx = skew(si.com)
+        assert np.array_equal(m[3:, 3:], si.inertia + si.mass * (cx @ cx.T))
+        assert np.array_equal(m[:3, 3:], si.mass * cx.T)
+
     def test_matrix_symmetric_positive_definite(self, rng):
         for _ in range(20):
             a = rng.normal(0, 0.1, (3, 3))
