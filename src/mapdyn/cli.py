@@ -28,14 +28,15 @@ import mapdyn
 from mapdyn.blas import blas_threads, bundled_openblas, set_blas_threads
 from mapdyn.dynamics import ConstraintAssembler, DynLayout, kinematic_sweep
 from mapdyn.estimator import (
+    UNOBSERVED_TOL,
     EstimatorError,
     MapProblem,
     PrecisionPlan,
     RankDeficiencyError,
     SparseCholeskySolver,
     incremental_fusion,
-    map_solve,
     posterior_precision_terms,
+    unobserved_dimension,
 )
 from mapdyn.model import (
     ModelError,
@@ -130,17 +131,16 @@ def write_manifest(out_dir: Path, command: str, cfg: dict, seed, inputs=(), outp
 
 
 def write_csv(path, header, rows):
+    """Header through ``csv.writer``; numeric rows as the shortest round-trip reprs.
+
+    Each row becomes Python floats first (``repr`` of a numpy scalar is not
+    its number), then one joined line with ``csv``'s ``\\r\\n`` terminator:
+    the bytes ``csv.writer`` would write, without its per-cell overhead.
+    """
     with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(header)
+        csv.writer(fh).writerow(header)
         for row in rows:
-            writer.writerow([_num(x) for x in row])
-
-
-def _num(x):
-    if isinstance(x, str):
-        return x
-    return repr(float(x))
+            fh.write(",".join(map(repr, np.asarray(row, dtype=float).tolist())) + "\r\n")
 
 
 def read_csv(path):
@@ -375,8 +375,10 @@ def _estimate_chunk(args):
     masm = _WORKER["measurements"]
     sigma_D, sigma_d, mu_d = _WORKER["cov"]
     marg_idx = _WORKER["marginal_idx"]
+    all_idx = np.arange(casm.layout.size)
     means = np.empty((len(indices), casm.layout.size))
     stds = np.empty((len(indices), marg_idx.size))
+    unobserved = np.empty(len(indices))
     min_pivot_ratio = np.inf
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
@@ -392,9 +394,12 @@ def _estimate_chunk(args):
             band, rhs = plan.terms(mat_d, b_d, mat_y, b_y, y)
             solver = plan.solver.factorize_band(band)
             means[row] = solver.solve(rhs)
-            stds[row] = np.sqrt(solver.marginal_variances(marg_idx))
+            # the recurrence computes the whole diagonal anyway
+            variances = solver.marginal_variances(all_idx)
+            stds[row] = np.sqrt(variances[marg_idx])
+            unobserved[row] = unobserved_dimension(variances, sigma_d)
             min_pivot_ratio = min(min_pivot_ratio, solver.min_pivot_ratio)
-    return indices, means, stds, blas_threads(), min_pivot_ratio
+    return indices, means, stds, unobserved, blas_threads(), min_pivot_ratio
 
 
 @cli.command("estimate")
@@ -444,15 +449,6 @@ def cmd_estimate(config_path, model_override, out_dir, workers):
     if q_series.shape[0] != times.size:
         raise InputError("state and observation sample counts disagree")
 
-    # rank condition checked once per run on the first sample
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")
-        mat_d, b_d, mat_y, b_y = assemble_system(ConstraintAssembler(model), masm, q_series[0], qd_series[0])
-        MapProblem(
-            mat_d, b_d, mat_y, b_y, y_series[0],
-            sigma_D=sigma_D, sigma_y=masm.variances, mu_d=mu_d, sigma_d=sigma_d,
-        ).check_rank()
-
     marginal_mode = cfg.get("marginals", "tau")
     marg_idx = _marginal_indices(layout, marginal_mode)
     n_workers = workers or cfg.get("workers") or (os.cpu_count() or 1)
@@ -483,12 +479,14 @@ def cmd_estimate(config_path, model_override, out_dir, workers):
 
     means = np.empty((n_samples, layout.size))
     stds = np.empty((n_samples, marg_idx.size))
+    unobserved = np.empty(n_samples)
     # per bundled copy, the most threads any worker read back
     worker_blas = {}
     min_pivot_ratio = np.inf
-    for indices, mean_rows, std_rows, threads, pivot_ratio in results:
+    for indices, mean_rows, std_rows, unobserved_rows, threads, pivot_ratio in results:
         means[indices] = mean_rows
         stds[indices] = std_rows
+        unobserved[indices] = unobserved_rows
         min_pivot_ratio = min(min_pivot_ratio, pivot_ratio)
         for name, n in threads.items():
             worker_blas[name] = max(n, worker_blas.get(name, n))
@@ -499,6 +497,7 @@ def cmd_estimate(config_path, model_override, out_dir, workers):
     marg_path = out / "marginal_std.csv"
     marg_names = [col_names[i] for i in marg_idx]
     write_csv(marg_path, ["time"] + marg_names, np.column_stack([times, stds]))
+    unobserved_samples = np.flatnonzero(unobserved >= UNOBSERVED_TOL)
 
     manifest = write_manifest(
         out, "estimate", cfg, cfg.get("seed"), inputs=input_files, outputs=[est_path, marg_path],
@@ -507,6 +506,8 @@ def cmd_estimate(config_path, model_override, out_dir, workers):
             "worker_blas_threads": worker_blas,
             "missing_readings": missing,
             "min_pivot_ratio": min_pivot_ratio,
+            "max_unobserved_dimension": float(unobserved.max()),
+            "unobserved_samples": unobserved_samples.tolist(),
         },
     )
     per_sample = wall / max(n_samples, 1) * 1e3
@@ -516,6 +517,18 @@ def cmd_estimate(config_path, model_override, out_dir, workers):
         f"{n_workers} workers, BLAS threads per worker: {blas_note}, {missing} missing readings) "
         f"-> {out} (manifest {manifest.name})"
     )
+    if unobserved_samples.size:
+        raise _unobserved_error(unobserved, unobserved_samples, times)
+
+
+def _unobserved_error(unobserved, samples, times, shown=10):
+    deficiency = round(float(unobserved[samples].max()))
+    named = ", ".join(f"{i} (t={times[i]:g} s)" for i in samples[:shown])
+    more = f" and {samples.size - shown} more" if samples.size > shown else ""
+    return RankDeficiencyError(deficiency, (
+        f"{samples.size} of {unobserved.size} samples leave up to {deficiency} direction(s) of d "
+        f"unobserved: samples {named}{more}; manifest.json lists all as unobserved_samples"
+    ))
 
 
 def _make_chunks(n_samples, q_series, qd_series, y_series, n_workers):

@@ -10,7 +10,9 @@ once per sparsity pattern and reused across time samples. Over a series with
 one pattern, ``PrecisionPlan`` turns the values of D and Y straight into the
 band of the posterior precision through a precomputed product plan, and the
 marginal variances come from a blocked Takahashi selected inversion of the
-band factor.
+band factor. The same diagonal gives, per sample, the number of directions
+of d that the constraints and readings leave undetermined
+(``unobserved_dimension``).
 """
 
 from __future__ import annotations
@@ -29,6 +31,11 @@ from scipy.sparse.csgraph import reverse_cuthill_mckee
 PIVOT_REL_TOL = 1e-13
 
 DENSE_COVARIANCE_LIMIT = 200
+
+# a sample is unobserved when its unobserved dimension reaches this value: a
+# direction the data determine adds about sigma_post / sigma_d (near 0) to
+# it, a direction left to the prior about 1, so 0.5 splits the two
+UNOBSERVED_TOL = 0.5
 
 
 class EstimatorError(ValueError):
@@ -329,16 +336,6 @@ class MapProblem:
     def dim_d(self) -> int:
         return self.D.shape[1]
 
-    def stacked_rank_deficiency(self) -> int:
-        """Column-rank deficiency of the stacked [Y; D] system (dense SVD)."""
-        stack = sp.vstack([self.Y, self.D]).toarray()
-        return self.dim_d - int(np.linalg.matrix_rank(stack))
-
-    def check_rank(self):
-        deficiency = self.stacked_rank_deficiency()
-        if deficiency > 0:
-            raise RankDeficiencyError(deficiency)
-
 
 def _weighted(mat, variances):
     return mat.T @ sp.diags(1.0 / variances)
@@ -466,24 +463,35 @@ def _csc_columns(mat):
     return np.repeat(np.arange(mat.shape[1]), np.diff(mat.indptr))
 
 
+def unobserved_dimension(variances, sigma_d) -> float:
+    """Directions of d that only the prior determines: ``n - gamma``.
+
+    ``variances`` is the full diagonal of the posterior covariance and
+    ``sigma_d`` the prior variances. ``gamma = n - sum_i S_ii / sigma_d_i``
+    is the number of well-determined parameters (MacKay, *Bayesian
+    interpolation*, Neural Computation, 1992): each direction the
+    constraints and readings fix adds about 0 to the sum, each one they
+    leave free adds about 1. A sample is unobserved when the value reaches
+    ``UNOBSERVED_TOL``. Unless some direction is determined about as well by
+    the data as by the prior (it then adds a fraction), ``round`` of the
+    value is the rank deficiency of the stacked ``[Y; D]`` under that
+    sample's readings.
+    """
+    return float(np.sum(variances / sigma_d))
+
+
 def map_solve(problem: MapProblem, solver: SparseCholeskySolver | None = None) -> GaussianBelief:
     """Posterior mean and (sparse-precision) covariance of d given y.
 
     The posterior precision adds the measurement information to the shaped
     prior precision; the mean solves the corresponding normal equations via
-    the permuted sparse Cholesky. A Cholesky failure triggers a rank
-    diagnosis of the stacked system.
+    the permuted sparse Cholesky; a failing pivot raises
+    ``NotPositiveDefiniteError``.
     """
     precision, rhs = posterior_precision_terms(problem)
     if solver is None:
         solver = SparseCholeskySolver(structural_pattern(problem))
-    try:
-        solver.factorize(precision)
-    except NotPositiveDefiniteError:
-        deficiency = problem.stacked_rank_deficiency()
-        if deficiency > 0:
-            raise RankDeficiencyError(deficiency) from None
-        raise
+    solver.factorize(precision)
     return GaussianBelief(solver.solve(rhs), precision=precision, solver=solver)
 
 

@@ -19,7 +19,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.signal import savgol_filter
 
 from mapdyn.spatial import (
     GRAVITY_SPATIAL,
@@ -376,6 +375,9 @@ def savitzky_golay_derivatives(q, dt, window=57, order=3):
         raise ValueError("window must be odd and larger than the polynomial order")
     if q.shape[0] < window:
         raise ValueError(f"need at least {window} samples, got {q.shape[0]}")
+    # imported here: scipy.signal loads scipy.stats, which no other path needs
+    from scipy.signal import savgol_filter
+
     qd = savgol_filter(q, window, order, deriv=1, delta=dt, axis=0, mode="interp")
     qdd = savgol_filter(q, window, order, deriv=2, delta=dt, axis=0, mode="interp")
     return qd, qdd

@@ -11,7 +11,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.interpolate import CubicSpline
 
 from mapdyn.dynamics import ConstraintAssembler, DynLayout, kinematic_sweep, link_accelerations, rnea
 from mapdyn.model.tree import KinematicTreeModel, Joint, Link, ModelError
@@ -56,6 +55,9 @@ class Spline:
     knots: tuple  # ((t0, v0), (t1, v1), ...)
 
     def evaluate(self, t):
+        # imported here, so that runs without a spline never load scipy.interpolate
+        from scipy.interpolate import CubicSpline
+
         ts = np.array([k[0] for k in self.knots])
         vs = np.array([k[1] for k in self.knots])
         spline = CubicSpline(ts, vs, bc_type="natural")

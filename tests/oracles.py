@@ -35,6 +35,17 @@ def gls_solve(a, b, weights):
     return np.linalg.solve(normal, atw @ b)
 
 
+def stacked_rank_deficiency(problem: MapProblem, keep=None) -> int:
+    """Column-rank deficiency of the stacked [Y; D] by a dense SVD.
+
+    ``keep`` selects the measurement rows that count (all by default), as a
+    missing reading drops its row from one sample.
+    """
+    mat_y = problem.Y if keep is None else problem.Y[np.flatnonzero(keep)]
+    stack = sp.vstack([mat_y, problem.D]).toarray()
+    return problem.dim_d - int(np.linalg.matrix_rank(stack))
+
+
 def map_as_gls(problem: MapProblem):
     """The MAP mean through the explicit stacked weighted least squares.
 

@@ -302,7 +302,7 @@ class TestEstimate:
         assert np.abs(row - expected).max() <= 1e-10 * np.abs(expected).max()
 
     def test_one_kinematic_sweep_per_sample(self, two_link_setup, monkeypatch):
-        """A serial run sweeps once per sample, plus once for the rank check."""
+        """A serial run sweeps once per sample and nowhere else."""
         import mapdyn.dynamics
         import mapdyn.sensors
 
@@ -318,7 +318,140 @@ class TestEstimate:
         monkeypatch.setattr(mapdyn.dynamics, "kinematic_sweep", counting_sweep)
         monkeypatch.setattr(mapdyn.sensors, "kinematic_sweep", counting_sweep)
         assert main(["estimate", "--config", config, "--workers", "1"]) == 0
-        assert len(calls) == n_samples + 1
+        assert len(calls) == n_samples
+
+
+# five wrench channels whose loss leaves two directions of d unobserved on
+# the LeftFoot-rooted 48-DoF model with these contact links
+UNOBSERVING_CHANNELS = [
+    "extf_RightFoot_fx",
+    "extf_RightLowerLeg_f1_fx",
+    "extf_LeftLowerLeg_f1_fz",
+    "extf_LeftLowerLeg_fx",
+    "extf_RightUpperArm_my",
+]
+
+
+@pytest.fixture(scope="module")
+def human_run(human_model_foot, tmp_path_factory):
+    """A 12-sample 48-DoF simulation and an estimate config over it."""
+    from mapdyn.model import emit_model
+
+    tmp_path = tmp_path_factory.mktemp("human")
+    model_path = tmp_path / "model.xml"
+    model_path.write_text(emit_model(human_model_foot))
+    cfg = {
+        "model": str(model_path),
+        "out": str(tmp_path / "sim"),
+        "seed": 5,
+        "scenario": {
+            "duration": 0.12,
+            "rate": 100.0,
+            "trajectory": {
+                "default": {"kind": "sine", "amplitude": 0.15, "frequency": 0.5},
+                "jRightKnee_roty": {"kind": "sine", "amplitude": 0.15, "frequency": 0.5, "offset": 0.16},
+                "jLeftKnee_roty": {"kind": "sine", "amplitude": 0.15, "frequency": 0.5, "offset": -0.16},
+            },
+        },
+        "sensors": {"contact_links": ["RightFoot", "RightToe", "LeftToe"]},
+    }
+    assert main(["simulate", "--config", write_config(tmp_path, cfg, "sim.json")]) == 0
+    cfg["inputs"] = {
+        "observations": str(tmp_path / "sim" / "observations.csv"),
+        "state": str(tmp_path / "sim" / "trajectory.csv"),
+    }
+    return tmp_path, cfg
+
+
+class TestUnobservedSamples:
+    def _estimate(self, tmp_path, cfg, name):
+        cfg = dict(cfg, out=str(tmp_path / name))
+        rc = main(["estimate", "--config", write_config(tmp_path, cfg, f"{name}.json"), "--workers", "1"])
+        return rc, json.loads((tmp_path / name / "manifest.json").read_text())
+
+    def test_clean_run_is_observed(self, human_run):
+        tmp_path, cfg = human_run
+        rc, manifest = self._estimate(tmp_path, cfg, "clean")
+        assert rc == 0
+        assert manifest["max_unobserved_dimension"] < 0.5
+        assert manifest["unobserved_samples"] == []
+
+    def test_five_missing_channels_exit_3_and_name_the_samples(self, human_run, capsys):
+        tmp_path, cfg = human_run
+        header, rows = read_rows(cfg["inputs"]["observations"])
+        columns = [header.index(name) for name in UNOBSERVING_CHANNELS]
+        samples = [2, 7, 9]
+        for k in samples:
+            for c in columns:
+                rows[k][c] = "nan"
+        obs = tmp_path / "observations_nan.csv"
+        with open(obs, "w", newline="") as fh:
+            csv.writer(fh).writerows([header] + rows)
+        cfg = dict(cfg, inputs=dict(cfg["inputs"], observations=str(obs)))
+        rc, manifest = self._estimate(tmp_path, cfg, "nan")
+        assert rc == 3
+        err = capsys.readouterr().err
+        times = [float(rows[k][0]) for k in samples]
+        assert f"3 of {len(rows)} samples leave up to 2 direction(s) of d unobserved" in err
+        assert ", ".join(f"{k} (t={t:g} s)" for k, t in zip(samples, times)) in err
+        assert manifest["unobserved_samples"] == samples
+        assert manifest["max_unobserved_dimension"] == pytest.approx(2.0, abs=1e-2)
+        assert manifest["missing_readings"] == 5 * len(samples)
+        assert (tmp_path / "nan" / "estimates.csv").exists()
+        assert (tmp_path / "nan" / "marginal_std.csv").exists()
+
+
+class TestWriteCsv:
+    def test_bytes_match_csv_writer(self, tmp_path):
+        from mapdyn.cli import write_csv
+
+        rows = [
+            [0.0, float("nan"), float("inf"), -float("inf"), -0.0, 5e-324, 1e308, 0.1 + 0.2],
+            [3, -7, np.float64(0.1), np.float32(0.1), np.int64(12), True, 1e-5, 123456789.0],
+        ]
+        header = ["time", "a,b", 'q"x', "c", "d", "e", "f", "g"]
+        new, old = tmp_path / "new.csv", tmp_path / "old.csv"
+        write_csv(new, header, rows)
+        with open(old, "w", newline="") as fh:
+            writer = csv.writer(fh)
+            writer.writerow(header)
+            for row in rows:
+                writer.writerow([repr(float(x)) for x in row])
+        assert new.read_bytes() == old.read_bytes()
+        write_csv(new, header, np.array(rows, dtype=float))
+        assert new.read_bytes() == old.read_bytes()
+
+
+def test_state_csv_estimate_and_sine_simulate_skip_optional_scipy_modules(two_link_setup):
+    """Neither command loads scipy.signal, scipy.interpolate or scipy.stats.
+
+    A child process: other tests import those modules into this one.
+    """
+    import os
+    import subprocess
+    import sys
+
+    import mapdyn
+
+    tmp_path, cfg = two_link_setup
+    sim = write_config(tmp_path, cfg, "sim.json")
+    est_cfg = dict(cfg, out=str(tmp_path / "est"), inputs={
+        "observations": str(Path(cfg["out"]) / "observations.csv"),
+        "state": str(Path(cfg["out"]) / "trajectory.csv"),
+    })
+    est = write_config(tmp_path, est_cfg, "est.json")
+    script = (
+        "import sys\n"
+        "from mapdyn.cli import main\n"
+        f"assert main(['simulate', '--config', {sim!r}]) == 0\n"
+        f"assert main(['estimate', '--config', {est!r}, '--workers', '1']) == 0\n"
+        "print(sorted(m for m in ('scipy.signal', 'scipy.interpolate', 'scipy.stats') if m in sys.modules))\n"
+    )
+    src = str(Path(mapdyn.__file__).resolve().parent.parent)
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    result = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True, env=env, timeout=120)
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.splitlines()[-1] == "[]"
 
 
 def _bundled_openblas_files():

@@ -19,11 +19,12 @@ from mapdyn.estimator import (
     posterior_precision_terms,
     shape_prior,
     sparse_cholesky_solve,
+    unobserved_dimension,
 )
 from mapdyn.sensors import MeasurementAssembler
 from mapdyn.simharness import random_chain_model, random_state, random_tree_model
 
-from oracles import gls_solve, lmmse_forms_check, map_as_gls
+from oracles import gls_solve, lmmse_forms_check, map_as_gls, stacked_rank_deficiency
 
 
 def random_spd(rng, n, density=0.2):
@@ -344,9 +345,10 @@ class TestMapSolve:
             sp.csc_matrix((0, dim)), np.zeros(0), y, np.zeros(4), np.zeros(4),
             sigma_y=1.0, sigma_d=1e4,
         )
-        assert problem.stacked_rank_deficiency() == 2
-        with pytest.raises(RankDeficiencyError, match="2"):
-            problem.check_rank()
+        assert stacked_rank_deficiency(problem) == 2
+        u = unobserved_dimension(map_solve(problem).marginal_variance(np.arange(dim)), problem.sigma_d)
+        assert round(u) == 2
+        assert abs(u - 2) < 1e-3
 
     def test_marginal_variances_exposed(self, two_link_problem):
         problem, _, _ = two_link_problem
@@ -354,6 +356,71 @@ class TestMapSolve:
         dense = np.linalg.inv(belief.precision.toarray())
         idx = np.array([18, 44])  # torque slots of both links
         assert np.allclose(belief.marginal_variance(idx), np.diag(dense)[idx], rtol=1e-9)
+
+
+def masked_variances(plan, problem, dropped):
+    """All posterior variances with the ``dropped`` readings missing (NaN)."""
+    y = np.where(dropped, np.nan, problem.y)
+    band, _ = plan.terms(problem.D, problem.b_D, problem.Y, problem.b_Y, y)
+    return plan.solver.factorize_band(band).marginal_variances(np.arange(problem.dim_d))
+
+
+def random_model_problems(make_model, rng, count=6):
+    from mapdyn.sensors import assemble_system, default_sensor_specs
+
+    for _ in range(count):
+        model = make_model(int(rng.integers(2, 9)), rng)
+        casm = ConstraintAssembler(model)
+        masm = MeasurementAssembler(model, default_sensor_specs(model, contact_links=["link1"]))
+        q, qd, _ = random_state(model, rng)
+        mat_d, b_d, mat_y, b_y = assemble_system(casm, masm, q, qd)
+        yield MapProblem(mat_d, b_d, mat_y, b_y, rng.normal(0.0, 1.0, masm.dim), sigma_y=masm.variances)
+
+
+class TestUnobservedDimension:
+    @pytest.mark.parametrize("make_model", [random_chain_model, random_tree_model])
+    def test_matches_rank_deficiency_on_random_models(self, make_model):
+        """``u = sum_i 1 / (1 + lambda_i)`` over the data information relative to
+        the prior; where no ``lambda_i`` lies near 1, ``round(u)`` is the SVD
+        rank deficiency of the stacked ``[Y; D]`` under the mask."""
+        rng = np.random.default_rng(31)
+        cases = separated = 0
+        for problem in random_model_problems(make_model, rng):
+            plan = PrecisionPlan(problem)
+            stack = sp.vstack([problem.D, problem.Y]).toarray() * np.sqrt(problem.sigma_d)
+            for fraction in (0.0, 0.05, 0.2, 0.5, 0.9):
+                dropped = rng.random(problem.Y.shape[0]) < fraction
+                u = unobserved_dimension(masked_variances(plan, problem, dropped), problem.sigma_d)
+                weights = np.concatenate([1.0 / problem.sigma_D, np.where(dropped, 0.0, 1.0 / problem.sigma_y)])
+                lam = np.clip(np.linalg.eigvalsh(stack.T @ (stack * weights[:, None])), 0.0, None)
+                assert u == pytest.approx(np.sum(1.0 / (1.0 + lam)), abs=1e-3)
+                cases += 1
+                # a direction the data determine only about as well as the prior
+                # counts in part in u but in full in the rank
+                if not np.any((lam > 1e-2) & (lam < 1e2)):
+                    separated += 1
+                    assert round(u) == stacked_rank_deficiency(problem, keep=~dropped)
+        assert separated >= 0.9 * cases
+
+    @pytest.mark.parametrize("make_model", [random_chain_model, random_tree_model])
+    def test_dropping_channels_never_lowers_variance_or_u(self, make_model):
+        rng = np.random.default_rng(32)
+        for problem in random_model_problems(make_model, rng):
+            plan = PrecisionPlan(problem)
+            dropped = np.zeros(problem.Y.shape[0], dtype=bool)
+            before = masked_variances(plan, problem, dropped)
+            u_before = unobserved_dimension(before, problem.sigma_d)
+            for _ in range(4):
+                dropped |= rng.random(dropped.size) < 0.15
+                after = masked_variances(plan, problem, dropped)
+                u_after = unobserved_dimension(after, problem.sigma_d)
+                # these posteriors reach a condition number of about 1e10, so a
+                # variance is good to about cond * eps ~ 2e-6 relative: the
+                # exact inverses of two such rounded precisions can already
+                # differ the wrong way by 6e-9 relative
+                assert np.all(after >= before * (1 - 1e-6))
+                assert u_after >= u_before * (1 - 1e-12)
+                before, u_before = after, u_after
 
 
 class TestGls:
