@@ -33,9 +33,6 @@ from mapdyn.estimator import (
     MapProblem,
     PrecisionPlan,
     RankDeficiencyError,
-    SparseCholeskySolver,
-    incremental_fusion,
-    posterior_precision_terms,
     unobserved_dimension,
 )
 from mapdyn.model import (
@@ -602,7 +599,7 @@ def _real_link_pairs(model):
 @click.option("--model", "model_override", default=None, type=click.Path())
 @click.option("--out", "out_dir", default=None, type=click.Path())
 def cmd_fusion(config_path, model_override, out_dir):
-    """Per-joint torque variance across nested measurement cases."""
+    """Per-joint torque variance for each measurement case."""
     cfg = load_config(config_path)
     out = _out_dir(cfg, out_dir)
     model, model_path = load_model_from_config(cfg, model_override)
@@ -630,12 +627,12 @@ def cmd_fusion(config_path, model_override, out_dir):
         for i in range(len(case_specs) - 1)
     )
     if not nested:
-        log.warning("fusion cases are not nested by channel set; running per-case analysis anyway")
+        # adding channels can only shrink a variance; other changes can grow it
+        log.warning("fusion cases are not nested by channel set; the monotonicity verdict is a theorem only for nested cases")
 
     tau_idx = layout.tau_indices()
     per_case = np.zeros((len(case_specs), model.n_dof))
-    import scipy.sparse as sparse
-
+    plans = [None] * len(assemblers)
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
         casm = ConstraintAssembler(model)
@@ -643,32 +640,17 @@ def cmd_fusion(config_path, model_override, out_dir):
             # one sweep per state serves the constraints and every case
             sweep = kinematic_sweep(model, q, qd)
             mat_d, b_d = casm.assemble_sweep(sweep, qd)
-            empty = MapProblem(
-                mat_d, b_d,
-                sparse.csc_matrix((0, layout.size)), np.zeros(0), np.zeros(0),
-                sigma_D=sigma_D, sigma_y=np.zeros(0), mu_d=mu_d, sigma_d=sigma_d,
-            )
-            if nested:
-                # each case adds only its new channels on top of the previous one
-                groups = []
-                prev_names = set()
-                for asm in assemblers:
-                    names = channel_names(model, asm.specs)
-                    new_rows = [i for i, nm in enumerate(names) if nm not in prev_names]
-                    mat, bias = asm.assemble_sweep(sweep)
-                    groups.append((mat[new_rows], bias[new_rows], asm.variances[new_rows], np.zeros(len(new_rows))))
-                    prev_names = set(names)
-                stages = incremental_fusion(empty, groups, tau_idx, labels=[n for n, _ in case_specs])
-                for ci, stage in enumerate(stages[1:]):
-                    per_case[ci] += stage.marginal_variances
-            else:
-                for ci, asm in enumerate(assemblers):
-                    mat, bias = asm.assemble_sweep(sweep)
-                    problem = MapProblem(
-                        mat_d, b_d, mat, bias, np.zeros(asm.dim),
+            for ci, asm in enumerate(assemblers):
+                mat_y, b_y = asm.assemble_sweep(sweep)
+                y = np.zeros(asm.dim)
+                if plans[ci] is None:
+                    # the layouts of D and Y are fixed: check and plan each case once
+                    plans[ci] = PrecisionPlan(MapProblem(
+                        mat_d, b_d, mat_y, b_y, y,
                         sigma_D=sigma_D, sigma_y=asm.variances, mu_d=mu_d, sigma_d=sigma_d,
-                    )
-                    per_case[ci] += _case_variance(problem, tau_idx)
+                    ))
+                band, _ = plans[ci].terms(mat_d, b_d, mat_y, b_y, y)
+                per_case[ci] += plans[ci].solver.factorize_band(band).marginal_variances(tau_idx)
     per_case /= len(states)
 
     rows = []
@@ -685,14 +667,6 @@ def cmd_fusion(config_path, model_override, out_dir):
         writer.writerows(rows)
     manifest = write_manifest(out, "fusion", cfg, cfg.get("seed"), inputs=[model_path], outputs=[table_path])
     click.echo(f"fusion table -> {table_path} (manifest {manifest.name})")
-
-
-def _case_variance(problem, indices):
-    from mapdyn.estimator import structural_pattern
-
-    precision, _ = posterior_precision_terms(problem)
-    solver = SparseCholeskySolver(structural_pattern(problem)).factorize(precision)
-    return solver.marginal_variances(indices)
 
 
 @cli.command("sensor-pose")

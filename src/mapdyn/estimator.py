@@ -4,15 +4,15 @@ The posterior over the dynamic-variable vector d combines three information
 sources: the sparse Newton-Euler constraints weighted by a model-confidence
 covariance, the sensor readings weighted per channel, and a regularizing
 Gaussian prior on d (mandatory: without it the constraint-only distribution
-is degenerate). All solves go through a sparse permuted Cholesky
-factorization in band storage whose fill-reducing permutation is computed
-once per sparsity pattern and reused across time samples. Over a series with
-one pattern, ``PrecisionPlan`` turns the values of D and Y straight into the
-band of the posterior precision through a precomputed product plan, and the
-marginal variances come from a blocked Takahashi selected inversion of the
-band factor. The same diagonal gives, per sample, the number of directions
-of d that the constraints and readings leave undetermined
-(``unobserved_dimension``).
+is degenerate). Every posterior goes through one path: ``PrecisionPlan``
+turns the values of D and Y straight into the band of the posterior
+precision through a precomputed product plan, a sparse permuted Cholesky
+factorization in band storage solves for the mean, and the marginal
+variances come from a blocked Takahashi selected inversion of the band
+factor. The fill-reducing permutation and the plan are computed once per
+sparsity pattern and reused across time samples. The same diagonal gives,
+per sample, the number of directions of d that the constraints and readings
+leave undetermined (``unobserved_dimension``).
 """
 
 from __future__ import annotations
@@ -29,8 +29,6 @@ from scipy.sparse.csgraph import reverse_cuthill_mckee
 # pivots below this fraction of the largest diagonal entry are treated as
 # factorization failures; callers opt into jitter explicitly
 PIVOT_REL_TOL = 1e-13
-
-DENSE_COVARIANCE_LIMIT = 200
 
 # a sample is unobserved when its unobserved dimension reaches this value: a
 # direction the data determine adds about sigma_post / sigma_d (near 0) to
@@ -243,43 +241,13 @@ def sparse_cholesky_solve(matrix, rhs, solver: SparseCholeskySolver | None = Non
 
 @dataclass
 class GaussianBelief:
-    """Mean plus either a dense covariance or a sparse precision."""
+    """Posterior mean plus the factorized precision it came from."""
 
     mean: np.ndarray
-    covariance: np.ndarray | None = None
-    precision: sp.spmatrix | None = None
-    solver: SparseCholeskySolver | None = field(default=None, repr=False)
-
-    def __post_init__(self):
-        if (self.covariance is None) == (self.precision is None):
-            raise EstimatorError("exactly one of covariance/precision must be set")
-        if self.covariance is not None:
-            asym = np.max(np.abs(self.covariance - self.covariance.T)) if self.covariance.size else 0.0
-            if asym > 1e-12 * (1.0 + np.max(np.abs(self.covariance))):
-                raise EstimatorError("covariance must be symmetric")
-
-    @property
-    def has_covariance(self) -> bool:
-        return self.covariance is not None
+    solver: SparseCholeskySolver = field(repr=False)
 
     def marginal_variance(self, indices):
-        indices = np.atleast_1d(indices)
-        if self.covariance is not None:
-            return self.covariance[indices, indices]
-        solver = self.solver
-        if solver is None:
-            solver = SparseCholeskySolver(self.precision).factorize(self.precision)
-        return solver.marginal_variances(indices)
-
-    def dense_covariance(self):
-        if self.covariance is not None:
-            return self.covariance
-        if self.mean.size > DENSE_COVARIANCE_LIMIT:
-            raise EstimatorError(
-                f"dense covariance only materialized up to dim {DENSE_COVARIANCE_LIMIT}; "
-                "use marginal_variance for large problems"
-            )
-        return np.linalg.inv(self.precision.toarray())
+        return self.solver.marginal_variances(indices)
 
 
 def _as_diag_variances(value, dim, label):
@@ -337,10 +305,6 @@ class MapProblem:
         return self.D.shape[1]
 
 
-def _weighted(mat, variances):
-    return mat.T @ sp.diags(1.0 / variances)
-
-
 def _ones_like_pattern(mat):
     out = sp.csc_matrix(mat, copy=True)
     out.data = np.ones_like(out.data)
@@ -360,32 +324,6 @@ def structural_pattern(problem: "MapProblem") -> sp.csc_matrix:
     y1 = _ones_like_pattern(problem.Y)
     dim = problem.dim_d
     return (d1.T @ d1 + y1.T @ y1 + sp.identity(dim, format="csc")).tocsc()
-
-
-def prior_precision_terms(problem: MapProblem):
-    wd = _weighted(problem.D, problem.sigma_D)
-    precision = (wd @ problem.D + sp.diags(1.0 / problem.sigma_d)).tocsc()
-    rhs = problem.mu_d / problem.sigma_d - wd @ problem.b_D
-    return precision, rhs
-
-
-def shape_prior(problem: MapProblem, solver: SparseCholeskySolver | None = None) -> GaussianBelief:
-    """Constraint-shaped prior over d (before the measurement update)."""
-    precision, rhs = prior_precision_terms(problem)
-    if solver is None:
-        d1 = _ones_like_pattern(problem.D)
-        pattern = (d1.T @ d1 + sp.identity(problem.dim_d, format="csc")).tocsc()
-        solver = SparseCholeskySolver(pattern)
-    solver.factorize(precision)
-    return GaussianBelief(solver.solve(rhs), precision=precision, solver=solver)
-
-
-def posterior_precision_terms(problem: MapProblem):
-    prior_precision, prior_rhs = prior_precision_terms(problem)
-    wy = _weighted(problem.Y, problem.sigma_y)
-    precision = (prior_precision + wy @ problem.Y).tocsc()
-    rhs = prior_rhs + wy @ (problem.y - problem.b_Y)
-    return precision, rhs
 
 
 class PrecisionPlan:
@@ -450,9 +388,10 @@ class PrecisionPlan:
         values = np.concatenate([mat_d.data, mat_y.data])
         weighted = values * weights[self._rows]
         solver = self.solver
+        # bincount of no entries is an int64 array; a float one is not copied
         band = np.bincount(
             self._slot, weighted[self._a] * values[self._b], minlength=(solver.bandwidth + 1) * solver.n
-        ).reshape(solver.bandwidth + 1, solver.n)
+        ).astype(float, copy=False).reshape(solver.bandwidth + 1, solver.n)
         band[0] += self._prior_diag
         rhs = self._prior_rhs + np.bincount(self._cols, weighted * residual[self._rows], minlength=solver.n)
         return band, rhs
@@ -480,67 +419,26 @@ def unobserved_dimension(variances, sigma_d) -> float:
     return float(np.sum(variances / sigma_d))
 
 
-def map_solve(problem: MapProblem, solver: SparseCholeskySolver | None = None) -> GaussianBelief:
-    """Posterior mean and (sparse-precision) covariance of d given y.
+def map_solve(problem: MapProblem) -> GaussianBelief:
+    """Posterior mean of d given y, with the factorization for its marginals.
 
-    The posterior precision adds the measurement information to the shaped
-    prior precision; the mean solves the corresponding normal equations via
-    the permuted sparse Cholesky; a failing pivot raises
-    ``NotPositiveDefiniteError``.
+    Goes through the path ``estimate`` takes: a ``PrecisionPlan`` of the
+    problem, its band and right-hand side, the band Cholesky. A non-finite
+    reading is missing; a failing pivot raises ``NotPositiveDefiniteError``.
     """
-    precision, rhs = posterior_precision_terms(problem)
-    if solver is None:
-        solver = SparseCholeskySolver(structural_pattern(problem))
-    solver.factorize(precision)
-    return GaussianBelief(solver.solve(rhs), precision=precision, solver=solver)
+    plan = PrecisionPlan(problem)
+    band, rhs = plan.terms(problem.D, problem.b_D, problem.Y, problem.b_Y, problem.y)
+    solver = plan.solver.factorize_band(band)
+    return GaussianBelief(solver.solve(rhs), solver)
 
 
-# ---------------------------------------------------------------------------
-# incremental sensor fusion
-
-
-@dataclass
-class FusionStage:
-    label: str
-    precision: sp.spmatrix
-    mean: np.ndarray | None
-    marginal_variances: np.ndarray
-
-
-def incremental_fusion(problem: MapProblem, groups, marginal_indices, labels=None):
-    """Posterior precision after each measurement group, with marginals.
-
-    ``groups`` is an ordered list of (Y_m, b_Y_m, sigma_m, y_m) tuples of
-    statistically independent measurements; information adds one group at a
-    time starting from the constraint-shaped prior precision. Groups with
-    infinite variance contribute nothing. Returns one FusionStage per group
-    plus the initial stage (label 'prior').
-    """
-    marginal_indices = np.asarray(marginal_indices)
-    precision, rhs = prior_precision_terms(problem)
-    stages = []
-
-    def push(label, precision, rhs):
-        solver = SparseCholeskySolver(precision).factorize(precision)
-        mean = solver.solve(rhs)
-        stages.append(
-            FusionStage(label, precision, mean, solver.marginal_variances(marginal_indices))
-        )
-
-    push("prior", precision, rhs)
-    for m, group in enumerate(groups):
-        y_m, b_m, sigma_m, readings = group
-        y_m = sp.csc_matrix(y_m)
-        sigma_m = _as_diag_variances(sigma_m, y_m.shape[0], f"group {m} variances")
-        finite = np.isfinite(sigma_m)
-        if np.any(finite):
-            yf = y_m[finite]
-            wf = yf.T @ sp.diags(1.0 / sigma_m[finite])
-            precision = (precision + wf @ yf).tocsc()
-            rhs = rhs + wf @ (np.asarray(readings)[finite] - np.asarray(b_m)[finite])
-        label = labels[m] if labels else f"group{m + 1}"
-        push(label, precision, rhs)
-    return stages
+def shape_prior(problem: MapProblem) -> GaussianBelief:
+    """Constraint-shaped prior over d: ``map_solve`` with no measurement rows."""
+    dim = problem.dim_d
+    return map_solve(MapProblem(
+        problem.D, problem.b_D, sp.csc_matrix((0, dim)), np.zeros(0), np.zeros(0),
+        sigma_D=problem.sigma_D, mu_d=problem.mu_d, sigma_d=problem.sigma_d,
+    ))
 
 
 # ---------------------------------------------------------------------------

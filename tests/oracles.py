@@ -1,7 +1,8 @@
 """Closed-form oracles the tests compare the MAP estimator against.
 
 Dense and slow on purpose: each restates an estimate in its textbook form,
-independent of the sparse Cholesky path in ``mapdyn.estimator``.
+independent of the sparse Cholesky path in ``mapdyn.estimator``. The
+precision terms are the sparse products ``PrecisionPlan`` replaces.
 """
 
 import numpy as np
@@ -44,6 +45,27 @@ def stacked_rank_deficiency(problem: MapProblem, keep=None) -> int:
     mat_y = problem.Y if keep is None else problem.Y[np.flatnonzero(keep)]
     stack = sp.vstack([mat_y, problem.D]).toarray()
     return problem.dim_d - int(np.linalg.matrix_rank(stack))
+
+
+def _weighted(mat, variances):
+    return mat.T @ sp.diags(1.0 / variances)
+
+
+def prior_precision_terms(problem: MapProblem):
+    """(precision, rhs) of the constraint-shaped prior, by sparse products."""
+    wd = _weighted(problem.D, problem.sigma_D)
+    precision = (wd @ problem.D + sp.diags(1.0 / problem.sigma_d)).tocsc()
+    rhs = problem.mu_d / problem.sigma_d - wd @ problem.b_D
+    return precision, rhs
+
+
+def posterior_precision_terms(problem: MapProblem):
+    """(precision, rhs) of the posterior: the prior terms plus the readings'."""
+    prior_precision, prior_rhs = prior_precision_terms(problem)
+    wy = _weighted(problem.Y, problem.sigma_y)
+    precision = (prior_precision + wy @ problem.Y).tocsc()
+    rhs = prior_rhs + wy @ (problem.y - problem.b_Y)
+    return precision, rhs
 
 
 def map_as_gls(problem: MapProblem):

@@ -26,10 +26,8 @@ from mapdyn.estimator import (
     SparseCholeskySolver,
     complex_step_bias_jacobians,
     finite_difference_bias_jacobians,
-    incremental_fusion,
     map_solve,
     map_solve_augmented,
-    posterior_precision_terms,
 )
 from mapdyn.model import build_human_model, parse_model
 from mapdyn.sensors import (
@@ -51,7 +49,7 @@ from mapdyn.simharness import (
 from mapdyn.spatial import matrix_to_rpy
 
 from conftest import TWO_LINK_XML
-from oracles import lmmse_forms_check, map_as_gls
+from oracles import lmmse_forms_check, map_as_gls, posterior_precision_terms
 
 CONTACT_LINKS = ("RightFoot", "RightToe", "LeftToe")
 
@@ -301,24 +299,16 @@ def test_06_information_monotonicity(human48, human48_truth):
     mat1, bias1 = asm1.assemble(q, qd)
     mat2, bias2 = asm2.assemble(q, qd)
 
-    # CASE 2 = CASE 1 plus the IMU rows (they stack first)
-    n_new = asm2.dim - asm1.dim
-    problem = MapProblem(
-        mat_d, b_d, sp.csc_matrix((0, layout.size)), np.zeros(0), np.zeros(0),
-        sigma_y=np.zeros(0),
-    )
+    # CASE 2 = CASE 1 plus the IMU rows
+    case1 = MapProblem(mat_d, b_d, mat1, bias1, np.zeros(asm1.dim), sigma_y=asm1.variances)
+    case2 = MapProblem(mat_d, b_d, mat2, bias2, np.zeros(asm2.dim), sigma_y=asm2.variances)
     tau_idx = layout.tau_indices()
-    groups = [
-        (mat1, bias1, asm1.variances, np.zeros(asm1.dim)),
-        (mat2[:n_new], bias2[:n_new], asm2.variances[:n_new], np.zeros(n_new)),
-    ]
-    stages = incremental_fusion(problem, groups, tau_idx, labels=["case1", "case2"])
-    v1 = stages[1].marginal_variances
-    v2 = stages[2].marginal_variances
+    v1 = map_solve(case1).marginal_variance(tau_idx)
+    v2 = map_solve(case2).marginal_variance(tau_idx)
     monotone = bool(np.all(v2 <= v1 + 1e-12))
 
-    cov1 = np.linalg.inv(stages[1].precision.toarray())
-    cov2 = np.linalg.inv(stages[2].precision.toarray())
+    cov1 = np.linalg.inv(posterior_precision_terms(case1)[0].toarray())
+    cov2 = np.linalg.inv(posterior_precision_terms(case2)[0].toarray())
     trace_drop = bool(np.trace(cov1) >= np.trace(cov2))
     jitter = 1e-8 * (1.0 + np.abs(cov1).max())
     try:

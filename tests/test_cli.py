@@ -556,6 +556,63 @@ class TestFusion:
             assert float(row[2]) <= float(row[1]) + 1e-12
             assert row[3] == "True"
 
+    def test_looser_case_follows_its_own_variances(self, two_link_setup):
+        """Same channels, IMUs 100x looser: each case is solved with its own variances."""
+        tmp_path, cfg = two_link_setup
+        fus_cfg = dict(cfg)
+        fus_cfg["out"] = str(tmp_path / "fus4")
+        fus_cfg["fusion"] = {
+            "cases": [
+                {"name": "tight", "sensors": {"contact_links": ["link2"], "imu_variance": 1e-3}},
+                {"name": "loose", "sensors": {"contact_links": ["link2"], "imu_variance": 1e-1}},
+            ]
+        }
+        assert main(["fusion", "--config", write_config(tmp_path, fus_cfg, "f.json")]) == 0
+        _, rows = read_rows(tmp_path / "fus4" / "fusion_variances.csv")
+        grown = [row for row in rows if float(row[2]) > float(row[1])]
+        assert grown
+        assert all(row[3] == "False" for row in grown)
+
+    def test_one_precision_plan_per_case(self, two_link_setup, monkeypatch):
+        """Each case plans its layout once; every state reuses the plan."""
+        import mapdyn.cli
+
+        tmp_path, cfg = two_link_setup
+        fus_cfg = dict(cfg)
+        fus_cfg["out"] = str(tmp_path / "fus5")
+        fus_cfg["fusion"] = {
+            "cases": [
+                {"name": "no_imus", "sensors": {"contact_links": ["link2"], "include_imus": False}},
+                {"name": "with_imus", "sensors": {"contact_links": ["link2"]}},
+                {"name": "no_contacts", "sensors": {}},
+            ],
+            "max_states": 4,
+        }
+        terms_per_plan = []
+        sweeps = []
+        plan_class = mapdyn.cli.PrecisionPlan
+        sweep = mapdyn.cli.kinematic_sweep
+
+        class CountingPlan(plan_class):
+            def __init__(self, problem):
+                self.index = len(terms_per_plan)
+                terms_per_plan.append(0)
+                super().__init__(problem)
+
+            def terms(self, *args):
+                terms_per_plan[self.index] += 1
+                return super().terms(*args)
+
+        def counting_sweep(*args):
+            sweeps.append(args)
+            return sweep(*args)
+
+        monkeypatch.setattr(mapdyn.cli, "PrecisionPlan", CountingPlan)
+        monkeypatch.setattr(mapdyn.cli, "kinematic_sweep", counting_sweep)
+        assert main(["fusion", "--config", write_config(tmp_path, fus_cfg, "f.json")]) == 0
+        # one sweep per state, and every state reuses each case's plan
+        assert len(sweeps) > 1
+        assert terms_per_plan == [len(sweeps)] * 3
 
     @pytest.mark.parametrize("max_states", [0, -2, 2.5, "4", True])
     def test_bad_max_states_exits_2(self, two_link_setup, capsys, max_states):

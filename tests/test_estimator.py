@@ -5,7 +5,6 @@ import scipy.sparse as sp
 from mapdyn.dynamics import ConstraintAssembler, DynLayout, rnea
 from mapdyn.estimator import (
     EstimatorError,
-    GaussianBelief,
     MapProblem,
     NotPositiveDefiniteError,
     PrecisionPlan,
@@ -13,10 +12,8 @@ from mapdyn.estimator import (
     SparseCholeskySolver,
     complex_step_bias_jacobians,
     finite_difference_bias_jacobians,
-    incremental_fusion,
     map_solve,
     map_solve_augmented,
-    posterior_precision_terms,
     shape_prior,
     sparse_cholesky_solve,
     unobserved_dimension,
@@ -24,7 +21,14 @@ from mapdyn.estimator import (
 from mapdyn.sensors import MeasurementAssembler
 from mapdyn.simharness import random_chain_model, random_state, random_tree_model
 
-from oracles import gls_solve, lmmse_forms_check, map_as_gls, stacked_rank_deficiency
+from oracles import (
+    gls_solve,
+    lmmse_forms_check,
+    map_as_gls,
+    posterior_precision_terms,
+    prior_precision_terms,
+    stacked_rank_deficiency,
+)
 
 
 def random_spd(rng, n, density=0.2):
@@ -228,6 +232,18 @@ class TestPrecisionPlan:
             plan.solver.marginal_variances(idx), expected.marginal_variance(idx), rtol=1e-10
         )
 
+    def test_problem_without_stored_entries_gives_float_band(self, rng):
+        dim = 4
+        sigma_d = rng.uniform(1.0, 3.0, dim)
+        mu = rng.normal(0.0, 1.0, dim)
+        empty = sp.csc_matrix((0, dim))
+        problem = MapProblem(empty, np.zeros(0), empty, np.zeros(0), np.zeros(0), mu_d=mu, sigma_d=sigma_d)
+        plan = PrecisionPlan(problem)
+        band, rhs = plan.terms(problem.D, problem.b_D, problem.Y, problem.b_Y, problem.y)
+        assert band.dtype == np.float64
+        np.testing.assert_array_equal(band, (1.0 / sigma_d)[plan.solver.perm][None, :])
+        np.testing.assert_array_equal(rhs, mu / sigma_d)
+
     def test_rejects_other_layout(self, two_link_problem):
         problem, _, _ = two_link_problem
         plan = PrecisionPlan(problem)
@@ -258,8 +274,10 @@ class TestShapePrior:
         )
         belief = shape_prior(problem)
         assert np.allclose(belief.mean, mu, atol=1e-12)
-        cov = np.linalg.inv(belief.precision.toarray())
+        precision, _ = prior_precision_terms(problem)
+        cov = np.linalg.inv(precision.toarray())
         assert np.allclose(cov, np.diag([2.5] * dim), atol=1e-10)
+        assert np.allclose(belief.marginal_variance(np.arange(dim)), np.diag(cov), atol=1e-10)
 
     def test_against_dense_inverse_oracle(self, two_link_problem):
         # comparison against an explicit 52x52 inversion needs a moderately
@@ -279,12 +297,11 @@ class TestShapePrior:
         )
         assert precision.shape == (52, 52)
         assert np.abs(belief.mean - mean).max() < 1e-9 * (1 + np.abs(mean).max())
-        assert np.abs((belief.precision.toarray() - precision)).max() < 1e-9
+        cov = np.linalg.inv(precision)
+        assert np.abs(belief.marginal_variance(np.arange(52)) - np.diag(cov)).max() < 1e-9
         # at the default spread the solve is still backward stable: the
         # residual matches the dense solve's
         belief_default = shape_prior(problem)
-        from mapdyn.estimator import prior_precision_terms
-
         prec, rhs = prior_precision_terms(problem)
         res = np.abs(prec @ belief_default.mean - rhs).max()
         dense = np.linalg.solve(prec.toarray(), rhs)
@@ -329,13 +346,16 @@ class TestMapSolve:
 
     def test_posterior_precision_identity(self, two_link_problem):
         problem, _, _ = two_link_problem
-        posterior = map_solve(problem)
-        prior_precision, _ = __import__("mapdyn.estimator", fromlist=["prior_precision_terms"]).prior_precision_terms(problem)
+        posterior_precision, _ = posterior_precision_terms(problem)
+        prior_precision, _ = prior_precision_terms(problem)
         y = problem.Y.toarray()
         info = y.T @ np.diag(1.0 / problem.sigma_y) @ y
-        gap = posterior.precision.toarray() - prior_precision.toarray() - info
-        denom = np.linalg.norm(posterior.precision.toarray())
+        gap = posterior_precision.toarray() - prior_precision.toarray() - info
+        denom = np.linalg.norm(posterior_precision.toarray())
         assert np.linalg.norm(gap) / denom < 1e-10
+        dense = np.linalg.inv(prior_precision.toarray() + info)
+        idx = np.array([18, 44])  # torque slots of both links
+        assert np.allclose(map_solve(problem).marginal_variance(idx), np.diag(dense)[idx], rtol=1e-9)
 
     def test_rank_deficiency_reports_dimension(self):
         dim = 6
@@ -353,7 +373,7 @@ class TestMapSolve:
     def test_marginal_variances_exposed(self, two_link_problem):
         problem, _, _ = two_link_problem
         belief = map_solve(problem)
-        dense = np.linalg.inv(belief.precision.toarray())
+        dense = np.linalg.inv(posterior_precision_terms(problem)[0].toarray())
         idx = np.array([18, 44])  # torque slots of both links
         assert np.allclose(belief.marginal_variance(idx), np.diag(dense)[idx], rtol=1e-9)
 
@@ -490,26 +510,18 @@ class TestLmmseForms:
 
 
 class TestIncrementalFusion:
+    """Adding a sensor group to a problem, each stage solved on its own."""
+
     def test_zero_information_group(self, two_link_problem):
         problem, _, _ = two_link_problem
         idx = np.arange(problem.dim_d)
-        group = (problem.Y, problem.b_Y, np.full(problem.Y.shape[0], np.inf), problem.y)
-        stages = incremental_fusion(problem, [group], idx)
-        assert np.allclose(stages[0].marginal_variances, stages[1].marginal_variances, rtol=1e-12)
-
-    def test_final_stage_equals_one_shot(self, two_link_problem):
-        problem, _, _ = two_link_problem
-        idx = np.arange(problem.dim_d)
-        half = problem.Y.shape[0] // 2
-        groups = [
-            (problem.Y[:half], problem.b_Y[:half], problem.sigma_y[:half], problem.y[:half]),
-            (problem.Y[half:], problem.b_Y[half:], problem.sigma_y[half:], problem.y[half:]),
-        ]
-        stages = incremental_fusion(problem, groups, idx)
-        one_shot = map_solve(problem)
-        assert np.abs(stages[-1].mean - one_shot.mean).max() < 1e-9 * (1 + np.abs(one_shot.mean).max())
-        gap = (stages[-1].precision - one_shot.precision).toarray()
-        assert np.abs(gap).max() < 1e-9 * (1 + np.abs(one_shot.precision.toarray()).max())
+        silent = MapProblem(
+            problem.D, problem.b_D, problem.Y, problem.b_Y, problem.y,
+            sigma_D=problem.sigma_D, sigma_y=np.inf, mu_d=problem.mu_d, sigma_d=problem.sigma_d,
+        )
+        np.testing.assert_allclose(
+            map_solve(silent).marginal_variance(idx), shape_prior(problem).marginal_variance(idx), rtol=1e-12
+        )
 
     def test_information_monotone(self, two_link_problem):
         base, _, _ = two_link_problem
@@ -521,15 +533,19 @@ class TestIncrementalFusion:
         )
         idx = np.arange(problem.dim_d)
         half = problem.Y.shape[0] // 2
-        groups = [
-            (problem.Y[:half], problem.b_Y[:half], problem.sigma_y[:half], problem.y[:half]),
-            (problem.Y[half:], problem.b_Y[half:], problem.sigma_y[half:], problem.y[half:]),
+        first_half = MapProblem(
+            problem.D, problem.b_D, problem.Y[:half], problem.b_Y[:half], problem.y[:half],
+            sigma_D=problem.sigma_D, sigma_y=problem.sigma_y[:half], sigma_d=problem.sigma_d,
+        )
+        stages = [shape_prior(problem), map_solve(first_half), map_solve(problem)]
+        variances = [belief.marginal_variance(idx) for belief in stages]
+        precisions = [prior_precision_terms(problem)[0]] + [
+            posterior_precision_terms(p)[0] for p in (first_half, problem)
         ]
-        stages = incremental_fusion(problem, groups, idx)
-        for earlier, later in zip(stages, stages[1:]):
-            assert np.all(later.marginal_variances <= earlier.marginal_variances + 1e-12)
-            cov_e = np.linalg.inv(earlier.precision.toarray())
-            cov_l = np.linalg.inv(later.precision.toarray())
+        covariances = [np.linalg.inv(p.toarray()) for p in precisions]
+        for k in (1, 2):
+            assert np.all(variances[k] <= variances[k - 1] + 1e-12)
+            cov_e, cov_l = covariances[k - 1], covariances[k]
             # Loewner order: the covariance difference stays PSD up to the
             # inversion noise floor (jitter scaled to covariance magnitude)
             jitter = 1e-8 * (1.0 + float(np.abs(cov_e).max()))
@@ -628,17 +644,3 @@ class TestAugmentedSolve:
         )
         assert np.abs(result.d_mean - d_star).max() < 1e-6
         assert np.abs(result.x_mean - x_star).max() < 1e-6
-
-
-class TestGaussianBelief:
-    def test_requires_exactly_one_representation(self):
-        with pytest.raises(EstimatorError):
-            GaussianBelief(np.zeros(3))
-        with pytest.raises(EstimatorError):
-            GaussianBelief(np.zeros(3), covariance=np.eye(3), precision=sp.identity(3))
-
-    def test_dense_covariance_guard(self):
-        n = 300
-        belief = GaussianBelief(np.zeros(n), precision=sp.identity(n, format="csc"))
-        with pytest.raises(EstimatorError, match="marginal"):
-            belief.dense_covariance()
