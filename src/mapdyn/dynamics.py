@@ -199,26 +199,45 @@ def rnea(model, q, qd, qdd, fx_base=None, base_acc=None):
     return d
 
 
+# the 3x3 quadrant a spatial adjoint holds at zero whatever the pose: motion
+# adjoints map no linear velocity into angular velocity, force adjoints no
+# moment into force; transposes and products keep the quadrant
+MOTION_ADJOINT_ZERO = np.zeros((6, 6), dtype=bool)
+MOTION_ADJOINT_ZERO[3:, :3] = True
+FORCE_ADJOINT_ZERO = MOTION_ADJOINT_ZERO.T
+
+
 class BlockPattern:
     """Fixed sparsity pattern of a matrix assembled from dense blocks.
 
-    Each block takes the next slice of the value vector, row-major, and all
-    its entries are stored, zeros included. Constant blocks carry their
-    values; the others are filled at each assembly. Block positions never
-    overlap, so the COO -> CSC permutation is computed once.
+    Each block takes the next slice of the value vector, row-major. A
+    constant block carries its values, and only its nonzero entries are
+    stored. A state-dependent block is filled at each assembly, and all its
+    entries are stored except those it declares always zero. Block positions
+    never overlap, so the COO -> CSC permutation is computed once.
     """
 
     def __init__(self):
-        self._rows, self._cols, self._values = [], [], []
+        self._rows, self._cols, self._values, self._stored = [], [], [], []
         self.nnz = 0
 
-    def add(self, row0, col0, nr, nc, value=0.0):
-        """Append an nr x nc block at (row0, col0); return its value slice."""
+    def add(self, row0, col0, nr, nc, value=None, zero=None):
+        """Append an nr x nc block at (row0, col0); return its value slice.
+
+        ``value`` makes the block constant (a scalar fills it); without it the
+        block is state-dependent, and ``zero`` is an optional boolean mask of
+        its entries that stay zero at every state.
+        """
         r, c = np.divmod(np.arange(nr * nc), nc)
         self._rows.append(row0 + r)
         self._cols.append(col0 + c)
-        self._values.append(np.empty(nr * nc))
-        self._values[-1][:] = np.ravel(value)  # a scalar fills the whole block
+        self._values.append(np.zeros(nr * nc))
+        if value is None:
+            stored = np.ones(nr * nc, dtype=bool) if zero is None else ~np.ravel(zero)
+        else:
+            self._values[-1][:] = np.ravel(value)
+            stored = self._values[-1] != 0.0
+        self._stored.append(stored)
         self.nnz += nr * nc
         return slice(self.nnz - nr * nc, self.nnz)
 
@@ -226,8 +245,9 @@ class BlockPattern:
         """Fix the shape, the constant values and the CSC layout; no blocks may follow."""
         self.shape = shape
         self.values = np.concatenate(self._values)
+        stored = np.flatnonzero(np.concatenate(self._stored))
         marker = sp.coo_matrix(
-            (np.arange(self.nnz, dtype=np.int64), (np.concatenate(self._rows), np.concatenate(self._cols))),
+            (stored, (np.concatenate(self._rows)[stored], np.concatenate(self._cols)[stored])),
             shape=shape,
         ).tocsc()
         self._source = marker.data  # csc slot k takes vals[source[k]]
@@ -235,7 +255,7 @@ class BlockPattern:
         self._indptr = marker.indptr
 
     def csc(self, vals):
-        """The CSC matrix whose stored entries are `vals`, in the order the blocks were added."""
+        """The CSC matrix of the stored entries of `vals`, a vector in the order the blocks were added."""
         return sp.csc_matrix((vals[self._source], self._indices, self._indptr), shape=self.shape)
 
 
@@ -263,14 +283,16 @@ class ConstraintAssembler:
             pattern.add(r0, c0 + OFF_A, 6, 6, -eye)
             pattern.add(r0, c0 + OFF_DDQ, 6, 1, s)
             if model.parent[i] != 0:
-                slots[("Xlam", i)] = pattern.add(r0, layout.base_of(model.parent[i]) + OFF_A, 6, 6)
+                slots[("Xlam", i)] = pattern.add(
+                    r0, layout.base_of(model.parent[i]) + OFF_A, 6, 6, zero=MOTION_ADJOINT_ZERO
+                )
             pattern.add(r0 + 6, c0 + OFF_A, 6, 6, model.inertia_of(i).matrix())
             pattern.add(r0 + 6, c0 + OFF_FB, 6, 6, -eye)
             pattern.add(r0 + 12, c0 + OFF_FB, 6, 6, eye)
             pattern.add(r0 + 12, c0 + OFF_F, 6, 6, -eye)
-            slots[("negX0", i)] = pattern.add(r0 + 12, c0 + OFF_FX, 6, 6)
+            slots[("negX0", i)] = pattern.add(r0 + 12, c0 + OFF_FX, 6, 6, zero=FORCE_ADJOINT_ZERO)
             for c in model.children[i]:
-                slots[("Xmu", i, c)] = pattern.add(r0 + 12, layout.base_of(c) + OFF_F, 6, 6)
+                slots[("Xmu", i, c)] = pattern.add(r0 + 12, layout.base_of(c) + OFF_F, 6, 6, zero=FORCE_ADJOINT_ZERO)
             pattern.add(r0 + 18, c0 + OFF_F, 1, 6, s)
             pattern.add(r0 + 18, c0 + OFF_TAU, 1, 1, -1.0)
         pattern.freeze((self.n_rows, self.n_cols))

@@ -29,7 +29,7 @@ from mapdyn.spatial import (
     skew,
     snap_rotation,
 )
-from mapdyn.dynamics import OFF_F, OFF_FX, BlockPattern, DynLayout, kinematic_sweep
+from mapdyn.dynamics import FORCE_ADJOINT_ZERO, OFF_F, OFF_FX, BlockPattern, DynLayout, kinematic_sweep
 from mapdyn.model.tree import KinematicTreeModel, ModelError
 
 IMU_LINEAR_ACCELERATION = "imu_linear_acceleration"
@@ -189,7 +189,7 @@ class MeasurementAssembler:
                 pose = spec.pose if spec.pose is not None else HomTransform.identity()
                 x_fp = adjoint_force(pose.inverse())  # plate <- base
                 for c in model.children[0]:
-                    slot = pattern.add(row0, layout.base_of(c) + OFF_F, 6, 6)
+                    slot = pattern.add(row0, layout.base_of(c) + OFF_F, 6, 6, zero=FORCE_ADJOINT_ZERO)
                     self._base_blocks.append((slot, c, x_fp))
                 base_inertia = (
                     model.links[0].inertia.matrix() if model.links[0].inertia is not None else np.zeros((6, 6))
