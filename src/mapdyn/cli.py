@@ -141,26 +141,44 @@ def write_csv(path, header, rows):
 
 
 def read_csv(path):
+    """Header through ``csv``; the numeric rows through ``np.loadtxt``.
+
+    When ``np.loadtxt`` fails, or its array does not have one row per line
+    and one column per header cell (it skips blank lines), the rows are
+    parsed one by one as ``csv`` reads them, so that the error names the
+    file and the line.
+    """
     try:
         with open(path) as fh:
-            reader = csv.reader(fh)
-            header = next(reader)
-            rows = [(reader.line_num, row) for row in reader]
+            first = fh.readline()
+            lines = fh.readlines()
     except FileNotFoundError as exc:
         raise InputError(f"input CSV not found: {path}") from exc
-    except StopIteration as exc:
-        raise InputError(f"input CSV is empty: {path}") from exc
-    if not rows:
+    if not first:
+        raise InputError(f"input CSV is empty: {path}")
+    header = next(csv.reader([first]))
+    if not lines:
         raise InputError(f"input CSV has a header but no data rows: {path}")
+    try:
+        data = np.loadtxt(lines, delimiter=",", comments=None, ndmin=2)
+        if data.shape == (len(lines), len(header)):
+            return header, data
+    except ValueError:
+        pass
+    return header, _parse_rows(path, header, lines)
+
+
+def _parse_rows(path, header, lines):
+    """The data rows cell by cell through ``float``; raises at the first bad line."""
     data = []
-    for line, row in rows:
+    for line, row in enumerate(csv.reader(lines), start=2):
         if len(row) != len(header):
             raise InputError(f"{path}, line {line}: {len(row)} cells, the header has {len(header)}")
         try:
             data.append([float(x) for x in row])
         except ValueError as exc:
             raise InputError(f"{path}, line {line}: {exc}") from exc
-    return header, np.array(data)
+    return np.array(data)
 
 
 def load_model_from_config(cfg, override=None) -> tuple:
@@ -342,6 +360,10 @@ def _write_link_poses(path, model, truth):
 # worker-process state for parallel estimation
 _WORKER = {}
 
+# samples per stacked factorization in `estimate`: each sample's numbers do
+# not depend on the stack, and a stack of 8 takes about 4.5 MB
+ESTIMATE_BATCH = 8
+
 
 def _estimate_worker_init(model_xml, sensors_cfg, cov_cfg, marginal_mode):
     # one BLAS thread per worker: the pool already saturates the cores
@@ -379,23 +401,30 @@ def _estimate_chunk(args):
     min_pivot_ratio = np.inf
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
-        for row, (q, qd, y) in enumerate(zip(q_rows, qd_rows, y_rows)):
-            mat_d, b_d, mat_y, b_y = assemble_system(casm, masm, q, qd)
-            if _WORKER["plan"] is None:
-                # the layout of D and Y is fixed: check and plan it once
-                _WORKER["plan"] = PrecisionPlan(MapProblem(
-                    mat_d, b_d, mat_y, b_y, y,
-                    sigma_D=sigma_D, sigma_y=masm.variances, mu_d=mu_d, sigma_d=sigma_d,
-                ))
-            plan = _WORKER["plan"]
-            band, rhs = plan.terms(mat_d, b_d, mat_y, b_y, y)
-            solver = plan.solver.factorize_band(band)
-            means[row] = solver.solve(rhs)
+        for start in range(0, len(indices), ESTIMATE_BATCH):
+            batch = slice(start, min(start + ESTIMATE_BATCH, len(indices)))
+            values = rhs = None
+            for k, (q, qd, y) in enumerate(zip(q_rows[batch], qd_rows[batch], y_rows[batch])):
+                mat_d, b_d, mat_y, b_y = assemble_system(casm, masm, q, qd)
+                if _WORKER["plan"] is None:
+                    # the layout of D and Y is fixed: check and plan it once
+                    _WORKER["plan"] = PrecisionPlan(MapProblem(
+                        mat_d, b_d, mat_y, b_y, y,
+                        sigma_D=sigma_D, sigma_y=masm.variances, mu_d=mu_d, sigma_d=sigma_d,
+                    ))
+                plan = _WORKER["plan"]
+                if values is None:
+                    n_batch = len(q_rows[batch])
+                    values = np.empty((n_batch, plan.solver.size))
+                    rhs = np.empty((n_batch, plan.solver.n))
+                values[k], rhs[k] = plan.terms(mat_d, b_d, mat_y, b_y, y)
+            solver = plan.solver.factorize_blocks(values)
+            means[batch] = solver.solve(rhs)
             # the recurrence computes the whole diagonal anyway
             variances = solver.marginal_variances(all_idx)
-            stds[row] = np.sqrt(variances[marg_idx])
-            unobserved[row] = unobserved_dimension(variances, sigma_d)
-            min_pivot_ratio = min(min_pivot_ratio, solver.min_pivot_ratio)
+            stds[batch] = np.sqrt(variances[:, marg_idx])
+            unobserved[batch] = unobserved_dimension(variances, sigma_d)
+            min_pivot_ratio = min(min_pivot_ratio, float(solver.min_pivot_ratio.min()))
     return indices, means, stds, unobserved, blas_threads(), min_pivot_ratio
 
 
@@ -614,7 +643,8 @@ def cmd_fusion(config_path, model_override, out_dir):
     max_states = fusion_cfg.get("max_states", 10)
     if isinstance(max_states, bool) or not isinstance(max_states, int) or max_states < 1:
         raise InputError(f"'fusion.max_states' must be a positive integer, got {max_states!r}")
-    stride = max(1, q_series.shape[0] // max_states)
+    # evenly spaced, and at most max_states of them
+    stride = -(-q_series.shape[0] // max_states)
     states = list(zip(q_series[::stride], qd_series[::stride]))
 
     case_specs = []
@@ -622,13 +652,23 @@ def cmd_fusion(config_path, model_override, out_dir):
         case_specs.append((case["name"], sensor_specs_from_config(model, {"sensors": case.get("sensors", {})})))
 
     assemblers = [MeasurementAssembler(model, specs) for _, specs in case_specs]
-    nested = all(
-        set(channel_names(model, case_specs[i][1])) <= set(channel_names(model, case_specs[i + 1][1]))
-        for i in range(len(case_specs) - 1)
-    )
-    if not nested:
-        # adding channels can only shrink a variance; other changes can grow it
-        log.warning("fusion cases are not nested by channel set; the monotonicity verdict is a theorem only for nested cases")
+    # adding channels or tightening them can only shrink a variance; other
+    # changes can grow it
+    channels = [
+        dict(zip(channel_names(model, specs), asm.variances)) for (_, specs), asm in zip(case_specs, assemblers)
+    ]
+    for (name, _), earlier, later in zip(case_specs[1:], channels, channels[1:]):
+        if not earlier.keys() <= later.keys():
+            log.warning(
+                "fusion case %r drops channels of the case before it; the monotonicity verdict is a theorem "
+                "only for nested cases", name,
+            )
+        loosened = [c for c in earlier.keys() & later.keys() if later[c] > earlier[c]]
+        if loosened:
+            log.warning(
+                "fusion case %r gives %d channel(s) of the case before it a larger variance (%s); the monotonicity "
+                "verdict is a theorem only for nested cases", name, len(loosened), min(loosened),
+            )
 
     tau_idx = layout.tau_indices()
     per_case = np.zeros((len(case_specs), model.n_dof))
@@ -649,8 +689,8 @@ def cmd_fusion(config_path, model_override, out_dir):
                         mat_d, b_d, mat_y, b_y, y,
                         sigma_D=sigma_D, sigma_y=asm.variances, mu_d=mu_d, sigma_d=sigma_d,
                     ))
-                band, _ = plans[ci].terms(mat_d, b_d, mat_y, b_y, y)
-                per_case[ci] += plans[ci].solver.factorize_band(band).marginal_variances(tau_idx)
+                values, _ = plans[ci].terms(mat_d, b_d, mat_y, b_y, y)
+                per_case[ci] += plans[ci].solver.factorize_blocks(values).marginal_variances(tau_idx)
     per_case /= len(states)
 
     rows = []

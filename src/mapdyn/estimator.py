@@ -21,14 +21,16 @@ from dataclasses import dataclass, field
 
 import numpy as np
 import scipy.sparse as sp
-from scipy.linalg import cho_solve_banded
-from scipy.linalg.blas import dsbmv
-from scipy.linalg.lapack import dpbtrf, dtrtri
-from scipy.sparse.csgraph import reverse_cuthill_mckee
+from scipy.linalg.lapack import dpotrf, dtrtri
+
+from mapdyn.dynamics import BLOCK_COLS
 
 # pivots below this fraction of the largest diagonal entry are treated as
 # factorization failures; callers opt into jitter explicitly
 PIVOT_REL_TOL = 1e-13
+
+# solver blocks: the link slices of d
+LINK_BLOCK = BLOCK_COLS
 
 # a sample is unobserved when its unobserved dimension reaches this value: a
 # direction the data determine adds about sigma_post / sigma_d (near 0) to
@@ -55,176 +57,275 @@ class RankDeficiencyError(EstimatorError):
 
 
 # ---------------------------------------------------------------------------
-# sparse SPD solver: fill-reducing permutation + banded Cholesky
+# sparse SPD solver: block elimination over link blocks, batched over samples
 
 
 class SparseCholeskySolver:
-    """SPD solver with a cached fill-reducing permutation.
+    """SPD solver by block Cholesky over link blocks, on a stack of samples.
 
-    The symbolic phase orders the matrix with reverse Cuthill-McKee, which
-    confines the factor to a band of half-width ``bandwidth``, and lays out
-    the block gathers of the selected inversion; it runs once per sparsity
-    pattern. The numeric phase factorizes the permuted matrix in LAPACK lower
-    band storage (``factorize_band``). Marginal variances come from the
-    blocked Takahashi recurrence on that factor, at about the cost of one
-    factorization and without forming an n x n array. Symbolic state is
-    read-only after construction and shareable across workers; numeric
-    factorizations are per-instance.
+    The columns split into ``LINK_BLOCK``-wide blocks, the link slices of d;
+    any remaining columns form one trailing block (the state of an augmented
+    solve). The symbolic phase runs once per sparsity pattern: it orders the
+    blocks by least fill, then least degree, which on a link tree eliminates
+    from the leaves inward without fill and any dense border last, and
+    records the off-diagonal structure of each block column of the factor,
+    fill included. Each block
+    column is stored as one dense panel: the diagonal block on top of the
+    blocks below it, in elimination order. A sample's values are the panels
+    one after the other (``size`` entries), and a stack of samples is an
+    array of shape (samples, size).
+
+    The numeric phase works on the stack in place: per block a LAPACK
+    Cholesky and triangular inverse for each sample, then batched products
+    for the panel and the Schur updates. A panel's diagonal block keeps the
+    inverse of its Cholesky factor, so ``solve`` is products only. All
+    marginal variances come from the block Takahashi recurrence from the
+    root to the leaves, which writes the selected inverse over the factor.
+    Symbolic state is read-only after construction and shareable across
+    workers; numeric state is per instance.
     """
 
-    def __init__(self, pattern: sp.spmatrix, use_permutation=True):
-        pattern = sp.csc_matrix(pattern)
+    def __init__(self, pattern: sp.spmatrix):
+        pattern = sp.coo_matrix(pattern)
         if pattern.shape[0] != pattern.shape[1]:
             raise EstimatorError("solver needs a square matrix")
-        self.n = pattern.shape[0]
-        if use_permutation and self.n > 1:
-            self.perm = np.asarray(reverse_cuthill_mckee(pattern, symmetric_mode=True))
-        else:
-            self.perm = np.arange(self.n)
+        self.n = n = pattern.shape[0]
+        block_of = np.arange(n) // LINK_BLOCK
+        n_blocks = -(-n // LINK_BLOCK)
+        neighbours = [set() for _ in range(n_blocks)]
+        for i, j in set(zip(block_of[pattern.row].tolist(), block_of[pattern.col].tolist())):
+            if i != j:
+                neighbours[i].add(j)
+        order, below = _block_elimination(neighbours, np.bincount(block_of, minlength=n_blocks))
+        # the columns block by block in elimination order, each block's in its own order
+        self.perm = np.argsort(np.argsort(order)[block_of], kind="stable")
         self.iperm = np.empty_like(self.perm)
-        self.iperm[self.perm] = np.arange(self.n)
-        coo = pattern.tocoo()
-        rows = self.iperm[coo.row]
-        cols = self.iperm[coo.col]
-        self.bandwidth = int(np.max(np.abs(rows - cols))) if coo.nnz else 0
-        self._blocks = _takahashi_blocks(self.n, self.bandwidth)
-        self._band = None
-        self._factor = None
+        self.iperm[self.perm] = np.arange(n)
+        self.widths = widths = np.bincount(block_of, minlength=n_blocks)[order]
+        self.starts = np.cumsum(widths) - widths
+        self.below = below
+        # panel p holds block p, then the blocks below it: first_row[p, q] is
+        # the first row of block q in panel p, -1 where the factor has none
+        self._first_row = np.full((n_blocks, n_blocks), -1, dtype=np.intp)
+        heights = np.empty(n_blocks, dtype=np.intp)
+        for p in range(n_blocks):
+            self._first_row[p, p] = 0
+            heights[p] = widths[p]
+            for q in below[p]:
+                self._first_row[p, q] = heights[p]
+                heights[p] += widths[q]
+        self._offsets = np.concatenate([[0], np.cumsum(heights * widths)]).astype(np.intp)
+        self.size = int(self._offsets[-1])
+        self._block_of = np.repeat(np.arange(n_blocks), widths)
+        self.diag_slots = self.slots(np.arange(n), np.arange(n))
+        # per block, the permuted indices of the blocks below it, and the
+        # slots of the covariance over them (block (q, r) with q after r
+        # sits in panel r; the symmetric entry is read for q before r)
+        self._below_index, self._covariance_gather = [], []
+        for p in range(n_blocks):
+            idx = np.concatenate([self.starts[q] + np.arange(widths[q]) for q in below[p]] or [[]]).astype(np.intp)
+            self._below_index.append(idx)
+            self._covariance_gather.append(self.slots(np.maximum.outer(idx, idx), np.minimum.outer(idx, idx)))
+        self._stack = None
+        self._inverted = False
+        self._variances = None
+        self._single = False
         self.min_pivot_ratio = None
 
+    def slots(self, rows, cols):
+        """Flat positions in a sample's values of entries (rows, cols) of the
+        permuted matrix, ``rows >= cols``; -1 where the factor stores none."""
+        rows = np.asarray(rows, dtype=np.intp)
+        cols = np.asarray(cols, dtype=np.intp)
+        pr, pc = self._block_of[rows], self._block_of[cols]
+        panel_row = self._first_row[pc, pr]
+        flat = self._offsets[pc] + (panel_row + rows - self.starts[pr]) * self.widths[pc] + cols - self.starts[pc]
+        return np.where(panel_row >= 0, flat, -1)
+
+    def _panel(self, stack, p):
+        width = self.widths[p]
+        return stack[:, self._offsets[p]: self._offsets[p + 1]].reshape(stack.shape[0], -1, width)
+
     def factorize(self, matrix: sp.spmatrix, jitter=0.0):
-        """Numeric factorization; raises on non-SPD input unless jittered.
+        """Numeric factorization of one sparse matrix; raises on non-SPD input unless jittered.
 
         ``jitter`` is an explicit opt-in diagonal addition (absolute).
         Reported pivot indices refer to the caller's (unpermuted) ordering.
         """
-        matrix = sp.csc_matrix(matrix)
-        if matrix.shape != (self.n, self.n):
+        coo = sp.coo_matrix(matrix)
+        if coo.shape != (self.n, self.n):
             raise EstimatorError("matrix shape does not match the symbolic pattern")
-        coo = matrix.tocoo()
-        rows = self.iperm[coo.row]
-        cols = self.iperm[coo.col]
-        keep = rows >= cols  # lower triangle of the permuted matrix
-        r, c, v = rows[keep], cols[keep], coo.data[keep]
-        bw = int(np.max(r - c)) if r.size else 0
-        if bw > self.bandwidth:
+        rows, cols = self.iperm[coo.row], self.iperm[coo.col]
+        lower = rows >= cols
+        slots = self.slots(rows[lower], cols[lower])
+        if np.any(slots < 0):
             raise EstimatorError("matrix has entries outside the symbolic pattern")
-        ab = np.zeros((self.bandwidth + 1, self.n))
-        np.add.at(ab, (r - c, c), v)
-        if jitter:
-            ab[0] += jitter
-        return self.factorize_band(ab)
+        values = np.zeros(self.size)
+        np.add.at(values, slots, coo.data[lower])
+        values[self.diag_slots] += jitter
+        return self.factorize_blocks(values)
 
-    def factorize_band(self, ab):
-        """Numeric factorization of the permuted matrix in lower band storage.
+    def factorize_blocks(self, values):
+        """Numeric factorization of a stack of matrices in the block storage.
 
-        ``ab[i - j, j]`` holds entry (i, j) of the permuted matrix, for
-        ``0 <= i - j <= bandwidth``. The band is kept, unfactored, for the
-        refinement step of ``solve``. Reported pivot indices refer to the
-        caller's (unpermuted) ordering; ``min_pivot_ratio`` is the smallest
-        squared pivot over the largest diagonal entry.
+        ``values`` is one sample's (``size``,) vector or a (samples, size)
+        stack; it is factorized in place. Each sample is factorized on its
+        own: a stack gives the same numbers as its samples one by one.
+        Reported pivot indices refer to the caller's (unpermuted) ordering;
+        ``min_pivot_ratio`` is, per sample, the smallest squared pivot over
+        the largest diagonal entry.
         """
-        if ab.shape != (self.bandwidth + 1, self.n):
-            raise EstimatorError("band shape does not match the symbolic pattern")
-        max_diag = np.max(ab[0]) if self.n else 0.0
-        factor, info = dpbtrf(ab, lower=1)
-        if info < 0:
-            raise ValueError(f"illegal value in {-info}-th argument of internal pbtrf")
-        if info > 0:  # the leading minor of order info is not positive definite
-            raise NotPositiveDefiniteError(
-                int(self.perm[info - 1]), f"{info}-th leading minor not positive definite"
-            )
-        pivots = factor[0] ** 2
-        small = pivots < PIVOT_REL_TOL * max_diag
+        if values.shape[-1] != self.size or values.ndim > 2:
+            raise EstimatorError("values do not match the block storage of the symbolic pattern")
+        stack = np.ascontiguousarray(values, dtype=float).reshape(-1, self.size)
+        max_diag = np.take(stack, self.diag_slots, axis=1).max(axis=1, initial=0.0)
+        for p, width in enumerate(self.widths):
+            panel = self._panel(stack, p)
+            diag = panel[:, :width]
+            for k in range(len(stack)):
+                # the transpose of a C-ordered block is the Fortran-ordered
+                # upper factor, which LAPACK factorizes and inverts in place
+                _, info = dpotrf(diag[k].T, 0, 1, 1)  # upper, clean, overwrite
+                if info > 0:  # the leading minor of order info is not positive definite
+                    raise self._failure(self.starts[p] + info - 1, k, len(stack))
+                dtrtri(diag[k].T, 0, 0, 1)  # upper, not unit, overwrite
+            below = panel[:, width:]
+            if below.shape[1]:
+                below[:] = below @ diag.transpose(0, 2, 1)
+                self._schur_update(stack, p, below)
+        # the inverted factor's diagonal holds the reciprocal pivots
+        pivots = 1.0 / np.take(stack, self.diag_slots, axis=1) ** 2
+        small = pivots < PIVOT_REL_TOL * max_diag[:, None]
         if np.any(small):
-            raise NotPositiveDefiniteError(int(self.perm[int(np.argmax(small))]))
-        self._band = ab
-        self._factor = factor
-        self.min_pivot_ratio = float(np.min(pivots) / max_diag) if self.n else 1.0
+            k, i = np.argwhere(small)[0]
+            raise self._failure(i, k, len(stack))
+        ratio = pivots.min(axis=1, initial=np.inf) / max_diag
+        self._stack = stack
+        self._inverted = False
+        self._variances = None
+        self._single = values.ndim == 1
+        self.min_pivot_ratio = float(ratio[0]) if self._single else ratio
         return self
 
-    def solve(self, rhs, refine_steps=1):
-        """Banded triangular solves plus iterative refinement.
+    def _failure(self, i, sample, n_samples):
+        """The error for a failing pivot at permuted index i, in the caller's column."""
+        column = int(self.perm[i])
+        where = f", sample {sample} of {n_samples}" if n_samples > 1 else ""
+        return NotPositiveDefiniteError(column, f"matrix is not positive definite (pivot {column}{where})")
 
-        One refinement pass restores dense-solve accuracy on badly scaled
-        systems (the precision matrices here mix weights across many orders
-        of magnitude). ``rhs`` is one vector; the residual is a symmetric
-        band product with the unfactored band.
+    def _schur_update(self, stack, p, below):
+        """Subtract block p's outer products from the panels below it."""
+        widths, first_row = self.widths, self._first_row
+        for j, q in enumerate(self.below[p]):
+            lq = below[:, first_row[p, q] - widths[p]:][:, : widths[q]]
+            target = self._panel(stack, q)
+            for r in self.below[p][j:]:
+                lr = below[:, first_row[p, r] - widths[p]:][:, : widths[r]]
+                target[:, first_row[q, r]: first_row[q, r] + widths[r]] -= lr @ lq.transpose(0, 2, 1)
+
+    def solve(self, rhs):
+        """Solve with the factor: one right-hand side per sample of the stack.
+
+        ``rhs`` is (n,) after a one-sample factorization, else (samples, n).
+        Forward and backward substitution over the blocks, each a product
+        with the inverted diagonal block and the panel below it.
         """
-        if self._factor is None:
+        if self._stack is None:
             raise EstimatorError("factorize() must run before solve()")
-        b = np.asarray(rhs, dtype=float)[self.perm]
-        x = cho_solve_banded((self._factor, True), b, check_finite=False)
-        for _ in range(refine_steps):
-            residual = b - dsbmv(self.bandwidth, 1.0, self._band, x, lower=1)
-            x = x + cho_solve_banded((self._factor, True), residual, check_finite=False)
-        return x[self.iperm]
+        if self._inverted:
+            raise EstimatorError("the factor was overwritten by marginal_variances(); factorize again to solve")
+        stack = self._stack
+        # np.take keeps every array C-ordered whatever the stack size, so each
+        # sample's products see the same strides and round alike
+        x = np.take(np.asarray(rhs, dtype=float).reshape(len(stack), self.n), self.perm, axis=1)
+        for p, width in enumerate(self.widths):
+            panel = self._panel(stack, p)
+            seg = slice(self.starts[p], self.starts[p] + width)
+            x[:, seg] = (panel[:, :width] @ x[:, seg, None])[..., 0]
+            if self.below[p]:
+                x[:, self._below_index[p]] -= (panel[:, width:] @ x[:, seg, None])[..., 0]
+        for p in reversed(range(len(self.widths))):
+            width = self.widths[p]
+            panel = self._panel(stack, p)
+            seg = slice(self.starts[p], self.starts[p] + width)
+            if self.below[p]:
+                below = np.take(x, self._below_index[p], axis=1)
+                x[:, seg] -= (panel[:, width:].transpose(0, 2, 1) @ below[..., None])[..., 0]
+            x[:, seg] = (panel[:, :width].transpose(0, 2, 1) @ x[:, seg, None])[..., 0]
+        x = np.take(x, self.iperm, axis=1)
+        return x[0] if self._single else x
 
     def marginal_variances(self, indices):
         """Diagonal entries of the inverse for the requested indices.
 
-        Blocked Takahashi recurrence (Takahashi, Fagan & Chen, 1973; Rue &
-        Held, 2005, section 2.3) on the band factor ``L``. With blocks of
-        ``max(bandwidth, 1)`` columns ``L`` is block lower-bidiagonal, so the
-        inverse ``S`` satisfies, from the last block upward,
-        ``S[k+1, k] = -S[k+1, k+1] L[k+1, k] W`` and
-        ``S[k, k] = W^T (W - L[k+1, k]^T S[k+1, k])`` with ``W = L[k, k]^-1``.
-        Every diagonal block is computed, whatever the indices.
+        Block Takahashi recurrence (Takahashi, Fagan & Chen, 1973; Lin et
+        al., *SelInv*, 2011) from the last block to the first. With ``W`` the
+        inverse of block k's Cholesky factor, ``L`` its panel below the
+        diagonal and ``S`` the covariance over the blocks below it (already
+        computed there), ``S[below, k] = -S L W`` and
+        ``S[k, k] = W^T (W - L^T S[below, k])``. Both overwrite the panel,
+        so the first call computes every variance of the stack and later
+        calls read them; ``solve`` is no longer possible afterwards.
         """
-        if self._factor is None:
+        if self._stack is None:
             raise EstimatorError("factorize() must run before marginal_variances()")
-        indices = np.atleast_1d(np.asarray(indices, dtype=int))
-        flat = np.append(self._factor.ravel(), 0.0)  # the gathers read outside the band as this zero
-        diag = np.empty(self.n)
-        below = None  # S[k+1, k+1]
-        for c0, diag_gather, sub_gather in reversed(self._blocks):
-            inv_diag, info = dtrtri(flat[diag_gather], lower=1)
-            if info:
-                raise EstimatorError(f"singular factor block at column {c0 + info - 1}")
-            if sub_gather is None:
-                block = inv_diag.T @ inv_diag
+        if self._variances is None:
+            self._variances = self._selected_inverse()
+        variances = np.take(self._variances, np.atleast_1d(np.asarray(indices, dtype=int)), axis=1)
+        return variances[0] if self._single else variances
+
+    def _selected_inverse(self):
+        stack = self._stack
+        self._inverted = True
+        variances = np.empty((len(stack), self.n))
+        for p in reversed(range(len(self.widths))):
+            width = self.widths[p]
+            panel = self._panel(stack, p)
+            inv = panel[:, :width]
+            if self.below[p]:
+                below = panel[:, width:]
+                cross = -(np.take(stack, self._covariance_gather[p], axis=1) @ (below @ inv))
+                block = inv.transpose(0, 2, 1) @ (inv - below.transpose(0, 2, 1) @ cross)
+                below[:] = cross
             else:
-                sub = flat[sub_gather]
-                cross = -below @ (sub @ inv_diag)
-                block = inv_diag.T @ (inv_diag - sub.T @ cross)
-            diag[c0: c0 + block.shape[0]] = np.diagonal(block)
-            below = block
-        return diag[self.iperm[indices]]
-
-    @property
-    def factor_nnz(self) -> int:
-        """Count of nonzero entries in the banded factor (actual fill)."""
-        if self._factor is None:
-            raise EstimatorError("factorize() must run first")
-        return int(np.count_nonzero(self._factor))
+                block = inv.transpose(0, 2, 1) @ inv
+            inv[:] = block
+            variances[:, self.starts[p]: self.starts[p] + width] = np.diagonal(block, axis1=1, axis2=2)
+        return np.take(variances, self.iperm, axis=1)
 
 
-def _takahashi_blocks(n, bandwidth):
-    """Band-storage gathers of the blocks the selected inversion reads.
+def _block_elimination(neighbours, widths):
+    """Block elimination order with the least fill, then the least degree.
 
-    Blocks are runs of ``max(bandwidth, 1)`` columns, the last one possibly
-    shorter. For each block starting at column ``c0`` this returns
-    ``(c0, diagonal gather, sub-diagonal gather)``: flat indices into the
-    factor's band storage (entry (i, j) at ``(i - j) * n + j``) of the
-    diagonal block and of the block below it (None for the last block).
-    Positions outside the band point one past the band, where
-    ``marginal_variances`` appends a zero.
+    ``neighbours[k]`` is the set of blocks coupled to block k. Each step
+    eliminates the block whose remaining neighbours lack the fewest
+    couplings among themselves (the fill its elimination adds), then the
+    one with the fewest variables among them, then the later block; its
+    neighbours are joined. On a graph that some order eliminates without
+    fill, such as a link tree whose siblings couple, a block without fill
+    is always left, so the order adds none: leaves go first and a dense
+    border last. Returns the order (block ids) and, per elimination
+    position, the sorted positions of the later blocks in its column of the
+    factor.
     """
-    width = max(bandwidth, 1)
-    outside = (bandwidth + 1) * n
-    blocks = []
-    for c0 in range(0, n, width):
-        m = min(width, n - c0)
-        cols = c0 + np.arange(m)
-        offset = np.arange(m)[:, None] - np.arange(m)
-        diag_gather = np.where(offset >= 0, offset * n + cols, outside)
-        m_below = min(width, n - c0 - m)
-        sub_gather = None
-        if m_below:
-            offset = m + np.arange(m_below)[:, None] - np.arange(m)
-            sub_gather = np.where(offset <= bandwidth, offset * n + cols, outside)
-        blocks.append((c0, diag_gather, sub_gather))
-    return blocks
+    graph = [set(s) for s in neighbours]
+    remaining = set(range(len(graph)))
+
+    def cost(k):
+        fill = sum(len(graph[k] - graph[c]) - 1 for c in graph[k])
+        return fill, sum(widths[c] for c in graph[k]), -k
+
+    order, reach = [], []
+    while remaining:
+        k = min(remaining, key=cost)
+        remaining.remove(k)
+        order.append(k)
+        reach.append(graph[k])
+        for c in graph[k]:
+            graph[c] |= graph[k] - {c}
+            graph[c].discard(k)
+    position = {k: p for p, k in enumerate(order)}
+    return order, [sorted(position[c] for c in r) for r in reach]
 
 
 def sparse_cholesky_solve(matrix, rhs, solver: SparseCholeskySolver | None = None):
@@ -327,17 +428,18 @@ def structural_pattern(problem: "MapProblem") -> sp.csc_matrix:
 
 
 class PrecisionPlan:
-    """Posterior precision band and right-hand side from a fixed index plan.
+    """Posterior precision blocks and right-hand side from a fixed index plan.
 
-    ``D`` and ``Y`` keep one CSC layout from sample to sample, stored zeros
-    included, so every entry of the posterior precision is a fixed sum of
-    products ``M[r, i] M[r, j] / sigma[r]`` over the rows of the stacked
+    ``D`` and ``Y`` keep one CSC layout from sample to sample, so every
+    entry of the posterior precision is a fixed sum of products
+    ``M[r, i] M[r, j] / sigma[r]`` over the rows of the stacked
     ``M = [D; Y]``. Once per pattern the plan lists, for each pair of stored
-    entries that share a row and land in the lower band of the permuted
-    precision, the two entries, the row and the band slot. A sample then
-    costs one gather and one ``np.bincount``. ``MapProblem``'s shape and
-    variance checks run once, on the problem the plan is built from; the
-    solver is built from that problem's structural pattern.
+    entries that share a row and land in the lower triangle of the permuted
+    precision, the two entries, the row and the slot in the solver's block
+    storage. A sample then costs one gather and one ``np.bincount``.
+    ``MapProblem``'s shape and variance checks run once, on the problem the
+    plan is built from; the solver is built from that problem's structural
+    pattern.
 
     A non-finite reading is missing: its row gets zero weight for that sample
     and adds nothing to the right-hand side.
@@ -363,7 +465,7 @@ class PrecisionPlan:
         # native-width indices: gathers with int32 ones took about twice as long
         self._a = a[lower]
         self._b = b[lower]
-        self._slot = ((pa - pb) * solver.n + pb)[lower].astype(np.intp)
+        self._slot = solver.slots(pa[lower], pb[lower])
         self._rows = rows
         self._cols = cols
         self._nnz = (mat_d.nnz, mat_y.nnz)
@@ -373,11 +475,12 @@ class PrecisionPlan:
         self._prior_rhs = problem.mu_d / problem.sigma_d
 
     def terms(self, mat_d, b_d, mat_y, b_y, y):
-        """(band, rhs) of the posterior at one sample.
+        """(values, rhs) of the posterior at one sample.
 
-        ``band`` is the permuted precision in the solver's lower band storage,
-        ready for ``solver.factorize_band``; ``rhs`` is in the caller's
-        ordering. ``mat_d`` and ``mat_y`` must have the plan's CSC layout.
+        ``values`` is the lower triangle of the permuted precision in the
+        solver's block storage, ready for ``solver.factorize_blocks`` alone or
+        as one row of a stack; ``rhs`` is in the caller's ordering.
+        ``mat_d`` and ``mat_y`` must have the plan's CSC layout.
         """
         if (mat_d.nnz, mat_y.nnz) != self._nnz:
             raise EstimatorError("D or Y does not have the sparsity layout the plan was built for")
@@ -389,12 +492,12 @@ class PrecisionPlan:
         weighted = values * weights[self._rows]
         solver = self.solver
         # bincount of no entries is an int64 array; a float one is not copied
-        band = np.bincount(
-            self._slot, weighted[self._a] * values[self._b], minlength=(solver.bandwidth + 1) * solver.n
-        ).astype(float, copy=False).reshape(solver.bandwidth + 1, solver.n)
-        band[0] += self._prior_diag
+        blocks = np.bincount(
+            self._slot, weighted[self._a] * values[self._b], minlength=solver.size
+        ).astype(float, copy=False)
+        blocks[solver.diag_slots] += self._prior_diag
         rhs = self._prior_rhs + np.bincount(self._cols, weighted * residual[self._rows], minlength=solver.n)
-        return band, rhs
+        return blocks, rhs
 
 
 def _csc_columns(mat):
@@ -402,11 +505,11 @@ def _csc_columns(mat):
     return np.repeat(np.arange(mat.shape[1]), np.diff(mat.indptr))
 
 
-def unobserved_dimension(variances, sigma_d) -> float:
+def unobserved_dimension(variances, sigma_d):
     """Directions of d that only the prior determines: ``n - gamma``.
 
-    ``variances`` is the full diagonal of the posterior covariance and
-    ``sigma_d`` the prior variances. ``gamma = n - sum_i S_ii / sigma_d_i``
+    ``variances`` is the full diagonal of the posterior covariance, or a
+    stack of them (one value each), and ``sigma_d`` the prior variances. ``gamma = n - sum_i S_ii / sigma_d_i``
     is the number of well-determined parameters (MacKay, *Bayesian
     interpolation*, Neural Computation, 1992): each direction the
     constraints and readings fix adds about 0 to the sum, each one they
@@ -416,19 +519,21 @@ def unobserved_dimension(variances, sigma_d) -> float:
     value is the rank deficiency of the stacked ``[Y; D]`` under that
     sample's readings.
     """
-    return float(np.sum(variances / sigma_d))
+    u = np.sum(variances / sigma_d, axis=-1)
+    return float(u) if u.ndim == 0 else u
 
 
 def map_solve(problem: MapProblem) -> GaussianBelief:
     """Posterior mean of d given y, with the factorization for its marginals.
 
-    Goes through the path ``estimate`` takes: a ``PrecisionPlan`` of the
-    problem, its band and right-hand side, the band Cholesky. A non-finite
-    reading is missing; a failing pivot raises ``NotPositiveDefiniteError``.
+    Goes through the path ``estimate`` takes, with a stack of one sample: a
+    ``PrecisionPlan`` of the problem, its precision blocks and right-hand
+    side, the block Cholesky. A non-finite reading is missing; a failing
+    pivot raises ``NotPositiveDefiniteError``.
     """
     plan = PrecisionPlan(problem)
-    band, rhs = plan.terms(problem.D, problem.b_D, problem.Y, problem.b_Y, problem.y)
-    solver = plan.solver.factorize_band(band)
+    values, rhs = plan.terms(problem.D, problem.b_D, problem.Y, problem.b_Y, problem.y)
+    solver = plan.solver.factorize_blocks(values)
     return GaussianBelief(solver.solve(rhs), solver)
 
 

@@ -247,6 +247,16 @@ class TestEstimate:
         err = capsys.readouterr().err
         assert (f"no data rows: {obs}" if corrupt == "header_only" else f"{obs}, line 4") in err
 
+    def test_blank_observation_line_exits_2(self, two_link_setup, capsys):
+        tmp_path, cfg = two_link_setup
+        config, _ = self._simulate(tmp_path, cfg)
+        obs = Path(cfg["out"]) / "observations.csv"
+        lines = obs.read_text().splitlines()
+        lines[3] = ""
+        obs.write_text("\n".join(lines) + "\n")
+        assert main(["estimate", "--config", config, "--workers", "1"]) == 2
+        assert f"{obs}, line 4: 0 cells" in capsys.readouterr().err
+
     def test_too_short_pose_series_exits_2(self, two_link_setup, capsys):
         tmp_path, cfg = two_link_setup
         config, _ = self._simulate(tmp_path, cfg)
@@ -363,6 +373,42 @@ def human_run(human_model_foot, tmp_path_factory):
     return tmp_path, cfg
 
 
+def test_pool_and_serial_estimates_byte_identical_on_48dof(human_model_foot, tmp_path):
+    """32 samples: two workers factorize stacks of 4, one worker stacks of 8."""
+    from mapdyn.model import emit_model
+
+    model_path = tmp_path / "model.xml"
+    model_path.write_text(emit_model(human_model_foot))
+    cfg = {
+        "model": str(model_path),
+        "out": str(tmp_path / "sim"),
+        "seed": 6,
+        "scenario": {
+            "duration": 0.32,
+            "rate": 100.0,
+            "trajectory": {
+                "default": {"kind": "sine", "amplitude": 0.15, "frequency": 0.5},
+                "jRightKnee_roty": {"kind": "sine", "amplitude": 0.15, "frequency": 0.5, "offset": 0.16},
+                "jLeftKnee_roty": {"kind": "sine", "amplitude": 0.15, "frequency": 0.5, "offset": -0.16},
+            },
+        },
+        "sensors": {"contact_links": ["RightFoot", "RightToe", "LeftToe"]},
+        "marginals": "all",
+        "inputs": {
+            "observations": str(tmp_path / "sim" / "observations.csv"),
+            "state": str(tmp_path / "sim" / "trajectory.csv"),
+        },
+    }
+    assert main(["simulate", "--config", write_config(tmp_path, cfg, "sim.json")]) == 0
+    outputs = []
+    for workers in (1, 2):
+        est = dict(cfg, out=str(tmp_path / f"est{workers}"))
+        assert main(["estimate", "--config", write_config(tmp_path, est, "est.json"), "--workers", str(workers)]) == 0
+        outputs.append([(Path(est["out"]) / name).read_bytes() for name in ("estimates.csv", "marginal_std.csv")])
+    assert len(outputs[0][0].splitlines()) == 33
+    assert outputs[0] == outputs[1]
+
+
 class TestUnobservedSamples:
     def _estimate(self, tmp_path, cfg, name):
         cfg = dict(cfg, out=str(tmp_path / name))
@@ -420,6 +466,24 @@ class TestWriteCsv:
         assert new.read_bytes() == old.read_bytes()
         write_csv(new, header, np.array(rows, dtype=float))
         assert new.read_bytes() == old.read_bytes()
+
+
+class TestReadCsv:
+    def test_values_bit_identical_to_float(self, tmp_path):
+        from mapdyn.cli import read_csv, write_csv
+
+        rng = np.random.default_rng(8)
+        special = [float("nan"), float("inf"), -float("inf"), -0.0, 0.0, 5e-324, -5e-324, 2.2250738585072014e-308,
+                   1.7976931348623157e308, 0.1 + 0.2, 1 / 3, 123456789.12345679, 1e-5, -1e22]
+        rows = [special] + (rng.normal(0.0, 1.0, (40, len(special))) * 10.0 ** rng.integers(-300, 300, (40, len(special)))).tolist()
+        path = tmp_path / "values.csv"
+        write_csv(path, [f"c{i}" for i in range(len(special))], rows)
+        header, data = read_csv(path)
+        lines = path.read_text().splitlines()[1:]
+        expected = np.array([[float(cell) for cell in line.split(",")] for line in lines])
+        assert header == [f"c{i}" for i in range(len(special))]
+        assert data.shape == expected.shape
+        assert data.tobytes() == expected.tobytes()
 
 
 def test_state_csv_estimate_and_sine_simulate_skip_optional_scipy_modules(two_link_setup):
@@ -613,6 +677,48 @@ class TestFusion:
         # one sweep per state, and every state reuses each case's plan
         assert len(sweeps) > 1
         assert terms_per_plan == [len(sweeps)] * 3
+
+    @pytest.mark.parametrize("max_states, expected", [(4, 4), (7, 6)])
+    def test_max_states_caps_the_states(self, two_link_setup, monkeypatch, max_states, expected):
+        """30 trajectory samples give at most max_states evenly spaced states."""
+        import mapdyn.cli
+
+        tmp_path, cfg = two_link_setup
+        fus_cfg = dict(cfg, out=str(tmp_path / "fus6"))
+        sensors = {"contact_links": ["link2"]}
+        fus_cfg["fusion"] = {
+            "cases": [{"name": "case1", "sensors": sensors}, {"name": "case2", "sensors": sensors}],
+            "max_states": max_states,
+        }
+        states = []
+        sweep = mapdyn.cli.kinematic_sweep
+
+        def counting_sweep(model, q, qd):
+            states.append(q)
+            return sweep(model, q, qd)
+
+        monkeypatch.setattr(mapdyn.cli, "kinematic_sweep", counting_sweep)
+        assert main(["fusion", "--config", write_config(tmp_path, fus_cfg, "f.json")]) == 0
+        _, q, _, _ = mapdyn.cli.trajectory_from_config(parse_model(TWO_LINK_XML), fus_cfg).sample()
+        assert q.shape[0] == 30
+        picked = [int(np.flatnonzero((q == state).all(axis=1))[0]) for state in states]
+        assert len(picked) == expected <= max_states
+        assert len(set(np.diff(picked))) == 1  # evenly spaced
+
+    def test_loosened_shared_channel_is_reported(self, two_link_setup, caplog):
+        """Same channel names, but the contact wrench turns 1000x looser: no theorem, so a warning."""
+        tmp_path, cfg = two_link_setup
+        fus_cfg = dict(cfg, out=str(tmp_path / "fus7"))
+        fus_cfg["fusion"] = {"cases": [
+            {"name": "bare", "sensors": {}},
+            {"name": "bare_again", "sensors": {}},
+            {"name": "contacts", "sensors": {"contact_links": ["link2"]}},
+        ]}
+        with caplog.at_level("WARNING", logger="mapdyn"):
+            assert main(["fusion", "--config", write_config(tmp_path, fus_cfg, "f.json")]) == 0
+        warnings = [record.getMessage() for record in caplog.records if record.levelname == "WARNING"]
+        assert len(warnings) == 1
+        assert "'contacts' gives 6 channel(s) of the case before it a larger variance (extf_link2_fx)" in warnings[0]
 
     @pytest.mark.parametrize("max_states", [0, -2, 2.5, "4", True])
     def test_bad_max_states_exits_2(self, two_link_setup, capsys, max_states):

@@ -123,6 +123,24 @@ class TestConstraintAssembly:
             assert np.allclose((d1 - fresh.D).toarray(), 0)
             assert np.allclose(b1, fresh.b_D)
 
+    def test_block_pattern_stores_no_constant_zero(self):
+        from mapdyn.dynamics import MOTION_ADJOINT_ZERO, BlockPattern
+
+        pattern = BlockPattern()
+        pattern.add(0, 0, 2, 2, np.array([[1.0, 0.0], [0.0, -2.0]]))
+        pattern.add(0, 4, 2, 1, 0.0)
+        state = pattern.add(2, 0, 6, 6, zero=MOTION_ADJOINT_ZERO)
+        pattern.freeze((8, 6))
+        vals = pattern.values.copy()
+        vals[state] = np.arange(1.0, 37.0)
+        mat = pattern.csc(vals)
+        # the constant blocks' two nonzeros, the state block but its zero quadrant
+        assert mat.nnz == 2 + 27
+        expected = np.zeros((8, 6))
+        expected[:2, :2] = [[1.0, 0.0], [0.0, -2.0]]
+        expected[2:] = np.where(MOTION_ADJOINT_ZERO, 0.0, np.arange(1.0, 37.0).reshape(6, 6))
+        np.testing.assert_array_equal(mat.toarray(), expected)
+
     def test_random_models_and_states(self, rng):
         """Constraint-oracle equivalence across random topologies."""
         for trial in range(60):

@@ -59,16 +59,24 @@ class TestSparseCholesky:
         mat_y, b_y = masm.assemble(q, qd)
         problem = MapProblem(mat_d, b_d, mat_y, b_y, np.zeros(masm.dim), sigma_y=masm.variances)
         precision, _ = posterior_precision_terms(problem)
-        ordered = SparseCholeskySolver(precision, use_permutation=True).factorize(precision)
-        natural = SparseCholeskySolver(precision, use_permutation=False).factorize(precision)
-        assert ordered.factor_nnz <= natural.factor_nnz
-        assert ordered.bandwidth < natural.bandwidth
+        solver = SparseCholeskySolver(precision)
+        # 48 link blocks, eliminated without fill: every block of the factor
+        # below the diagonal couples two links in the precision (a parent and
+        # a child, or two siblings)
+        assert list(solver.widths) == [26] * 48
+        assert sum(len(below) for below in solver.below) == 51
+        blocks = sp.coo_matrix(precision)
+        coupled = set(zip(solver.iperm[blocks.row] // 26, solver.iperm[blocks.col] // 26))
+        assert all((q, p) in coupled for p, below in enumerate(solver.below) for q in below)
 
     def test_permuted_equals_unpermuted(self, rng):
         mat = random_spd(rng, 80)
         rhs = rng.normal(0, 1, 80)
-        x_perm = sparse_cholesky_solve(mat, rhs, SparseCholeskySolver(mat, use_permutation=True))
-        x_nat = sparse_cholesky_solve(mat, rhs, SparseCholeskySolver(mat, use_permutation=False))
+        # the reversed matrix puts other columns into each block and orders the blocks otherwise
+        rev = np.arange(80)[::-1]
+        mat_rev = sp.csc_matrix(mat.toarray()[np.ix_(rev, rev)])
+        x_perm = sparse_cholesky_solve(mat, rhs)
+        x_nat = sparse_cholesky_solve(mat_rev, rhs[rev])[np.argsort(rev)]
         r_perm = np.linalg.norm(mat @ x_perm - rhs)
         r_nat = np.linalg.norm(mat @ x_nat - rhs)
         assert abs(r_perm - r_nat) <= 1e-12 * (1 + max(r_perm, r_nat))
@@ -85,7 +93,7 @@ class TestSparseCholesky:
         dense = np.eye(5)
         dense[2, 3] = dense[3, 2] = 2.0
         mat = sp.csc_matrix(dense)
-        solver = SparseCholeskySolver(mat, use_permutation=False)
+        solver = SparseCholeskySolver(mat)
         with pytest.raises(NotPositiveDefiniteError) as err:
             solver.factorize(mat)
         assert err.value.pivot_index == 3
@@ -144,8 +152,8 @@ class TestSelectedInversion:
     )
     def test_matches_dense_inverse_on_band_matrices(self, rng, n, bandwidth):
         mat = random_band_spd(rng, n, bandwidth)
-        solver = SparseCholeskySolver(mat, use_permutation=False).factorize(mat)
-        assert solver.bandwidth == bandwidth
+        solver = SparseCholeskySolver(mat).factorize(mat)
+        assert sorted(solver.widths) == sorted([26] * (n // 26) + ([n % 26] if n % 26 else []))
         expected = np.diag(np.linalg.inv(mat.toarray()))
         np.testing.assert_allclose(solver.marginal_variances(np.arange(n)), expected, rtol=1e-10)
         idx = np.array([n - 1, 0, n // 2])
@@ -173,20 +181,22 @@ class TestSelectedInversion:
 
 
 class TestPrecisionPlan:
-    def _band_of(self, solver, precision):
-        """The permuted lower band of a sparse precision, by a plain scatter."""
+    def _blocks_of(self, solver, precision):
+        """The permuted lower triangle of a sparse precision in block storage, by a plain scatter."""
         coo = precision.tocoo()
         rows, cols = solver.iperm[coo.row], solver.iperm[coo.col]
         keep = rows >= cols
-        band = np.zeros((solver.bandwidth + 1, solver.n))
-        np.add.at(band, (rows[keep] - cols[keep], cols[keep]), coo.data[keep])
-        return band
+        slots = solver.slots(rows[keep], cols[keep])
+        assert np.all(slots >= 0)
+        blocks = np.zeros(solver.size)
+        np.add.at(blocks, slots, coo.data[keep])
+        return blocks
 
     def _check(self, problem):
         plan = PrecisionPlan(problem)
         band, rhs = plan.terms(problem.D, problem.b_D, problem.Y, problem.b_Y, problem.y)
         precision, expected_rhs = posterior_precision_terms(problem)
-        expected = self._band_of(plan.solver, precision)
+        expected = self._blocks_of(plan.solver, precision)
         np.testing.assert_allclose(band, expected, rtol=1e-13, atol=1e-13 * np.abs(expected).max())
         np.testing.assert_allclose(rhs, expected_rhs, rtol=1e-13, atol=1e-13 * np.abs(expected_rhs).max())
 
@@ -220,7 +230,7 @@ class TestPrecisionPlan:
         plan = PrecisionPlan(problem)
         band, rhs = plan.terms(problem.D, problem.b_D, problem.Y, problem.b_Y, y)
         assert np.isfinite(band).all() and np.isfinite(rhs).all()
-        mean = plan.solver.factorize_band(band).solve(rhs)
+        mean = plan.solver.factorize_blocks(band).solve(rhs)
         keep = np.arange(problem.Y.shape[0]) != 2
         expected = map_solve(MapProblem(
             problem.D, problem.b_D, problem.Y[keep], problem.b_Y[keep], problem.y[keep],
@@ -241,7 +251,9 @@ class TestPrecisionPlan:
         plan = PrecisionPlan(problem)
         band, rhs = plan.terms(problem.D, problem.b_D, problem.Y, problem.b_Y, problem.y)
         assert band.dtype == np.float64
-        np.testing.assert_array_equal(band, (1.0 / sigma_d)[plan.solver.perm][None, :])
+        expected = np.zeros(plan.solver.size)
+        expected[plan.solver.diag_slots] = (1.0 / sigma_d)[plan.solver.perm]
+        np.testing.assert_array_equal(band, expected)
         np.testing.assert_array_equal(rhs, mu / sigma_d)
 
     def test_rejects_other_layout(self, two_link_problem):
@@ -382,7 +394,7 @@ def masked_variances(plan, problem, dropped):
     """All posterior variances with the ``dropped`` readings missing (NaN)."""
     y = np.where(dropped, np.nan, problem.y)
     band, _ = plan.terms(problem.D, problem.b_D, problem.Y, problem.b_Y, y)
-    return plan.solver.factorize_band(band).marginal_variances(np.arange(problem.dim_d))
+    return plan.solver.factorize_blocks(band).marginal_variances(np.arange(problem.dim_d))
 
 
 def random_model_problems(make_model, rng, count=6):
@@ -644,3 +656,99 @@ class TestAugmentedSolve:
         )
         assert np.abs(result.d_mean - d_star).max() < 1e-6
         assert np.abs(result.x_mean - x_star).max() < 1e-6
+
+
+def solve_stack(plan, samples):
+    """Means and all variances of a stack of (D, b_D, Y, b_Y, y) samples, as ``estimate`` runs a batch."""
+    solver = plan.solver
+    values = np.empty((len(samples), solver.size))
+    rhs = np.empty((len(samples), solver.n))
+    for k, sample in enumerate(samples):
+        values[k], rhs[k] = plan.terms(*sample)
+    solver.factorize_blocks(values)
+    return solver.solve(rhs), solver.marginal_variances(np.arange(solver.n))
+
+
+def human_samples(model, rng, count):
+    from mapdyn.sensors import assemble_system, default_sensor_specs
+
+    casm = ConstraintAssembler(model)
+    masm = MeasurementAssembler(model, default_sensor_specs(model, contact_links=["RightFoot"]))
+    samples = []
+    for _ in range(count):
+        q, qd, _ = random_state(model, rng, 0.2, 0.3, 0.3)
+        samples.append((*assemble_system(casm, masm, q, qd), rng.normal(0.0, 1.0, masm.dim)))
+    return samples, masm.variances
+
+
+class TestBlockSolver:
+    def _check_against_dense(self, problem):
+        plan = PrecisionPlan(problem)
+        mean, variances = solve_stack(plan, [(problem.D, problem.b_D, problem.Y, problem.b_Y, problem.y)])
+        precision, rhs = posterior_precision_terms(problem)
+        dense_mean = np.linalg.solve(precision.toarray(), rhs)
+        assert np.abs(mean[0] - dense_mean).max() <= 1e-9 * (1 + np.abs(dense_mean).max())
+        np.testing.assert_allclose(variances[0], np.diag(np.linalg.inv(precision.toarray())), rtol=1e-10)
+        return plan.solver
+
+    @pytest.mark.parametrize("make_model", [random_chain_model, random_tree_model])
+    def test_means_and_marginals_match_dense_on_random_models(self, make_model):
+        for problem in random_model_problems(make_model, np.random.default_rng(33)):
+            self._check_against_dense(problem)
+
+    def test_augmented_border_block_is_eliminated_last(self, rng):
+        """An augmented state couples to every link: it forms a trailing block, eliminated last."""
+        problem = next(random_model_problems(random_tree_model, np.random.default_rng(34)))
+        dim_x = 5
+        border_d = rng.normal(0.0, 1.0, (problem.D.shape[0], dim_x))
+        border_y = rng.normal(0.0, 1.0, (problem.Y.shape[0], dim_x))
+        aug = MapProblem(
+            sp.hstack([problem.D, sp.csc_matrix(border_d)]).tocsc(), problem.b_D,
+            sp.hstack([problem.Y, sp.csc_matrix(border_y)]).tocsc(), problem.b_Y, problem.y,
+            sigma_D=problem.sigma_D, sigma_y=problem.sigma_y,
+            sigma_d=np.concatenate([problem.sigma_d, np.full(dim_x, 10.0)]),
+        )
+        solver = self._check_against_dense(aug)
+        assert solver.widths[-1] == dim_x
+        assert all(len(solver.below) - 1 in below for below in solver.below[:-1])
+
+    def test_stack_position_does_not_change_a_sample(self, human_model_foot, rng):
+        samples, variances = human_samples(human_model_foot, rng, 8)
+        plan = PrecisionPlan(MapProblem(*samples[0], sigma_y=variances))
+        alone = [solve_stack(plan, [sample]) for sample in samples]
+        for shift in range(len(samples)):
+            order = np.roll(np.arange(len(samples)), shift)
+            means, marginals = solve_stack(plan, [samples[k] for k in order])
+            for position, k in enumerate(order):
+                assert means[position].tobytes() == alone[k][0][0].tobytes()
+                assert marginals[position].tobytes() == alone[k][1][0].tobytes()
+
+    def test_failing_sample_of_a_stack_names_the_callers_column(self, human_model_foot, rng):
+        samples, variances = human_samples(human_model_foot, rng, 4)
+        plan = PrecisionPlan(MapProblem(*samples[0], sigma_y=variances))
+        solver = plan.solver
+        column = DynLayout(human_model_foot).tau(30)
+        values = np.stack([plan.terms(*sample)[0] for sample in samples])
+        values[2, solver.diag_slots[solver.iperm[column]]] = -1.0
+        with pytest.raises(NotPositiveDefiniteError, match="sample 2 of 4") as err:
+            solver.factorize_blocks(values)
+        assert err.value.pivot_index == column
+
+    def test_one_batch_of_8_allocates_under_1mb_per_sample(self, human_model_foot, rng):
+        import tracemalloc
+
+        samples, variances = human_samples(human_model_foot, rng, 8)
+        plan = PrecisionPlan(MapProblem(*samples[0], sigma_y=variances))
+        solve_stack(plan, samples[:1])  # first-call allocations of numpy and LAPACK
+        tracemalloc.start()
+        try:
+            solve_stack(plan, samples)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 8 * 2**20
+
+    def test_48dof_plan_lists_at_most_41000_pairs(self, human_model_foot, rng):
+        samples, variances = human_samples(human_model_foot, rng, 1)
+        plan = PrecisionPlan(MapProblem(*samples[0], sigma_y=variances))
+        assert plan._slot.size <= 41000
