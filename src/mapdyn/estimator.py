@@ -5,11 +5,14 @@ sources: the sparse Newton-Euler constraints weighted by a model-confidence
 covariance, the sensor readings weighted per channel, and a regularizing
 Gaussian prior on d (mandatory: without it the constraint-only distribution
 is degenerate). Every posterior goes through one path: ``PrecisionPlan``
-turns the values of D and Y straight into the band of the posterior
-precision through a precomputed product plan, a sparse permuted Cholesky
-factorization in band storage solves for the mean, and the marginal
-variances come from a blocked Takahashi selected inversion of the band
-factor. The fill-reducing permutation and the plan are computed once per
+turns the values of D and Y straight into the posterior precision, in the
+block storage of ``SparseCholeskySolver``, through a precomputed product
+plan. The solver eliminates d link block by link block: the precision
+couples a link only to its parent and siblings, so a block elimination
+order without fill exists, and every step is a small dense factorization
+or product, batched over a stack of samples. A block Takahashi pass then
+writes the selected inverse over the factor, which gives all marginal
+variances. The elimination order and the plan are computed once per
 sparsity pattern and reused across time samples. The same diagonal gives,
 per sample, the number of directions of d that the constraints and readings
 leave undetermined (``unobserved_dimension``).
@@ -69,11 +72,10 @@ class SparseCholeskySolver:
     blocks by least fill, then least degree, which on a link tree eliminates
     from the leaves inward without fill and any dense border last, and
     records the off-diagonal structure of each block column of the factor,
-    fill included. Each block
-    column is stored as one dense panel: the diagonal block on top of the
-    blocks below it, in elimination order. A sample's values are the panels
-    one after the other (``size`` entries), and a stack of samples is an
-    array of shape (samples, size).
+    fill included. Each block column is stored as one dense panel: the
+    diagonal block on top of the blocks below it, in elimination order. A
+    sample's values are the panels one after the other (``size`` entries),
+    and a stack of samples is an array of shape (samples, size).
 
     The numeric phase works on the stack in place: per block a LAPACK
     Cholesky and triangular inverse for each sample, then batched products
@@ -123,7 +125,7 @@ class SparseCholeskySolver:
         # sits in panel r; the symmetric entry is read for q before r)
         self._below_index, self._covariance_gather = [], []
         for p in range(n_blocks):
-            idx = np.concatenate([self.starts[q] + np.arange(widths[q]) for q in below[p]] or [[]]).astype(np.intp)
+            idx = np.flatnonzero(np.isin(self._block_of, below[p]))
             self._below_index.append(idx)
             self._covariance_gather.append(self.slots(np.maximum.outer(idx, idx), np.minimum.outer(idx, idx)))
         self._stack = None
@@ -216,12 +218,13 @@ class SparseCholeskySolver:
     def _schur_update(self, stack, p, below):
         """Subtract block p's outer products from the panels below it."""
         widths, first_row = self.widths, self._first_row
+        # rows of block q in ``below``, which starts at row widths[p] of the panel
+        rows = {q: slice(first_row[p, q] - widths[p], first_row[p, q] - widths[p] + widths[q]) for q in self.below[p]}
         for j, q in enumerate(self.below[p]):
-            lq = below[:, first_row[p, q] - widths[p]:][:, : widths[q]]
             target = self._panel(stack, q)
             for r in self.below[p][j:]:
-                lr = below[:, first_row[p, r] - widths[p]:][:, : widths[r]]
-                target[:, first_row[q, r]: first_row[q, r] + widths[r]] -= lr @ lq.transpose(0, 2, 1)
+                update = below[:, rows[r]] @ below[:, rows[q]].transpose(0, 2, 1)
+                target[:, first_row[q, r]: first_row[q, r] + widths[r]] -= update
 
     def solve(self, rhs):
         """Solve with the factor: one right-hand side per sample of the stack.
