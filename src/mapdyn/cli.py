@@ -361,7 +361,7 @@ def _write_link_poses(path, model, truth):
 _WORKER = {}
 
 # samples per stacked factorization in `estimate`: each sample's numbers do
-# not depend on the stack, and a stack of 8 takes about 4.5 MB
+# not depend on the stack, and a stack of 8 holds about 4.3 MB on the 48-DoF model
 ESTIMATE_BATCH = 8
 
 
@@ -403,21 +403,18 @@ def _estimate_chunk(args):
         warnings.simplefilter("ignore")
         for start in range(0, len(indices), ESTIMATE_BATCH):
             batch = slice(start, min(start + ESTIMATE_BATCH, len(indices)))
-            values = rhs = None
-            for k, (q, qd, y) in enumerate(zip(q_rows[batch], qd_rows[batch], y_rows[batch])):
-                mat_d, b_d, mat_y, b_y = assemble_system(casm, masm, q, qd)
-                if _WORKER["plan"] is None:
-                    # the layout of D and Y is fixed: check and plan it once
-                    _WORKER["plan"] = PrecisionPlan(MapProblem(
-                        mat_d, b_d, mat_y, b_y, y,
-                        sigma_D=sigma_D, sigma_y=masm.variances, mu_d=mu_d, sigma_d=sigma_d,
-                    ))
-                plan = _WORKER["plan"]
-                if values is None:
-                    n_batch = len(q_rows[batch])
-                    values = np.empty((n_batch, plan.solver.size))
-                    rhs = np.empty((n_batch, plan.solver.n))
-                values[k], rhs[k] = plan.terms(mat_d, b_d, mat_y, b_y, y)
+            systems = [assemble_system(casm, masm, q, qd) for q, qd in zip(q_rows[batch], qd_rows[batch])]
+            if _WORKER["plan"] is None:
+                # the layout of D and Y is fixed: check and plan it once
+                _WORKER["plan"] = PrecisionPlan(MapProblem(
+                    *systems[0], y_rows[start],
+                    sigma_D=sigma_D, sigma_y=masm.variances, mu_d=mu_d, sigma_d=sigma_d,
+                ))
+            plan = _WORKER["plan"]
+            values = np.empty((len(systems), plan.solver.size))
+            rhs = np.empty((len(systems), plan.solver.n))
+            for k, (system, y) in enumerate(zip(systems, y_rows[batch])):
+                values[k], rhs[k] = plan.terms(*system, y)
             solver = plan.solver.factorize_blocks(values)
             means[batch] = solver.solve(rhs)
             # the recurrence computes the whole diagonal anyway

@@ -32,9 +32,6 @@ from mapdyn.dynamics import BLOCK_COLS
 # factorization failures; callers opt into jitter explicitly
 PIVOT_REL_TOL = 1e-13
 
-# solver blocks: the link slices of d
-LINK_BLOCK = BLOCK_COLS
-
 # a sample is unobserved when its unobserved dimension reaches this value: a
 # direction the data determine adds about sigma_post / sigma_d (near 0) to
 # it, a direction left to the prior about 1, so 0.5 splits the two
@@ -66,7 +63,7 @@ class RankDeficiencyError(EstimatorError):
 class SparseCholeskySolver:
     """SPD solver by block Cholesky over link blocks, on a stack of samples.
 
-    The columns split into ``LINK_BLOCK``-wide blocks, the link slices of d;
+    The columns split into ``BLOCK_COLS``-wide blocks, the link slices of d;
     any remaining columns form one trailing block (the state of an augmented
     solve). The symbolic phase runs once per sparsity pattern: it orders the
     blocks by least fill, then least degree, which on a link tree eliminates
@@ -92,12 +89,13 @@ class SparseCholeskySolver:
         if pattern.shape[0] != pattern.shape[1]:
             raise EstimatorError("solver needs a square matrix")
         self.n = n = pattern.shape[0]
-        block_of = np.arange(n) // LINK_BLOCK
-        n_blocks = -(-n // LINK_BLOCK)
+        block_of = np.arange(n) // BLOCK_COLS
+        n_blocks = -(-n // BLOCK_COLS)
         neighbours = [set() for _ in range(n_blocks)]
         for i, j in set(zip(block_of[pattern.row].tolist(), block_of[pattern.col].tolist())):
             if i != j:
                 neighbours[i].add(j)
+                neighbours[j].add(i)
         order, below = _block_elimination(neighbours, np.bincount(block_of, minlength=n_blocks))
         # the columns block by block in elimination order, each block's in its own order
         self.perm = np.argsort(np.argsort(order)[block_of], kind="stable")
@@ -512,11 +510,12 @@ def unobserved_dimension(variances, sigma_d):
     """Directions of d that only the prior determines: ``n - gamma``.
 
     ``variances`` is the full diagonal of the posterior covariance, or a
-    stack of them (one value each), and ``sigma_d`` the prior variances. ``gamma = n - sum_i S_ii / sigma_d_i``
-    is the number of well-determined parameters (MacKay, *Bayesian
-    interpolation*, Neural Computation, 1992): each direction the
-    constraints and readings fix adds about 0 to the sum, each one they
-    leave free adds about 1. A sample is unobserved when the value reaches
+    stack of them (one value each), and ``sigma_d`` the prior variances.
+    ``gamma = n - sum_i S_ii / sigma_d_i`` is the number of well-determined
+    parameters (MacKay, *Bayesian interpolation*, Neural Computation, 1992):
+    each direction the constraints and readings fix adds about 0 to the
+    sum, each one they leave free adds about 1. A sample is unobserved when
+    the value reaches
     ``UNOBSERVED_TOL``. Unless some direction is determined about as well by
     the data as by the prior (it then adds a fraction), ``round`` of the
     value is the rank deficiency of the stacked ``[Y; D]`` under that

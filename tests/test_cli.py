@@ -475,7 +475,8 @@ class TestReadCsv:
         rng = np.random.default_rng(8)
         special = [float("nan"), float("inf"), -float("inf"), -0.0, 0.0, 5e-324, -5e-324, 2.2250738585072014e-308,
                    1.7976931348623157e308, 0.1 + 0.2, 1 / 3, 123456789.12345679, 1e-5, -1e22]
-        rows = [special] + (rng.normal(0.0, 1.0, (40, len(special))) * 10.0 ** rng.integers(-300, 300, (40, len(special)))).tolist()
+        shape = (40, len(special))
+        rows = [special] + (rng.normal(0.0, 1.0, shape) * 10.0 ** rng.integers(-300, 300, shape)).tolist()
         path = tmp_path / "values.csv"
         write_csv(path, [f"c{i}" for i in range(len(special))], rows)
         header, data = read_csv(path)

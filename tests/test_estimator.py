@@ -148,6 +148,7 @@ class TestSelectedInversion:
             (21, 7),  # three full blocks
             (40, 7),  # a short last block
             (45, 1),
+            (90, 30),  # four blocks, each coupled to the next two
         ],
     )
     def test_matches_dense_inverse_on_band_matrices(self, rng, n, bandwidth):
@@ -711,6 +712,22 @@ class TestBlockSolver:
         solver = self._check_against_dense(aug)
         assert solver.widths[-1] == dim_x
         assert all(len(solver.below) - 1 in below for below in solver.below[:-1])
+
+    def test_block_cycle_fills_one_block(self, rng):
+        """Four blocks coupled in a ring: eliminating any block joins its two neighbours."""
+        dense = np.zeros((104, 104))
+        for k in range(4):
+            nxt = (k + 1) % 4
+            dense[26 * k: 26 * k + 26, 26 * nxt: 26 * nxt + 26] = rng.normal(0.0, 0.1, (26, 26))
+        dense += dense.T + np.diag(np.abs(dense).sum(axis=1) + 1.0)
+        mat = sp.csc_matrix(dense)
+        solver = SparseCholeskySolver(mat).factorize(mat)
+        assert sum(len(below) for below in solver.below) == 5  # the ring's 4 couplings and 1 fill
+        rhs = rng.normal(0.0, 1.0, 104)
+        expected = np.linalg.solve(dense, rhs)
+        assert np.abs(solver.solve(rhs) - expected).max() <= 1e-12 * (1 + np.abs(expected).max())
+        expected = np.diag(np.linalg.inv(dense))
+        np.testing.assert_allclose(solver.marginal_variances(np.arange(104)), expected, rtol=1e-10)
 
     def test_stack_position_does_not_change_a_sample(self, human_model_foot, rng):
         samples, variances = human_samples(human_model_foot, rng, 8)
