@@ -26,7 +26,8 @@ import numpy as np
 
 import mapdyn
 from mapdyn.blas import blas_threads, bundled_openblas, set_blas_threads
-from mapdyn.dynamics import ConstraintAssembler, DynLayout, kinematic_sweep
+from mapdyn.dynamics import SAMPLE_CHUNK, ConstraintAssembler, DynLayout, kinematic_sweep, sample_chunks
+from mapdyn.model.kinematics import check_joint_angles
 from mapdyn.estimator import (
     UNOBSERVED_TOL,
     EstimatorError,
@@ -38,7 +39,6 @@ from mapdyn.estimator import (
 from mapdyn.model import (
     ModelError,
     TemplateError,
-    forward_kinematics,
     generate_human_template,
     ik_frame_match,
     parse_model,
@@ -339,22 +339,16 @@ def cmd_simulate(config_path, model_override, out_dir, seed):
 
 
 def _write_link_poses(path, model, truth):
-    real = [l.name for l in model.links if not l.is_dummy]
+    real = [i for i, link in enumerate(model.links) if not link.is_dummy]
     header = ["time"]
-    for name in real:
-        header += [f"{name}_{c}" for c in ("x", "y", "z", "roll", "pitch", "yaw")]
-    rows = []
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")
-        for k in range(truth.times.size):
-            poses = forward_kinematics(model, truth.q[k])
-            row = [truth.times[k]]
-            for name in real:
-                h = poses[model.link_index[name]]
-                row.extend(h.translation)
-                row.extend(matrix_to_rpy(h.rotation))
-            rows.append(row)
-    write_csv(path, header, rows)
+    for i in real:
+        header += [f"{model.links[i].name}_{c}" for c in ("x", "y", "z", "roll", "pitch", "yaw")]
+    rows = np.empty((truth.times.size, 6 * len(real)))
+    for chunk in sample_chunks(truth.times.size):
+        sweep = kinematic_sweep(model, truth.q[chunk], truth.qd[chunk])
+        poses = np.concatenate([sweep.position[:, real], matrix_to_rpy(sweep.rotation[:, real])], axis=-1)
+        rows[chunk] = poses.reshape(len(poses), -1)
+    write_csv(path, header, np.column_stack([truth.times, rows]))
 
 
 # worker-process state for parallel estimation
@@ -363,6 +357,12 @@ _WORKER = {}
 # samples per stacked factorization in `estimate`: each sample's numbers do
 # not depend on the stack, and a stack of 8 holds about 4.3 MB on the 48-DoF model
 ESTIMATE_BATCH = 8
+
+# samples per chunk of `estimate`, each assembled from one kinematic sweep: a
+# worker pool cuts four chunks per worker, of at least CHUNK_MIN samples (a
+# sweep of a handful of samples costs about what one of a single sample
+# does); the serial path takes chunks of SAMPLE_CHUNK
+CHUNK_MIN = 4
 
 
 def _estimate_worker_init(model_xml, sensors_cfg, cov_cfg, marginal_mode):
@@ -378,6 +378,7 @@ def _estimate_worker_init(model_xml, sensors_cfg, cov_cfg, marginal_mode):
     _WORKER["cov"] = cov_cfg
     _WORKER["marginal_idx"] = _marginal_indices(layout, marginal_mode)
     _WORKER["plan"] = None
+    _WORKER["stack"] = None
 
 
 def _marginal_indices(layout, mode):
@@ -399,30 +400,31 @@ def _estimate_chunk(args):
     stds = np.empty((len(indices), marg_idx.size))
     unobserved = np.empty(len(indices))
     min_pivot_ratio = np.inf
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")
-        for start in range(0, len(indices), ESTIMATE_BATCH):
-            batch = slice(start, min(start + ESTIMATE_BATCH, len(indices)))
-            systems = [assemble_system(casm, masm, q, qd) for q, qd in zip(q_rows[batch], qd_rows[batch])]
-            if _WORKER["plan"] is None:
-                # the layout of D and Y is fixed: check and plan it once
-                _WORKER["plan"] = PrecisionPlan(MapProblem(
-                    *systems[0], y_rows[start],
-                    sigma_D=sigma_D, sigma_y=masm.variances, mu_d=mu_d, sigma_d=sigma_d,
-                ))
-            plan = _WORKER["plan"]
-            values = np.empty((len(systems), plan.solver.size))
-            rhs = np.empty((len(systems), plan.solver.n))
-            for k, (system, y) in enumerate(zip(systems, y_rows[batch])):
-                values[k], rhs[k] = plan.terms(*system, y)
-            solver = plan.solver.factorize_blocks(values)
-            means[batch] = solver.solve(rhs)
-            # the recurrence computes the whole diagonal anyway
-            variances = solver.marginal_variances(all_idx)
-            stds[batch] = np.sqrt(variances[:, marg_idx])
-            unobserved[batch] = unobserved_dimension(variances, sigma_d)
-            min_pivot_ratio = min(min_pivot_ratio, float(solver.min_pivot_ratio.min()))
-    return indices, means, stds, unobserved, blas_threads(), min_pivot_ratio
+    limit_violations = check_joint_angles(casm.model, q_rows)
+    # one kinematic sweep for the chunk; the factorization runs in stacks
+    system = assemble_system(casm, masm, q_rows, qd_rows)
+    if _WORKER["plan"] is None:
+        # the layout of D and Y is fixed: check and plan it once
+        _WORKER["plan"] = PrecisionPlan(MapProblem(
+            casm.matrix(system[0][0]), system[1][0], masm.matrix(system[2][0]), system[3][0], y_rows[0],
+            sigma_D=sigma_D, sigma_y=masm.variances, mu_d=mu_d, sigma_d=sigma_d,
+        ))
+    plan = _WORKER["plan"]
+    if _WORKER["stack"] is None:
+        # one factor stack per worker, refilled batch after batch
+        _WORKER["stack"] = np.empty((ESTIMATE_BATCH, plan.solver.size))
+    for start in range(0, len(indices), ESTIMATE_BATCH):
+        batch = slice(start, min(start + ESTIMATE_BATCH, len(indices)))
+        stack = _WORKER["stack"][: batch.stop - batch.start]
+        values, rhs = plan.terms(*(part[batch] for part in system), y_rows[batch], out=stack)
+        solver = plan.solver.factorize_blocks(values)
+        means[batch] = solver.solve(rhs)
+        # the recurrence computes the whole diagonal anyway
+        variances = solver.marginal_variances(all_idx)
+        stds[batch] = np.sqrt(variances[:, marg_idx])
+        unobserved[batch] = unobserved_dimension(variances, sigma_d)
+        min_pivot_ratio = min(min_pivot_ratio, float(solver.min_pivot_ratio.min()))
+    return indices, means, stds, unobserved, limit_violations, blas_threads(), min_pivot_ratio
 
 
 @cli.command("estimate")
@@ -476,6 +478,8 @@ def cmd_estimate(config_path, model_override, out_dir, workers):
     marg_idx = _marginal_indices(layout, marginal_mode)
     n_workers = workers or cfg.get("workers") or (os.cpu_count() or 1)
     n_samples = times.size
+    if n_samples < 8:
+        n_workers = 1
     chunks = _make_chunks(n_samples, q_series, qd_series, y_series, n_workers)
 
     t_start = time.perf_counter()
@@ -485,7 +489,7 @@ def cmd_estimate(config_path, model_override, out_dir, workers):
         (sigma_D, sigma_d, mu_d),
         marginal_mode,
     )
-    if n_workers <= 1 or n_samples < 8:
+    if n_workers <= 1:
         n_workers = 1
         # in-process: hand the caller its own BLAS thread counts back
         previous = blas_threads()
@@ -503,13 +507,15 @@ def cmd_estimate(config_path, model_override, out_dir, workers):
     means = np.empty((n_samples, layout.size))
     stds = np.empty((n_samples, marg_idx.size))
     unobserved = np.empty(n_samples)
+    limit_violations = np.empty(n_samples, dtype=int)
     # per bundled copy, the most threads any worker read back
     worker_blas = {}
     min_pivot_ratio = np.inf
-    for indices, mean_rows, std_rows, unobserved_rows, threads, pivot_ratio in results:
+    for indices, mean_rows, std_rows, unobserved_rows, violation_rows, threads, pivot_ratio in results:
         means[indices] = mean_rows
         stds[indices] = std_rows
         unobserved[indices] = unobserved_rows
+        limit_violations[indices] = violation_rows
         min_pivot_ratio = min(min_pivot_ratio, pivot_ratio)
         for name, n in threads.items():
             worker_blas[name] = max(n, worker_blas.get(name, n))
@@ -521,6 +527,8 @@ def cmd_estimate(config_path, model_override, out_dir, workers):
     marg_names = [col_names[i] for i in marg_idx]
     write_csv(marg_path, ["time"] + marg_names, np.column_stack([times, stds]))
     unobserved_samples = np.flatnonzero(unobserved >= UNOBSERVED_TOL)
+    # estimation accepts any measured posture; the run reports the samples outside the limits
+    limit_samples = int(np.count_nonzero(limit_violations))
 
     manifest = write_manifest(
         out, "estimate", cfg, cfg.get("seed"), inputs=input_files, outputs=[est_path, marg_path],
@@ -528,6 +536,7 @@ def cmd_estimate(config_path, model_override, out_dir, workers):
             "workers": n_workers,
             "worker_blas_threads": worker_blas,
             "missing_readings": missing,
+            "joint_limit_samples": limit_samples,
             "min_pivot_ratio": min_pivot_ratio,
             "max_unobserved_dimension": float(unobserved.max()),
             "unobserved_samples": unobserved_samples.tolist(),
@@ -537,7 +546,8 @@ def cmd_estimate(config_path, model_override, out_dir, workers):
     blas_note = ", ".join(f"{n} {name.split('/')[0]}" for name, n in worker_blas.items()) or "not capped"
     click.echo(
         f"estimated {n_samples} samples in {wall:.2f} s ({per_sample:.1f} ms/sample, "
-        f"{n_workers} workers, BLAS threads per worker: {blas_note}, {missing} missing readings) "
+        f"{n_workers} workers, BLAS threads per worker: {blas_note}, {missing} missing readings, "
+        f"{limit_samples} samples outside joint limits) "
         f"-> {out} (manifest {manifest.name})"
     )
     if unobserved_samples.size:
@@ -555,8 +565,15 @@ def _unobserved_error(unobserved, samples, times, shown=10):
 
 
 def _make_chunks(n_samples, q_series, qd_series, y_series, n_workers):
-    n_chunks = max(1, min(n_samples, n_workers * 4))
-    bounds = np.array_split(np.arange(n_samples), n_chunks)
+    """Contiguous chunks of samples, each assembled from one kinematic sweep.
+
+    One process takes chunks of at most SAMPLE_CHUNK samples; a pool cuts
+    four chunks per worker, of at least CHUNK_MIN samples each.
+    """
+    n_chunks = -(-n_samples // SAMPLE_CHUNK)
+    if n_workers > 1:
+        n_chunks = max(n_chunks, min(n_workers * 4, n_samples // CHUNK_MIN))
+    bounds = np.array_split(np.arange(n_samples), max(1, n_chunks))
     return [
         (idx, q_series[idx], qd_series[idx], y_series[idx])
         for idx in bounds
@@ -642,7 +659,7 @@ def cmd_fusion(config_path, model_override, out_dir):
         raise InputError(f"'fusion.max_states' must be a positive integer, got {max_states!r}")
     # evenly spaced, and at most max_states of them
     stride = -(-q_series.shape[0] // max_states)
-    states = list(zip(q_series[::stride], qd_series[::stride]))
+    q_states, qd_states = q_series[::stride], qd_series[::stride]
 
     case_specs = []
     for case in fusion_cfg["cases"]:
@@ -670,25 +687,24 @@ def cmd_fusion(config_path, model_override, out_dir):
     tau_idx = layout.tau_indices()
     per_case = np.zeros((len(case_specs), model.n_dof))
     plans = [None] * len(assemblers)
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")
-        casm = ConstraintAssembler(model)
-        for q, qd in states:
-            # one sweep per state serves the constraints and every case
-            sweep = kinematic_sweep(model, q, qd)
-            mat_d, b_d = casm.assemble_sweep(sweep, qd)
-            for ci, asm in enumerate(assemblers):
-                mat_y, b_y = asm.assemble_sweep(sweep)
-                y = np.zeros(asm.dim)
-                if plans[ci] is None:
-                    # the layouts of D and Y are fixed: check and plan each case once
-                    plans[ci] = PrecisionPlan(MapProblem(
-                        mat_d, b_d, mat_y, b_y, y,
-                        sigma_D=sigma_D, sigma_y=asm.variances, mu_d=mu_d, sigma_d=sigma_d,
-                    ))
-                values, _ = plans[ci].terms(mat_d, b_d, mat_y, b_y, y)
-                per_case[ci] += plans[ci].solver.factorize_blocks(values).marginal_variances(tau_idx)
-    per_case /= len(states)
+    casm = ConstraintAssembler(model)
+    for chunk in sample_chunks(len(q_states)):
+        # one sweep per stack of states serves the constraints and every case
+        sweep = kinematic_sweep(model, q_states[chunk], qd_states[chunk])
+        values_d, b_d = casm.assemble_values(sweep)
+        for ci, asm in enumerate(assemblers):
+            values_y, b_y = asm.assemble_values(sweep)
+            y = np.zeros((len(values_y), asm.dim))
+            if plans[ci] is None:
+                # the layouts of D and Y are fixed: check and plan each case once
+                plans[ci] = PrecisionPlan(MapProblem(
+                    casm.matrix(values_d[0]), b_d[0], asm.matrix(values_y[0]), b_y[0], y[0],
+                    sigma_D=sigma_D, sigma_y=asm.variances, mu_d=mu_d, sigma_d=sigma_d,
+                ))
+            values, _ = plans[ci].terms(values_d, b_d, values_y, b_y, y)
+            for variances in plans[ci].solver.factorize_blocks(values).marginal_variances(tau_idx):
+                per_case[ci] += variances
+    per_case /= len(q_states)
 
     rows = []
     names = [j.name for j in model.joints]

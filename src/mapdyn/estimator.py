@@ -469,35 +469,48 @@ class PrecisionPlan:
         self._slot = solver.slots(pa[lower], pb[lower])
         self._rows = rows
         self._cols = cols
-        self._nnz = (mat_d.nnz, mat_y.nnz)
+        self._nnz = (mat_d.data.size, mat_y.data.size)
         self._inv_sigma_D = 1.0 / problem.sigma_D
         self._inv_sigma_y = 1.0 / problem.sigma_y
         self._prior_diag = (1.0 / problem.sigma_d)[solver.perm]
         self._prior_rhs = problem.mu_d / problem.sigma_d
 
-    def terms(self, mat_d, b_d, mat_y, b_y, y):
-        """(values, rhs) of the posterior at one sample.
+    def terms(self, values_d, b_d, values_y, b_y, y, out=None):
+        """(values, rhs) of the posterior for a stack of samples.
 
-        ``values`` is the lower triangle of the permuted precision in the
-        solver's block storage, ready for ``solver.factorize_blocks`` alone or
-        as one row of a stack; ``rhs`` is in the caller's ordering.
-        ``mat_d`` and ``mat_y`` must have the plan's CSC layout.
+        ``values_d`` and ``values_y`` are (T, nnz) arrays of the values of D
+        and Y in the CSC data order of the plan's problem (what the
+        assemblers fill); ``b_d``, ``b_y`` and ``y`` are (T, rows). The
+        result ``values`` (T, ``solver.size``) is the lower triangle of each
+        sample's permuted precision in the solver's block storage, ready for
+        ``solver.factorize_blocks``; it is written into ``out`` when given,
+        so that a caller can reuse one stack. ``rhs`` (T, n) is in the
+        caller's ordering. A sample's numbers do not depend on the rest of
+        the stack.
         """
-        if (mat_d.nnz, mat_y.nnz) != self._nnz:
+        if (np.shape(values_d)[-1], np.shape(values_y)[-1]) != self._nnz:
             raise EstimatorError("D or Y does not have the sparsity layout the plan was built for")
         y = np.asarray(y, dtype=float)
+        n_samples = y.shape[0]
         missing = ~np.isfinite(y)
-        weights = np.concatenate([self._inv_sigma_D, np.where(missing, 0.0, self._inv_sigma_y)])
-        residual = np.concatenate([-np.asarray(b_d), np.where(missing, 0.0, y - b_y)])
-        values = np.concatenate([mat_d.data, mat_y.data])
-        weighted = values * weights[self._rows]
+        weights = np.concatenate(
+            [np.broadcast_to(self._inv_sigma_D, (n_samples, self._inv_sigma_D.size)),
+             np.where(missing, 0.0, self._inv_sigma_y)], axis=1,
+        )
+        residual = np.concatenate([-np.asarray(b_d), np.where(missing, 0.0, y - b_y)], axis=1)
+        values = np.concatenate([values_d, values_y], axis=1)
+        weighted = values * weights[:, self._rows]
         solver = self.solver
-        # bincount of no entries is an int64 array; a float one is not copied
-        blocks = np.bincount(
-            self._slot, weighted[self._a] * values[self._b], minlength=solver.size
-        ).astype(float, copy=False)
-        blocks[solver.diag_slots] += self._prior_diag
-        rhs = self._prior_rhs + np.bincount(self._cols, weighted * residual[self._rows], minlength=solver.n)
+        blocks = np.empty((n_samples, solver.size)) if out is None else out
+        rhs = np.empty((n_samples, solver.n))
+        # one sample at a time: the pair products of a stack would take
+        # several MB; np.take gathers faster than fancy indexing
+        for k in range(n_samples):
+            products = weighted[k].take(self._a) * values[k].take(self._b)
+            blocks[k] = np.bincount(self._slot, products, minlength=solver.size)
+            rhs[k] = np.bincount(self._cols, weighted[k] * residual[k].take(self._rows), minlength=solver.n)
+        blocks[:, solver.diag_slots] += self._prior_diag
+        rhs += self._prior_rhs
         return blocks, rhs
 
 
@@ -534,9 +547,11 @@ def map_solve(problem: MapProblem) -> GaussianBelief:
     pivot raises ``NotPositiveDefiniteError``.
     """
     plan = PrecisionPlan(problem)
-    values, rhs = plan.terms(problem.D, problem.b_D, problem.Y, problem.b_Y, problem.y)
-    solver = plan.solver.factorize_blocks(values)
-    return GaussianBelief(solver.solve(rhs), solver)
+    values, rhs = plan.terms(
+        problem.D.data[None], problem.b_D[None], problem.Y.data[None], problem.b_Y[None], problem.y[None]
+    )
+    solver = plan.solver.factorize_blocks(values[0])
+    return GaussianBelief(solver.solve(rhs[0]), solver)
 
 
 def shape_prior(problem: MapProblem) -> GaussianBelief:

@@ -18,21 +18,20 @@ def joint_transform(joint, q):
 
 
 def check_joint_angles(model: KinematicTreeModel, q):
-    """``q`` as an array of length ``n_dof``; joint-limit violations warn.
+    """Number of joints outside their limits, per sample of ``q``.
 
-    They never fail: estimation must accept any measured posture.
+    ``q`` is (n_dof,) for one sample (the count is then an int) or a
+    (T, n_dof) stack (an array of T counts). Violations never fail:
+    estimation must accept any measured posture, and reports the count.
+    Complex (complex-step) angles count as inside.
     """
     q = np.asarray(q)
-    if q.shape != (model.n_dof,):
+    if q.ndim not in (1, 2) or q.shape[-1] != model.n_dof:
         raise ModelError(f"expected q of length {model.n_dof}, got shape {q.shape}")
-    if not np.iscomplexobj(q):
-        lo, hi = model.limits()
-        bad = np.where((q < lo - 1e-12) | (q > hi + 1e-12))[0]
-        if bad.size:
-            names = ", ".join(model.joints[i].name for i in bad[:5])
-            # the warning points at the caller of forward_kinematics or kinematic_sweep
-            warnings.warn(f"joint limits violated at: {names}", stacklevel=3)
-    return q
+    if np.iscomplexobj(q):
+        return np.zeros(q.shape[:-1], dtype=int)[()]
+    lo, hi = model.limits()
+    return np.count_nonzero((q < lo - 1e-12) | (q > hi + 1e-12), axis=-1)
 
 
 def forward_kinematics(model: KinematicTreeModel, q) -> list:
@@ -40,7 +39,11 @@ def forward_kinematics(model: KinematicTreeModel, q) -> list:
 
     Joint-limit violations warn but never fail (see ``check_joint_angles``).
     """
-    q = check_joint_angles(model, q)
+    q = np.asarray(q)
+    if q.shape != (model.n_dof,):
+        raise ModelError(f"expected q of length {model.n_dof}, got shape {q.shape}")
+    if check_joint_angles(model, q):
+        warnings.warn("joint limits violated", stacklevel=2)
     poses = [HomTransform.identity()]
     for i in range(1, model.n_moving + 1):
         joint = model.joint_of(i)

@@ -12,6 +12,11 @@ The measurement equation stacks, in deterministic order, the rows of
 
 Gyroscope attachments feed pose calibration and state preparation only;
 the fused channels use linear accelerations.
+
+Assembly works on a stack of samples: ``assemble_system`` takes one
+kinematic sweep over a chunk of (T, n_dof) states and fills the values of
+``D`` and ``Y`` as (T, nnz) arrays in CSC data order, with (T, rows) biases,
+ready for ``PrecisionPlan.terms``.
 """
 
 from __future__ import annotations
@@ -29,7 +34,15 @@ from mapdyn.spatial import (
     skew,
     snap_rotation,
 )
-from mapdyn.dynamics import FORCE_ADJOINT_ZERO, OFF_F, OFF_FX, BlockPattern, DynLayout, kinematic_sweep
+from mapdyn.dynamics import (
+    BLOCK_ENTRIES,
+    FORCE_ADJOINT_ZERO,
+    OFF_F,
+    OFF_FX,
+    BlockPattern,
+    DynLayout,
+    kinematic_sweep,
+)
 from mapdyn.model.tree import KinematicTreeModel, ModelError
 
 IMU_LINEAR_ACCELERATION = "imu_linear_acceleration"
@@ -155,7 +168,7 @@ def channel_names(model, specs) -> list:
 
 
 class MeasurementAssembler:
-    """Builds (Y, b_Y) at a given state for a fixed, validated spec list.
+    """Builds (Y, b_Y) for a stack of states and a fixed, validated spec list.
 
     The sparsity pattern is fixed; only the IMU biases and the fixed-base
     wrench blocks depend on the state.
@@ -170,8 +183,8 @@ class MeasurementAssembler:
         layout = self.layout
         pattern = BlockPattern()
         self._const_bias = np.zeros(self.dim)
-        self._imus = []  # (row, link, sensor <- link motion adjoint)
-        self._base_blocks = []  # (value slice, child of the base, plate <- base force adjoint)
+        imu_rows, imu_links, imu_adjoints = [], [], []  # per IMU: rows, link, sensor <- link motion adjoint
+        base_blocks = []  # per child of the base: its block and the entries of its plate product
         row0 = 0
         for spec in self.specs:
             if spec.kind == IMU_LINEAR_ACCELERATION:
@@ -179,7 +192,9 @@ class MeasurementAssembler:
                 x_sensor = adjoint_motion(spec.pose.inverse())  # sensor <- link
                 # the linear slice of the sensor-frame acceleration
                 pattern.add(row0, layout.base_of(li), 3, 6, x_sensor[:3, :])
-                self._imus.append((row0, li, x_sensor))
+                imu_rows.append(row0 + np.arange(3))
+                imu_links.append(li)
+                imu_adjoints.append(x_sensor)
                 row0 += 3
             elif spec.kind == DOF_ACCELERATION:
                 ji = model.joint_index[spec.target] + 1
@@ -187,14 +202,14 @@ class MeasurementAssembler:
                 row0 += 1
             elif spec.kind == FIXED_BASE_WRENCH:
                 pose = spec.pose if spec.pose is not None else HomTransform.identity()
-                x_fp = adjoint_force(pose.inverse())  # plate <- base
-                for c in model.children[0]:
-                    slot = pattern.add(row0, layout.base_of(c) + OFF_F, 6, 6, zero=FORCE_ADJOINT_ZERO)
-                    self._base_blocks.append((slot, c, x_fp))
+                self._plate = adjoint_force(pose.inverse())  # plate <- base
+                for k, c in enumerate(model.children[0]):
+                    block = pattern.add(row0, layout.base_of(c) + OFF_F, 6, 6, zero=FORCE_ADJOINT_ZERO)
+                    base_blocks.append((block, 36 * k + BLOCK_ENTRIES))
                 base_inertia = (
                     model.links[0].inertia.matrix() if model.links[0].inertia is not None else np.zeros((6, 6))
                 )
-                self._const_bias[row0: row0 + 6] = -(x_fp @ (base_inertia @ GRAVITY_SPATIAL))
+                self._const_bias[row0: row0 + 6] = -(self._plate @ (base_inertia @ GRAVITY_SPATIAL))
                 row0 += 6
             else:  # external wrench
                 li = model.link_index[spec.target]
@@ -202,50 +217,71 @@ class MeasurementAssembler:
                 row0 += 6
         pattern.freeze((self.dim, layout.size))
         self._pattern = pattern
+        self._imu_rows = np.array(imu_rows, dtype=np.intp).reshape(-1, 3)
+        self._imu_links = np.array(imu_links, dtype=np.intp)
+        self._imu_adjoints = np.array(imu_adjoints).reshape(-1, 6, 6)
+        self._base_children = np.array(model.children[0], dtype=np.intp)
+        self._base_slots, self._base_sources = pattern.state_slots(base_blocks)
+
+    def matrix(self, values):
+        """Y as a CSC matrix from one sample's values (CSC data order)."""
+        return self._pattern.csc(values)
 
     def assemble(self, q, qd, dtype=float):
-        return self.assemble_sweep(kinematic_sweep(self.model, q, qd), dtype)
+        """Return (Y, b_Y) at one state; Y is CSC."""
+        values, b = self.assemble_values(kinematic_sweep(self.model, q, qd), dtype)
+        return self.matrix(values[0]), b[0]
 
-    def assemble_sweep(self, sweep, dtype=float):
-        """(Y, b_Y) from a kinematic sweep already taken at the state."""
-        vals = self._pattern.values.astype(dtype)
-        b = self._const_bias.astype(dtype)
-        for row0, li, x_sensor in self._imus:
-            v_s = x_sensor @ sweep.v[li]
-            b[row0: row0 + 3] = skew(v_s[3:]) @ v_s[:3]
-        for slot, c, x_fp in self._base_blocks:
-            # base <- child force adjoint is the transpose of the child's
-            # motion adjoint from the parent
-            vals[slot] = (x_fp @ sweep.x_from_parent[c].T).ravel()
-        return self._pattern.csc(vals), b
+    def assemble_values(self, sweep, dtype=float):
+        """(values, b_Y) of a stack of samples from their kinematic sweep.
+
+        ``values`` is (T, nnz) in the CSC data order of ``matrix``, and
+        ``b_Y`` is (T, dim).
+        """
+        n_samples = sweep.v.shape[0]
+        values = self._pattern.stack(n_samples, dtype)
+        # plate <- base <- child: the base <- child force adjoint is the
+        # transpose of the child's motion adjoint from the parent
+        plate = self._plate @ sweep.x_from_parent[:, self._base_children].swapaxes(-1, -2)
+        values[:, self._base_slots] = plate.reshape(n_samples, -1)[:, self._base_sources]
+        b = np.empty((n_samples, self.dim), dtype=dtype)
+        b[:] = self._const_bias
+        v_s = (self._imu_adjoints @ sweep.v[:, self._imu_links, :, None])[..., 0]
+        b[:, self._imu_rows] = np.cross(v_s[..., 3:], v_s[..., :3])
+        return values, b
 
 
 def assemble_system(constraints, measurements, q, qd, dtype=float):
-    """(D, b_D, Y, b_Y) at one state from a single kinematic sweep."""
+    """(D values, b_D, Y values, b_Y) of a stack of states from one kinematic sweep.
+
+    ``q`` and ``qd`` are (T, n_dof) stacks, or (n_dof,) vectors for one
+    sample (T = 1). The values are (T, nnz) arrays in the CSC data order of
+    ``constraints.matrix`` and ``measurements.matrix``, and the biases are
+    (T, rows): the inputs of ``PrecisionPlan.terms``.
+    """
     sweep = kinematic_sweep(constraints.model, q, qd)
-    mat_d, b_d = constraints.assemble_sweep(sweep, qd, dtype)
-    mat_y, b_y = measurements.assemble_sweep(sweep, dtype)
-    return mat_d, b_d, mat_y, b_y
-
-
-def assemble_measurements(model, specs, q, qd):
-    """One-shot (Y, b_Y) assembly; see MeasurementAssembler for reuse."""
-    return MeasurementAssembler(model, specs).assemble(q, qd)
+    values_d, b_d = constraints.assemble_values(sweep, dtype)
+    values_y, b_y = measurements.assemble_values(sweep, dtype)
+    return values_d, b_d, values_y, b_y
 
 
 def simulate_readings(model, specs, q, qd, d, rng=None):
     """Synthetic readings y = Y d + b_Y + noise for a consistent d.
 
-    ``rng`` may be a seed or a numpy Generator; None means noiseless.
-    Fixed seeds reproduce readings exactly.
+    ``q`` and ``qd`` are (T, n_dof) stacks and ``d`` is (T, n_d), or one
+    sample's vectors. ``rng`` may be a seed or a numpy Generator; None means
+    noiseless. Fixed seeds reproduce readings exactly: the noise is drawn
+    sample by sample, in one call.
     """
     assembler = specs if isinstance(specs, MeasurementAssembler) else MeasurementAssembler(model, specs)
-    mat, b = assembler.assemble(q, qd)
-    y = mat @ np.asarray(d) + b
+    single = np.ndim(q) == 1
+    values, b = assembler.assemble_values(kinematic_sweep(model, q, qd))
+    d = np.asarray(d).reshape(len(values), -1)
+    y = np.array([assembler.matrix(row) @ d_k for row, d_k in zip(values, d)]) + b
     if rng is not None:
         rng = np.random.default_rng(rng) if not isinstance(rng, np.random.Generator) else rng
-        y = y + rng.normal(0.0, np.sqrt(assembler.variances))
-    return y
+        y = y + rng.normal(0.0, np.sqrt(assembler.variances), size=y.shape)
+    return y[0] if single else y
 
 
 def default_sensor_specs(

@@ -12,10 +12,17 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from mapdyn.dynamics import ConstraintAssembler, DynLayout, kinematic_sweep, link_accelerations, rnea
+from mapdyn.dynamics import (
+    ConstraintAssembler,
+    DynLayout,
+    kinematic_sweep,
+    link_accelerations,
+    rnea,
+    sample_chunks,
+)
 from mapdyn.model.tree import KinematicTreeModel, Joint, Link, ModelError
-from mapdyn.sensors import MeasurementAssembler
-from mapdyn.spatial import HomTransform, SpatialInertia, skew
+from mapdyn.sensors import MeasurementAssembler, simulate_readings
+from mapdyn.spatial import HomTransform, SpatialInertia
 
 
 # ---------------------------------------------------------------------------
@@ -155,21 +162,24 @@ def generate_ground_truth(scenario: SyntheticScenario) -> GroundTruth:
     fx = scenario.force_series(t)
     layout = DynLayout(scenario.model)
     d = np.zeros((t.size, layout.size))
-    for k in range(t.size):
-        d[k] = rnea(scenario.model, q[k], qd[k], qdd[k], fx_base=fx[k])
+    for chunk in sample_chunks(t.size):
+        d[chunk] = rnea(scenario.model, q[chunk], qd[chunk], qdd[chunk], fx_base=fx[chunk])
     return GroundTruth(t, q, qd, qdd, d)
 
 
 def generate_observations(scenario: SyntheticScenario, truth: GroundTruth, noiseless=False):
-    """Per-sample stacked readings via the measurement map plus channel noise."""
+    """Stacked readings per sample via the measurement map plus channel noise.
+
+    The noise is drawn sample by sample from one seeded stream, so the
+    readings do not depend on how the series is cut into stacks.
+    """
     assembler = MeasurementAssembler(scenario.model, scenario.sensor_specs)
     rng = None if (noiseless or scenario.seed is None) else np.random.default_rng(scenario.seed)
     out = np.zeros((truth.times.size, assembler.dim))
-    for k in range(truth.times.size):
-        mat, bias = assembler.assemble(truth.q[k], truth.qd[k])
-        out[k] = mat @ truth.d[k] + bias
-        if rng is not None:
-            out[k] += rng.normal(0.0, np.sqrt(assembler.variances))
+    for chunk in sample_chunks(truth.times.size):
+        out[chunk] = simulate_readings(
+            scenario.model, assembler, truth.q[chunk], truth.qd[chunk], truth.d[chunk], rng=rng
+        )
     return out
 
 
@@ -187,10 +197,11 @@ def max_constraint_residual(scenario: SyntheticScenario, truth: GroundTruth) -> 
     """Worst relative constraint residual across the ground-truth series."""
     assembler = ConstraintAssembler(scenario.model)
     worst = 0.0
-    for k in range(truth.times.size):
-        mat, b = assembler.assemble(truth.q[k], truth.qd[k])
-        res = np.abs(mat @ truth.d[k] + b).max()
-        worst = max(worst, res / (1.0 + np.abs(truth.d[k]).max()))
+    for chunk in sample_chunks(truth.times.size):
+        values, b = assembler.assemble_values(kinematic_sweep(scenario.model, truth.q[chunk], truth.qd[chunk]))
+        for row, b_k, d_k in zip(values, b, truth.d[chunk]):
+            res = np.abs(assembler.matrix(row) @ d_k + b_k).max()
+            worst = max(worst, res / (1.0 + np.abs(d_k).max()))
     return worst
 
 
@@ -199,13 +210,15 @@ def max_constraint_residual(scenario: SyntheticScenario, truth: GroundTruth) -> 
 
 
 def link_motion(model, q, qd, qdd):
-    """Pose, spatial velocity and true spatial acceleration per link.
+    """Orientation, spatial velocity and true spatial acceleration per link.
 
-    Velocities/accelerations are in body coordinates; the acceleration is
-    the true one (no gravity offset).
+    For (T, n_dof) stacks (or one sample's vectors, T = 1) the arrays are
+    (T, n+1, 3, 3), (T, n+1, 6) and (T, n+1, 6). Velocities and
+    accelerations are in body coordinates; the acceleration is the true one
+    (no gravity offset).
     """
     sweep = kinematic_sweep(model, q, qd)
-    return sweep.poses, sweep.v, link_accelerations(model, sweep, qd, qdd, np.zeros(6))
+    return sweep.rotation, sweep.v, link_accelerations(model, sweep, qdd, np.zeros(6))
 
 
 def synthesize_sensor_streams(model, trajectory: TrajectorySpec, sensor, noise_std=0.0, rng=None):
@@ -222,35 +235,25 @@ def synthesize_sensor_streams(model, trajectory: TrajectorySpec, sensor, noise_s
     if li == 0:
         raise ModelError("cannot synthesize streams for a sensor on the fixed base")
     x_sensor = adjoint_motion(sensor.pose.inverse())
-    r_ls = sensor.pose.rotation
     gravity = GRAVITY_SPATIAL[:3]
 
     t, q, qd, qdd = trajectory.sample()
-    n = t.size
-    body_rot = np.zeros((n, 3, 3))
-    body_acc = np.zeros((n, 3))
-    omegas = np.zeros((n, 3))
-    omega_dots = np.zeros((n, 3))
-    sensor_rot = np.zeros((n, 3, 3))
-    sensor_acc = np.zeros((n, 3))
-    for k in range(n):
-        poses, vels, accs = link_motion(model, q[k], qd[k], qdd[k])
-        r_b = poses[li].rotation
-        v = vels[li]
-        a = accs[li]
-        body_rot[k] = r_b
-        body_acc[k] = r_b @ (a[:3] + skew(v[3:]) @ v[:3])
-        omegas[k] = r_b @ v[3:]
-        omega_dots[k] = r_b @ a[3:]
-        r_s = r_b @ r_ls
-        sensor_rot[k] = r_s
-        v_s = x_sensor @ v
-        a_s = x_sensor @ a
-        proper = a_s[:3] + skew(v_s[3:]) @ v_s[:3] - r_s.T @ gravity
-        sensor_acc[k] = proper
+    motion = [link_motion(model, q[chunk], qd[chunk], qdd[chunk]) for chunk in sample_chunks(t.size)]
+    r_b, v, a = (np.concatenate([m[part][:, li] for m in motion]) for part in range(3))
+
+    def rotate(rotations, vectors):
+        return (rotations @ vectors[..., None])[..., 0]
+
+    body_acc = rotate(r_b, a[:, :3] + np.cross(v[:, 3:], v[:, :3]))
+    omegas = rotate(r_b, v[:, 3:])
+    omega_dots = rotate(r_b, a[:, 3:])
+    sensor_rot = r_b @ sensor.pose.rotation
+    v_s = rotate(x_sensor, v)
+    a_s = rotate(x_sensor, a)
+    sensor_acc = a_s[:, :3] + np.cross(v_s[:, 3:], v_s[:, :3]) - rotate(sensor_rot.swapaxes(-1, -2), gravity)
     if noise_std and rng is not None:
         sensor_acc = sensor_acc + rng.normal(0.0, noise_std, sensor_acc.shape)
-    return body_rot, body_acc, omegas, omega_dots, sensor_rot, sensor_acc
+    return r_b, body_acc, omegas, omega_dots, sensor_rot, sensor_acc
 
 
 # ---------------------------------------------------------------------------

@@ -32,12 +32,16 @@ ORTHONORMALITY_TOL = 1e-9
 
 
 def skew(v):
-    """3x3 antisymmetric matrix such that skew(v) @ u == cross(v, u)."""
+    """3x3 antisymmetric matrix such that skew(v) @ u == cross(v, u).
+
+    ``v`` may be a stack of 3-vectors, shape (..., 3); the result is then
+    (..., 3, 3).
+    """
     v = np.asarray(v)
-    z = np.zeros((3, 3), dtype=v.dtype)
-    z[0, 1], z[0, 2] = -v[2], v[1]
-    z[1, 0], z[1, 2] = v[2], -v[0]
-    z[2, 0], z[2, 1] = -v[1], v[0]
+    z = np.zeros(v.shape[:-1] + (3, 3), dtype=v.dtype)
+    z[..., 0, 1], z[..., 0, 2] = -v[..., 2], v[..., 1]
+    z[..., 1, 0], z[..., 1, 2] = v[..., 2], -v[..., 0]
+    z[..., 2, 0], z[..., 2, 1] = -v[..., 1], v[..., 0]
     return z
 
 
@@ -67,13 +71,25 @@ def cross_force_matrix(v):
 
 
 def cross_motion(v, u):
-    """Spatial cross product of two motion vectors: v x u."""
-    return cross_motion_matrix(v) @ np.asarray(u)
+    """Spatial cross product of two motion vectors: v x u.
+
+    Both may be stacks of 6-vectors, shape (..., 6), that broadcast.
+    """
+    v, u = np.asarray(v), np.asarray(u)
+    w = v[..., 3:]
+    linear = np.cross(w, u[..., :3]) + np.cross(v[..., :3], u[..., 3:])
+    return np.concatenate([linear, np.cross(w, u[..., 3:])], axis=-1)
 
 
 def cross_force(v, f):
-    """Dual spatial cross product of a motion vector with a force vector: v x* f."""
-    return cross_force_matrix(v) @ np.asarray(f)
+    """Dual spatial cross product of a motion vector with a force vector: v x* f.
+
+    Both may be stacks of 6-vectors, shape (..., 6), that broadcast.
+    """
+    v, f = np.asarray(v), np.asarray(f)
+    w = v[..., 3:]
+    moment = np.cross(v[..., :3], f[..., :3]) + np.cross(w, f[..., 3:])
+    return np.concatenate([np.cross(w, f[..., :3]), moment], axis=-1)
 
 
 # ---------------------------------------------------------------------------
@@ -111,17 +127,18 @@ def rpy_to_matrix(roll, pitch, yaw):
 
 
 def matrix_to_rpy(r):
-    """Inverse of :func:`rpy_to_matrix` (pitch taken in [-pi/2, pi/2])."""
+    """Inverse of :func:`rpy_to_matrix` (pitch taken in [-pi/2, pi/2]).
+
+    ``r`` may be a stack of rotations, shape (..., 3, 3); the result is then
+    (..., 3).
+    """
     r = np.asarray(r)
-    pitch = np.arcsin(np.clip(r[0, 2], -1.0, 1.0))
-    if abs(r[0, 2]) > 1.0 - 1e-12:
-        # gimbal lock: yaw absorbed into roll
-        roll = np.arctan2(r[2, 1], r[1, 1])
-        yaw = 0.0
-    else:
-        roll = np.arctan2(-r[1, 2], r[2, 2])
-        yaw = np.arctan2(-r[0, 1], r[0, 0])
-    return np.array([roll, pitch, yaw])
+    pitch = np.arcsin(np.clip(r[..., 0, 2], -1.0, 1.0))
+    # gimbal lock: yaw absorbed into roll
+    lock = np.abs(r[..., 0, 2]) > 1.0 - 1e-12
+    roll = np.where(lock, np.arctan2(r[..., 2, 1], r[..., 1, 1]), np.arctan2(-r[..., 1, 2], r[..., 2, 2]))
+    yaw = np.where(lock, 0.0, np.arctan2(-r[..., 0, 1], r[..., 0, 0]))
+    return np.stack([roll, pitch, yaw], axis=-1)
 
 
 def orthonormality_drift(r):

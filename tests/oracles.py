@@ -1,14 +1,65 @@
-"""Closed-form oracles the tests compare the MAP estimator against.
+"""Closed-form oracles the tests compare the package against.
 
-Dense and slow on purpose: each restates an estimate in its textbook form,
-independent of the sparse Cholesky path in ``mapdyn.estimator``. The
-precision terms are the sparse products ``PrecisionPlan`` replaces.
+Dense and slow on purpose: each restates a result in its textbook form,
+independent of the batched recursions in ``mapdyn.dynamics`` and of the
+sparse Cholesky path in ``mapdyn.estimator``. The precision terms are the
+sparse products ``PrecisionPlan`` replaces.
 """
 
 import numpy as np
 import scipy.sparse as sp
 
+from mapdyn.dynamics import DynLayout
 from mapdyn.estimator import EstimatorError, MapProblem, RankDeficiencyError
+from mapdyn.model import joint_transform
+from mapdyn.spatial import (
+    GRAVITY_SPATIAL,
+    HomTransform,
+    adjoint_force,
+    adjoint_motion,
+    cross_force_matrix,
+    cross_motion_matrix,
+)
+
+
+def rnea_one_sample(model, q, qd, qdd, fx_base=None):
+    """Recursive Newton-Euler for one sample, link by link (Featherstone, 2008, table 5.1).
+
+    Returns d with every slot filled, as ``mapdyn.dynamics.rnea`` does, with
+    gravity on through the base acceleration.
+    """
+    n = model.n_moving
+    fx_base = np.zeros((n, 6)) if fx_base is None else np.asarray(fx_base, dtype=float)
+    pose = [HomTransform.identity()] + [None] * n
+    xs, x0f = [None] * (n + 1), [None] * (n + 1)
+    v, a = [np.zeros(6)] * (n + 1), [-GRAVITY_SPATIAL] + [None] * n
+    s = [None] * (n + 1)
+    for i in range(1, n + 1):
+        joint = model.joint_of(i)
+        h = joint_transform(joint, q[i - 1])
+        pose[i] = pose[model.parent[i]] @ h
+        xs[i] = adjoint_motion(h.inverse())
+        x0f[i] = adjoint_force(pose[i].inverse())
+        s[i] = np.concatenate([np.zeros(3), joint.axis])
+        v[i] = xs[i] @ v[model.parent[i]] + s[i] * qd[i - 1]
+        a[i] = xs[i] @ a[model.parent[i]] + s[i] * qdd[i - 1] + cross_motion_matrix(v[i]) @ (s[i] * qd[i - 1])
+    fb, f = [None] * (n + 1), [None] * (n + 1)
+    for i in range(n, 0, -1):
+        inertia = model.inertia_of(i).matrix()
+        fb[i] = inertia @ a[i] + cross_force_matrix(v[i]) @ (inertia @ v[i])
+        f[i] = fb[i] - x0f[i] @ fx_base[i - 1]
+        for c in model.children[i]:
+            f[i] = f[i] + xs[c].T @ f[c]
+    layout = DynLayout(model)
+    d = np.zeros(layout.size)
+    for i in range(1, n + 1):
+        d[layout.a(i)] = a[i]
+        d[layout.net_force(i)] = fb[i]
+        d[layout.joint_force(i)] = f[i]
+        d[layout.tau(i)] = s[i] @ f[i]
+        d[layout.fx(i)] = fx_base[i - 1]
+        d[layout.ddq(i)] = qdd[i - 1]
+    return d
 
 
 def gls_solve(a, b, weights):

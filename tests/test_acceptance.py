@@ -394,7 +394,7 @@ def test_08_classical_id_inconsistency(two_link_model, rng):
     sweep = kinematic_sweep(two_link_model, q, qd)
     from mapdyn.spatial import GRAVITY_SPATIAL
 
-    f_fp = sweep.x_from_parent[1].T @ d[layout.joint_force(1)] - two_link_model.inertia_of(
+    f_fp = sweep.x_from_parent[0, 1].T @ d[layout.joint_force(1)] - two_link_model.inertia_of(
         0
     ).matrix() @ GRAVITY_SPATIAL
 

@@ -296,12 +296,13 @@ class TestEstimate:
         assert np.isfinite(row).all()
 
         model = parse_model(TWO_LINK_XML)
-        masm = MeasurementAssembler(model, sensor_specs_from_config(model, cfg))
+        casm, masm = ConstraintAssembler(model), MeasurementAssembler(model, sensor_specs_from_config(model, cfg))
         _, traj = read_rows(Path(cfg["out"]) / "trajectory.csv")
         state = np.array(traj[sample], dtype=float)
-        mat_d, b_d, mat_y, b_y = assemble_system(
-            ConstraintAssembler(model), masm, state[1: 1 + model.n_dof], state[1 + model.n_dof: 1 + 2 * model.n_dof]
+        values_d, b_d, values_y, b_y = assemble_system(
+            casm, masm, state[1: 1 + model.n_dof], state[1 + model.n_dof: 1 + 2 * model.n_dof]
         )
+        mat_d, b_d, mat_y, b_y = casm.matrix(values_d[0]), b_d[0], masm.matrix(values_y[0]), b_y[0]
         y = np.array(cells[1:], dtype=float)
         keep = np.arange(masm.dim) != channel
         sigma_D, sigma_d, mu_d = covariances_from_config(cfg)
@@ -311,24 +312,48 @@ class TestEstimate:
         )).mean
         assert np.abs(row - expected).max() <= 1e-10 * np.abs(expected).max()
 
-    def test_one_kinematic_sweep_per_sample(self, two_link_setup, monkeypatch):
-        """A serial run sweeps once per sample and nowhere else."""
+    def test_one_kinematic_sweep_per_chunk(self, two_link_setup, monkeypatch):
+        """A serial run sweeps once per chunk, every sample exactly once, and nowhere else."""
+        import mapdyn.cli
         import mapdyn.dynamics
         import mapdyn.sensors
 
         tmp_path, cfg = two_link_setup
         config, n_samples = self._simulate(tmp_path, cfg)
+        _, traj = read_rows(Path(cfg["out"]) / "trajectory.csv")
+        q_series = np.array(traj, dtype=float)[:, 1:3]
         calls = []
         sweep = mapdyn.dynamics.kinematic_sweep
 
-        def counting_sweep(*args, **kwargs):
-            calls.append(args)
-            return sweep(*args, **kwargs)
+        def counting_sweep(model, q, qd):
+            calls.append(np.atleast_2d(q))
+            return sweep(model, q, qd)
 
         monkeypatch.setattr(mapdyn.dynamics, "kinematic_sweep", counting_sweep)
         monkeypatch.setattr(mapdyn.sensors, "kinematic_sweep", counting_sweep)
+        monkeypatch.setattr(mapdyn.cli, "SAMPLE_CHUNK", 8)
         assert main(["estimate", "--config", config, "--workers", "1"]) == 0
-        assert len(calls) == n_samples
+        assert [len(q) for q in calls] == [8, 8, 7, 7]
+        np.testing.assert_array_equal(np.concatenate(calls), q_series)
+        assert n_samples == 30
+
+    def test_joint_limit_violations_are_counted(self, two_link_setup, capsys):
+        """One state row outside the limits counts as one sample; the clean run counts none."""
+        tmp_path, cfg = two_link_setup
+        config, _ = self._simulate(tmp_path, cfg)
+        assert main(["estimate", "--config", config, "--workers", "1"]) == 0
+        assert "0 samples outside joint limits" in capsys.readouterr().out
+        assert json.loads((tmp_path / "est" / "manifest.json").read_text())["joint_limit_samples"] == 0
+
+        state = Path(cfg["out"]) / "trajectory.csv"
+        lines = state.read_text().splitlines()
+        cells = lines[5].split(",")
+        cells[1] = "2.6"  # joint1's limits are +-2.5
+        lines[5] = ",".join(cells)
+        state.write_text("\n".join(lines) + "\n")
+        assert main(["estimate", "--config", config, "--workers", "1"]) == 0
+        assert "1 samples outside joint limits" in capsys.readouterr().out
+        assert json.loads((tmp_path / "est" / "manifest.json").read_text())["joint_limit_samples"] == 1
 
 
 # five wrench channels whose loss leaves two directions of d unobserved on
@@ -653,31 +678,31 @@ class TestFusion:
             ],
             "max_states": 4,
         }
-        terms_per_plan = []
+        stacks_per_plan = []
         sweeps = []
         plan_class = mapdyn.cli.PrecisionPlan
         sweep = mapdyn.cli.kinematic_sweep
 
         class CountingPlan(plan_class):
             def __init__(self, problem):
-                self.index = len(terms_per_plan)
-                terms_per_plan.append(0)
+                self.index = len(stacks_per_plan)
+                stacks_per_plan.append([])
                 super().__init__(problem)
 
             def terms(self, *args):
-                terms_per_plan[self.index] += 1
+                stacks_per_plan[self.index].append(len(args[0]))
                 return super().terms(*args)
 
-        def counting_sweep(*args):
-            sweeps.append(args)
-            return sweep(*args)
+        def counting_sweep(model, q, qd):
+            sweeps.append(len(q))
+            return sweep(model, q, qd)
 
         monkeypatch.setattr(mapdyn.cli, "PrecisionPlan", CountingPlan)
         monkeypatch.setattr(mapdyn.cli, "kinematic_sweep", counting_sweep)
         assert main(["fusion", "--config", write_config(tmp_path, fus_cfg, "f.json")]) == 0
-        # one sweep per state, and every state reuses each case's plan
-        assert len(sweeps) > 1
-        assert terms_per_plan == [len(sweeps)] * 3
+        # one sweep over the four states, and one stack of them per case's plan
+        assert sweeps == [4]
+        assert stacks_per_plan == [[4]] * 3
 
     @pytest.mark.parametrize("max_states, expected", [(4, 4), (7, 6)])
     def test_max_states_caps_the_states(self, two_link_setup, monkeypatch, max_states, expected):
@@ -695,7 +720,7 @@ class TestFusion:
         sweep = mapdyn.cli.kinematic_sweep
 
         def counting_sweep(model, q, qd):
-            states.append(q)
+            states.extend(q)
             return sweep(model, q, qd)
 
         monkeypatch.setattr(mapdyn.cli, "kinematic_sweep", counting_sweep)

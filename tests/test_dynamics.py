@@ -6,7 +6,6 @@ import pytest
 from mapdyn.dynamics import (
     ConstraintAssembler,
     DynLayout,
-    assemble_constraints,
     extract_lagrangian_terms,
     id_bottomup,
     id_topdown,
@@ -97,31 +96,31 @@ class TestConstraintAssembly:
         q, qd, qdd = random_state(two_link_model, rng)
         fx = rng.normal(0, 5.0, (2, 6))
         d = rnea(two_link_model, q, qd, qdd, fx_base=fx)
-        system = assemble_constraints(two_link_model, q, qd)
-        res = np.abs(system.residual(d)).max()
+        mat, b = ConstraintAssembler(two_link_model).assemble(q, qd)
+        res = np.abs(mat @ d + b).max()
         assert res <= 1e-9 * (1 + np.abs(d).max())
 
     def test_zero_motion_residual_is_base_gravity_rows(self, two_link_model):
-        system = assemble_constraints(two_link_model, np.array([0.4, -0.2]), np.zeros(2))
-        res = system.residual(np.zeros(52))
+        mat, b = ConstraintAssembler(two_link_model).assemble(np.array([0.4, -0.2]), np.zeros(2))
+        res = mat @ np.zeros(52) + b
         # only the acceleration rows of base children carry the gravity bias
         assert np.abs(res[:6]).max() > 1.0
         assert np.allclose(res[6:19], 0)
         assert np.allclose(res[19:], 0)
 
     def test_dimensions_48dof(self, human_model):
-        system = assemble_constraints(human_model, np.zeros(48), np.zeros(48))
-        assert system.D.shape == (912, 1248)
-        assert system.b_D.shape == (912,)
+        mat, b = ConstraintAssembler(human_model).assemble(np.zeros(48), np.zeros(48))
+        assert mat.shape == (912, 1248)
+        assert b.shape == (912,)
 
     def test_pattern_reuse_matches_fresh_assembly(self, five_link, rng):
         assembler = ConstraintAssembler(five_link)
         for _ in range(3):
             q, qd, _ = random_state(five_link, rng)
             d1, b1 = assembler.assemble(q, qd)
-            fresh = assemble_constraints(five_link, q, qd)
-            assert np.allclose((d1 - fresh.D).toarray(), 0)
-            assert np.allclose(b1, fresh.b_D)
+            fresh_d, fresh_b = ConstraintAssembler(five_link).assemble(q, qd)
+            assert np.allclose((d1 - fresh_d).toarray(), 0)
+            assert np.allclose(b1, fresh_b)
 
     def test_block_pattern_stores_no_constant_zero(self):
         from mapdyn.dynamics import MOTION_ADJOINT_ZERO, BlockPattern
@@ -131,9 +130,10 @@ class TestConstraintAssembly:
         pattern.add(0, 4, 2, 1, 0.0)
         state = pattern.add(2, 0, 6, 6, zero=MOTION_ADJOINT_ZERO)
         pattern.freeze((8, 6))
-        vals = pattern.values.copy()
-        vals[state] = np.arange(1.0, 37.0)
-        mat = pattern.csc(vals)
+        slots, sources = pattern.state_slots([(state, np.arange(36))])
+        values = pattern.stack(1)
+        values[:, slots] = np.arange(1.0, 37.0)[sources]
+        mat = pattern.csc(values[0])
         # the constant blocks' two nonzeros, the state block but its zero quadrant
         assert mat.nnz == 2 + 27
         expected = np.zeros((8, 6))
@@ -156,25 +156,30 @@ class TestConstraintAssembly:
 
 
 class TestKinematicSweep:
-    def test_one_joint_transform_per_link(self, human_model, rng, monkeypatch):
-        """The sweep's poses are forward kinematics, from one rotation per link."""
+    def test_poses_match_forward_kinematics(self, human_model, rng):
+        """The sweep's poses are forward kinematics, to rounding."""
         import mapdyn.model.kinematics as kinematics
 
         q, qd, _ = random_state(human_model, rng, q_scale=0.4)
         expected = kinematics.forward_kinematics(human_model, q)
-        calls = []
-        rotation = kinematics.rotation_about_axis
-
-        def counting_rotation(axis, angle):
-            calls.append(angle)
-            return rotation(axis, angle)
-
-        monkeypatch.setattr(kinematics, "rotation_about_axis", counting_rotation)
         sweep = kinematic_sweep(human_model, q, qd)
-        assert len(calls) == human_model.n_moving
-        for pose, reference in zip(sweep.poses, expected):
-            assert np.array_equal(pose.rotation, reference.rotation)
-            assert np.array_equal(pose.translation, reference.translation)
+        assert sweep.rotation.shape == (1, 49, 3, 3)
+        for rotation, position, reference in zip(sweep.rotation[0], sweep.position[0], expected):
+            np.testing.assert_allclose(rotation, reference.rotation, rtol=0, atol=1e-14)
+            np.testing.assert_allclose(position, reference.translation, rtol=0, atol=1e-14)
+
+    def test_rnea_matches_per_sample_oracle(self, human_model, rng):
+        """A stack of states gives, per sample, the link-by-link recursion's d."""
+        from oracles import rnea_one_sample
+
+        states = [random_state(human_model, rng, q_scale=0.4) for _ in range(5)]
+        q, qd, qdd = (np.stack(part) for part in zip(*states))
+        fx = rng.normal(0.0, 5.0, (5, human_model.n_moving, 6))
+        d = rnea(human_model, q, qd, qdd, fx_base=fx)
+        for k in range(5):
+            expected = rnea_one_sample(human_model, q[k], qd[k], qdd[k], fx[k])
+            assert np.abs(d[k] - expected).max() <= 1e-12 * np.abs(expected).max()
+            assert d[k].tobytes() == rnea(human_model, q[k], qd[k], qdd[k], fx_base=fx[k]).tobytes()
 
 
 class TestNoRotationCheckPerSample:
@@ -275,8 +280,8 @@ class TestBlockElimination:
         fx = rng.normal(0, 6.0, (2, 6))
         layout = DynLayout(two_link_model)
         d = rnea(two_link_model, q, qd, qdd, fx_base=fx)
-        system = assemble_constraints(two_link_model, q, qd)
-        dense = system.D.toarray()
+        mat, b_d = ConstraintAssembler(two_link_model).assemble(q, qd)
+        dense = mat.toarray()
 
         kin_cols = []  # a, fB, f slots
         input_cols = []  # ddq, fx slots
@@ -292,7 +297,7 @@ class TestBlockElimination:
 
         a_kin = dense[np.ix_(dyn_rows, kin_cols)]
         a_in = dense[np.ix_(dyn_rows, input_cols)]
-        b_dyn = system.b_D[dyn_rows]
+        b_dyn = b_d[dyn_rows]
         u = d[input_cols]
         x_kin = np.linalg.solve(a_kin, -(a_in @ u + b_dyn))
         tau = dense[np.ix_(tau_rows, kin_cols)] @ x_kin + dense[np.ix_(tau_rows, input_cols)] @ u
@@ -310,7 +315,7 @@ class TestClassicalIdRoutes:
         from mapdyn.dynamics import kinematic_sweep
 
         sweep = kinematic_sweep(model, q, qd)
-        x_0_1_force = sweep.x_from_parent[1].T
+        x_0_1_force = sweep.x_from_parent[0, 1].T
         base_inertia = model.inertia_of(0).matrix()
         return x_0_1_force @ f1 - base_inertia @ GRAVITY_SPATIAL
 
@@ -334,7 +339,7 @@ class TestClassicalIdRoutes:
         from mapdyn.dynamics import kinematic_sweep
 
         sweep = kinematic_sweep(two_link_model, q, qd)
-        expected = -np.linalg.solve(sweep.x_from_parent[1].T, delta)
+        expected = -np.linalg.solve(sweep.x_from_parent[0, 1].T, delta)
         assert np.allclose(report.inconsistency, expected, atol=1e-9)
         # the force part only rotates: its norm stays 10 N
         assert np.linalg.norm(report.inconsistency[:3]) == pytest.approx(10.0, abs=1e-9)

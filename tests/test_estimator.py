@@ -18,7 +18,7 @@ from mapdyn.estimator import (
     sparse_cholesky_solve,
     unobserved_dimension,
 )
-from mapdyn.sensors import MeasurementAssembler
+from mapdyn.sensors import MeasurementAssembler, assemble_system
 from mapdyn.simharness import random_chain_model, random_state, random_tree_model
 
 from oracles import (
@@ -29,6 +29,28 @@ from oracles import (
     prior_precision_terms,
     stacked_rank_deficiency,
 )
+
+
+def one_state_system(casm, masm, q, qd):
+    """(D, b_D, Y, b_Y) at one state, from ``assemble_system``'s stack of one sample."""
+    values_d, b_d, values_y, b_y = assemble_system(casm, masm, q, qd)
+    return casm.matrix(values_d[0]), b_d[0], masm.matrix(values_y[0]), b_y[0]
+
+
+def stack_terms(plan, samples):
+    """``plan.terms`` of a stack of (D, b_D, Y, b_Y, y) samples, as the assemblers hand them over."""
+    mats_d, bs_d, mats_y, bs_y, ys = zip(*samples)
+    return plan.terms(
+        np.stack([m.data for m in mats_d]), np.stack(bs_d), np.stack([m.data for m in mats_y]), np.stack(bs_y),
+        np.stack(ys),
+    )
+
+
+def one_sample_terms(plan, problem, y=None):
+    """(values, rhs) of one problem's sample."""
+    y = problem.y if y is None else y
+    values, rhs = stack_terms(plan, [(problem.D, problem.b_D, problem.Y, problem.b_Y, y)])
+    return values[0], rhs[0]
 
 
 def random_spd(rng, n, density=0.2):
@@ -129,12 +151,12 @@ def random_band_spd(rng, n, bandwidth):
 
 
 def human_posterior(model, rng):
-    from mapdyn.sensors import assemble_system, default_sensor_specs
+    from mapdyn.sensors import default_sensor_specs
 
     casm = ConstraintAssembler(model)
     masm = MeasurementAssembler(model, default_sensor_specs(model))
     q, qd, _ = random_state(model, rng, 0.2, 0.3, 0.3)
-    mat_d, b_d, mat_y, b_y = assemble_system(casm, masm, q, qd)
+    mat_d, b_d, mat_y, b_y = one_state_system(casm, masm, q, qd)
     return MapProblem(mat_d, b_d, mat_y, b_y, rng.normal(0.0, 1.0, masm.dim), sigma_y=masm.variances)
 
 
@@ -195,7 +217,7 @@ class TestPrecisionPlan:
 
     def _check(self, problem):
         plan = PrecisionPlan(problem)
-        band, rhs = plan.terms(problem.D, problem.b_D, problem.Y, problem.b_Y, problem.y)
+        band, rhs = one_sample_terms(plan, problem)
         precision, expected_rhs = posterior_precision_terms(problem)
         expected = self._blocks_of(plan.solver, precision)
         np.testing.assert_allclose(band, expected, rtol=1e-13, atol=1e-13 * np.abs(expected).max())
@@ -203,7 +225,7 @@ class TestPrecisionPlan:
 
     @pytest.mark.parametrize("make_model", [random_chain_model, random_tree_model])
     def test_band_matches_posterior_terms_on_random_models(self, make_model):
-        from mapdyn.sensors import assemble_system, default_sensor_specs
+        from mapdyn.sensors import default_sensor_specs
 
         rng = np.random.default_rng(31)
         for _ in range(4):
@@ -211,7 +233,7 @@ class TestPrecisionPlan:
             casm = ConstraintAssembler(model)
             masm = MeasurementAssembler(model, default_sensor_specs(model, contact_links=["link1"]))
             q, qd, _ = random_state(model, rng)
-            mat_d, b_d, mat_y, b_y = assemble_system(casm, masm, q, qd)
+            mat_d, b_d, mat_y, b_y = one_state_system(casm, masm, q, qd)
             dim = casm.layout.size
             self._check(MapProblem(
                 mat_d, b_d, mat_y, b_y, rng.normal(0.0, 1.0, masm.dim),
@@ -229,7 +251,7 @@ class TestPrecisionPlan:
         y = problem.y.copy()
         y[2] = np.nan
         plan = PrecisionPlan(problem)
-        band, rhs = plan.terms(problem.D, problem.b_D, problem.Y, problem.b_Y, y)
+        band, rhs = one_sample_terms(plan, problem, y)
         assert np.isfinite(band).all() and np.isfinite(rhs).all()
         mean = plan.solver.factorize_blocks(band).solve(rhs)
         keep = np.arange(problem.Y.shape[0]) != 2
@@ -250,7 +272,7 @@ class TestPrecisionPlan:
         empty = sp.csc_matrix((0, dim))
         problem = MapProblem(empty, np.zeros(0), empty, np.zeros(0), np.zeros(0), mu_d=mu, sigma_d=sigma_d)
         plan = PrecisionPlan(problem)
-        band, rhs = plan.terms(problem.D, problem.b_D, problem.Y, problem.b_Y, problem.y)
+        band, rhs = one_sample_terms(plan, problem)
         assert band.dtype == np.float64
         expected = np.zeros(plan.solver.size)
         expected[plan.solver.diag_slots] = (1.0 / sigma_d)[plan.solver.perm]
@@ -261,7 +283,9 @@ class TestPrecisionPlan:
         problem, _, _ = two_link_problem
         plan = PrecisionPlan(problem)
         with pytest.raises(EstimatorError):
-            plan.terms(problem.D[:, :-1], problem.b_D, problem.Y, problem.b_Y, problem.y)
+            plan.terms(
+                problem.D[:, :-1].data[None], problem.b_D[None], problem.Y.data[None], problem.b_Y[None], problem.y[None]
+            )
 
 
 class TestShapePrior:
@@ -394,19 +418,19 @@ class TestMapSolve:
 def masked_variances(plan, problem, dropped):
     """All posterior variances with the ``dropped`` readings missing (NaN)."""
     y = np.where(dropped, np.nan, problem.y)
-    band, _ = plan.terms(problem.D, problem.b_D, problem.Y, problem.b_Y, y)
+    band, _ = one_sample_terms(plan, problem, y)
     return plan.solver.factorize_blocks(band).marginal_variances(np.arange(problem.dim_d))
 
 
 def random_model_problems(make_model, rng, count=6):
-    from mapdyn.sensors import assemble_system, default_sensor_specs
+    from mapdyn.sensors import default_sensor_specs
 
     for _ in range(count):
         model = make_model(int(rng.integers(2, 9)), rng)
         casm = ConstraintAssembler(model)
         masm = MeasurementAssembler(model, default_sensor_specs(model, contact_links=["link1"]))
         q, qd, _ = random_state(model, rng)
-        mat_d, b_d, mat_y, b_y = assemble_system(casm, masm, q, qd)
+        mat_d, b_d, mat_y, b_y = one_state_system(casm, masm, q, qd)
         yield MapProblem(mat_d, b_d, mat_y, b_y, rng.normal(0.0, 1.0, masm.dim), sigma_y=masm.variances)
 
 
@@ -662,23 +686,20 @@ class TestAugmentedSolve:
 def solve_stack(plan, samples):
     """Means and all variances of a stack of (D, b_D, Y, b_Y, y) samples, as ``estimate`` runs a batch."""
     solver = plan.solver
-    values = np.empty((len(samples), solver.size))
-    rhs = np.empty((len(samples), solver.n))
-    for k, sample in enumerate(samples):
-        values[k], rhs[k] = plan.terms(*sample)
+    values, rhs = stack_terms(plan, samples)
     solver.factorize_blocks(values)
     return solver.solve(rhs), solver.marginal_variances(np.arange(solver.n))
 
 
 def human_samples(model, rng, count):
-    from mapdyn.sensors import assemble_system, default_sensor_specs
+    from mapdyn.sensors import default_sensor_specs
 
     casm = ConstraintAssembler(model)
     masm = MeasurementAssembler(model, default_sensor_specs(model, contact_links=["RightFoot"]))
     samples = []
     for _ in range(count):
         q, qd, _ = random_state(model, rng, 0.2, 0.3, 0.3)
-        samples.append((*assemble_system(casm, masm, q, qd), rng.normal(0.0, 1.0, masm.dim)))
+        samples.append((*one_state_system(casm, masm, q, qd), rng.normal(0.0, 1.0, masm.dim)))
     return samples, masm.variances
 
 
@@ -745,7 +766,7 @@ class TestBlockSolver:
         plan = PrecisionPlan(MapProblem(*samples[0], sigma_y=variances))
         solver = plan.solver
         column = DynLayout(human_model_foot).tau(30)
-        values = np.stack([plan.terms(*sample)[0] for sample in samples])
+        values, _ = stack_terms(plan, samples)
         values[2, solver.diag_slots[solver.iperm[column]]] = -1.0
         with pytest.raises(NotPositiveDefiniteError, match="sample 2 of 4") as err:
             solver.factorize_blocks(values)

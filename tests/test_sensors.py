@@ -13,7 +13,6 @@ from mapdyn.sensors import (
     MeasurementModelError,
     MeasurementSet,
     SensorSpec,
-    assemble_measurements,
     assemble_system,
     channel_names,
     default_sensor_specs,
@@ -66,9 +65,10 @@ class TestMeasurementAssembly:
             if dtype is complex:  # complex-step states, as the bias Jacobians use
                 q = q + 1e-3j * rng.normal(0.0, 1.0, n)
                 qd = qd + 1e-3j * rng.normal(0.0, 1.0, n)
-            mat_d, b_d, mat_y, b_y = assemble_system(casm, masm, q, qd, dtype=dtype)
+            values_d, b_d, values_y, b_y = assemble_system(casm, masm, q, qd, dtype=dtype)
+            mat_d, mat_y = casm.matrix(values_d[0]), masm.matrix(values_y[0])
             separate = casm.assemble(q, qd, dtype=dtype) + masm.assemble(q, qd, dtype=dtype)
-            for got, ref in zip((mat_d, b_d, mat_y, b_y), separate):
+            for got, ref in zip((mat_d, b_d[0], mat_y, b_y[0]), separate):
                 assert got.dtype == np.dtype(dtype)
                 if isinstance(got, np.ndarray):
                     assert got.tobytes() == ref.tobytes()
@@ -84,7 +84,7 @@ class TestMeasurementAssembly:
     def test_illustrative_dimensions(self, two_link_model, rng):
         specs = two_link_specs(two_link_model)
         q, qd, _ = random_state(two_link_model, rng)
-        mat, bias = assemble_measurements(two_link_model, specs, q, qd)
+        mat, bias = MeasurementAssembler(two_link_model, specs).assemble(q, qd)
         assert mat.shape == (23, 52)
         assert bias.shape == (23,)
         assert sum(s.dim for s in specs) == 23
@@ -99,7 +99,7 @@ class TestMeasurementAssembly:
 
     def test_zero_state_kills_imu_bias(self, two_link_model):
         specs = two_link_specs(two_link_model)
-        _, bias = assemble_measurements(two_link_model, specs, np.zeros(2), np.zeros(2))
+        _, bias = MeasurementAssembler(two_link_model, specs).assemble(np.zeros(2), np.zeros(2))
         assert np.allclose(bias[:3], 0)
 
     def test_missing_mandatory_ddq_channel(self, two_link_model):
@@ -153,19 +153,19 @@ class TestMeasurementAssembly:
         d = rnea(two_link_model, q, qd, qdd, fx_base=fx)
         layout = DynLayout(two_link_model)
         specs = two_link_specs(two_link_model)
-        mat, bias = assemble_measurements(two_link_model, specs, q, qd)
+        mat, bias = MeasurementAssembler(two_link_model, specs).assemble(q, qd)
         y = mat @ d + bias
 
         # IMU channel: proper acceleration from true link motion plus gravity
         imu = two_link_model.sensors_of_kind("accelerometer")[0]
-        poses, vels, accs = link_motion(two_link_model, q, qd, qdd)
+        rotations, vels, accs = link_motion(two_link_model, q, qd, qdd)
         li = two_link_model.link_index[imu.parent_link]
         from mapdyn.spatial import adjoint_motion
 
         x_s = adjoint_motion(imu.pose.inverse())
-        v_s = x_s @ vels[li]
-        a_s = x_s @ accs[li]
-        r_s = poses[li].rotation @ imu.pose.rotation
+        v_s = x_s @ vels[0, li]
+        a_s = x_s @ accs[0, li]
+        r_s = rotations[0, li] @ imu.pose.rotation
         proper = a_s[:3] + np.cross(v_s[3:], v_s[:3]) - r_s.T @ GRAVITY_SPATIAL[:3]
         assert np.allclose(y[:3], proper, atol=1e-10)
 
@@ -180,7 +180,7 @@ class TestMeasurementAssembly:
         specs = two_link_specs(two_link_model)
         q = np.zeros(2)
         d = rnea(two_link_model, q, q, q)
-        mat, bias = assemble_measurements(two_link_model, specs, q, q)
+        mat, bias = MeasurementAssembler(two_link_model, specs).assemble(q, q)
         y = mat @ d + bias
         total_mass = 2.0 + 3.0 + 2.0
         assert y[7] == pytest.approx(total_mass * 9.81)
@@ -191,12 +191,60 @@ class TestMeasurementAssembly:
             MeasurementSet(specs, np.zeros(5), np.zeros(5))
 
 
+class TestSampleAxis:
+    """A stack of states is assembled from one sweep; each sample's numbers stand alone."""
+
+    @pytest.fixture(scope="class")
+    def human_states(self, human_model_foot):
+        rng = np.random.default_rng(41)
+        states = [random_state(human_model_foot, rng, 0.2, 0.3, 0.3)[:2] for _ in range(64)]
+        q, qd = (np.stack(part) for part in zip(*states))
+        casm = ConstraintAssembler(human_model_foot)
+        specs = default_sensor_specs(human_model_foot, contact_links=["RightFoot"])
+        masm = MeasurementAssembler(human_model_foot, specs)
+        return casm, masm, q, qd
+
+    @pytest.mark.parametrize("dtype", [float, complex])
+    def test_values_do_not_depend_on_the_chunk(self, human_states, dtype):
+        """Alone, in a chunk of 8 and in a chunk of 64, at every position of a rolled chunk: the same bytes."""
+        casm, masm, q, qd = human_states
+        if dtype is complex:  # complex-step states, as the bias Jacobians use
+            q = q + 1e-3j * np.cos(np.arange(q.size)).reshape(q.shape)
+            qd = qd + 1e-3j * np.sin(np.arange(qd.size)).reshape(qd.shape)
+        alone = [assemble_system(casm, masm, q[k], qd[k], dtype=dtype) for k in range(len(q))]
+        assert all(part.shape[0] == 1 and part.dtype == np.dtype(dtype) for part in alone[0])
+
+        def check(order):
+            stacked = assemble_system(casm, masm, q[order], qd[order], dtype=dtype)
+            for position, k in enumerate(order):
+                for got, ref in zip(stacked, alone[k]):
+                    assert got[position].tobytes() == ref[0].tobytes()
+
+        for shift in range(8):
+            check(np.roll(np.arange(8), shift))
+        for shift in (0, 1, 37):
+            check(np.roll(np.arange(64), shift))
+
+    def test_a_chunk_of_64_allocates_under_8mb(self, human_states):
+        import tracemalloc
+
+        casm, masm, q, qd = human_states
+        assemble_system(casm, masm, q[:1], qd[:1])  # first-call allocations of numpy and BLAS
+        tracemalloc.start()
+        try:
+            assemble_system(casm, masm, q, qd)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 8 * 2**20
+
+
 class TestSimulateReadings:
     def test_noiseless_reproduces_model(self, two_link_model, rng):
         specs = two_link_specs(two_link_model)
         q, qd, qdd = random_state(two_link_model, rng)
         d = rnea(two_link_model, q, qd, qdd)
-        mat, bias = assemble_measurements(two_link_model, specs, q, qd)
+        mat, bias = MeasurementAssembler(two_link_model, specs).assemble(q, qd)
         y = simulate_readings(two_link_model, specs, q, qd, d, rng=None)
         assert np.array_equal(y, mat @ d + bias)
 
@@ -207,6 +255,18 @@ class TestSimulateReadings:
         y1 = simulate_readings(two_link_model, specs, q, qd, d, rng=1234)
         y2 = simulate_readings(two_link_model, specs, q, qd, d, rng=1234)
         assert np.array_equal(y1, y2)
+
+    def test_stacked_noise_equals_per_sample_draws(self, two_link_model, rng):
+        """One call over a stack draws each sample's noise as a call per sample would, in order."""
+        specs = two_link_specs(two_link_model)
+        states = [random_state(two_link_model, rng) for _ in range(5)]
+        q, qd, qdd = (np.stack(part) for part in zip(*states))
+        d = rnea(two_link_model, q, qd, qdd)
+        stacked = simulate_readings(two_link_model, specs, q, qd, d, rng=np.random.default_rng(8))
+        one_by_one = np.random.default_rng(8)
+        for k in range(5):
+            y = simulate_readings(two_link_model, specs, q[k], qd[k], d[k], rng=one_by_one)
+            assert stacked[k].tobytes() == y.tobytes()
 
     def test_empirical_channel_variance(self, two_link_model):
         specs = two_link_specs(two_link_model)

@@ -94,6 +94,24 @@ class TestGroundTruth:
         assert np.abs(qd[inner] - truth.qd[inner]).max() < 1e-3
         assert np.abs(qdd[inner] - truth.qdd[inner]).max() < bound_dd
 
+    def test_stacks_match_the_per_sample_oracle(self, two_link_model):
+        """Two stacks of samples (70 > SAMPLE_CHUNK) give the link-by-link recursion's d, per sample."""
+        from oracles import rnea_one_sample
+
+        forces = {"link2": [Sine(3.0, 0.5)] + [Constant(1.0)] * 5}
+        scenario = SyntheticScenario(
+            two_link_model,
+            TrajectorySpec([Sine(0.3, 0.8), Sine(0.4, 1.1, phase=0.3)], 0.7, 100.0),
+            default_sensor_specs(two_link_model, contact_links=("link2",)),
+            external_forces=forces,
+        )
+        truth = generate_ground_truth(scenario)
+        fx = scenario.force_series(truth.times)
+        assert truth.times.size == 70
+        for k in range(truth.times.size):
+            expected = rnea_one_sample(two_link_model, truth.q[k], truth.qd[k], truth.qdd[k], fx[k])
+            assert np.abs(truth.d[k] - expected).max() <= 1e-12 * np.abs(expected).max()
+
     def test_external_force_script(self, two_link_model):
         waveforms = [Constant(0.1), Constant(0.0)]
         forces = {"link2": [Constant(5.0)] + [Constant(0.0)] * 5}

@@ -68,7 +68,7 @@ class TestCrossOperators:
             assert np.allclose(cross_force(v, f), cross_force_matrix(v) @ f, atol=1e-14)
 
     def test_complex_inputs_match_cross_product_reference(self, rng):
-        # the 3-vector form, kept here as the reference for the 6x6 operators
+        # the 3-vector form, restated here as the reference for complex inputs
         def motion_reference(v, u):
             w = v[3:]
             return np.concatenate([np.cross(w, u[:3]) + np.cross(v[:3], u[3:]), np.cross(w, u[3:])])
