@@ -130,12 +130,6 @@ class KinSweep:
     s: np.ndarray              # (n+1, 6) joint motion subspaces (constant)
 
 
-def motion_subspace(joint):
-    s = np.zeros(6)
-    s[3:] = joint.axis
-    return s
-
-
 class _TreeArrays:
     """Constant per-link arrays of a model for the batched recursions.
 
@@ -418,10 +412,11 @@ class ConstraintAssembler:
         # they are, or transposed) and force adjoints
         motion_blocks, force_blocks = [], []
         eye = np.eye(6)
+        tree = _tree_arrays(model)
         for i in range(1, model.n_moving + 1):
             r0 = self._row_base(i)
             c0 = layout.base_of(i)
-            s = motion_subspace(model.joint_of(i))
+            s = tree.s[i]
             pattern.add(r0, c0 + OFF_A, 6, 6, -eye)
             pattern.add(r0, c0 + OFF_DDQ, 6, 1, s)
             if model.parent[i] != 0:
@@ -443,7 +438,7 @@ class ConstraintAssembler:
         self._motion_slots, self._motion_sources = pattern.state_slots(motion_blocks)
         self._force_slots, self._force_sources = pattern.state_slots(force_blocks)
         self._base_children = np.array(model.children[0], dtype=np.intp)
-        self._inertia = _tree_arrays(model).inertia[1:]
+        self._inertia = tree.inertia[1:]
 
     def _row_base(self, i):
         return BLOCK_ROWS * (i - 1)
