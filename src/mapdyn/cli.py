@@ -17,7 +17,6 @@ import logging
 import os
 import sys
 import time
-import warnings
 from concurrent.futures import ProcessPoolExecutor
 from pathlib import Path
 
@@ -742,28 +741,26 @@ def cmd_sensor_pose(config_path, model_override, out_dir, seed, patch_model):
 
     results = {}
     accelerometers = model.sensors_of_kind("accelerometer")
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")
-        for s_idx, sensor in enumerate(accelerometers):
-            if model.link_index[sensor.parent_link] == 0:
-                results[sensor.name] = {"ok": False, "error": "sensor sits on the fixed base"}
-                continue
-            streams = synthesize_sensor_streams(
-                model, traj, sensor, noise_std=noise_std, rng=np.random.default_rng(seed + s_idx)
-            )
-            try:
-                est = estimate_sensor_pose(*streams)
-            except ExcitationError as exc:
-                results[sensor.name] = {"ok": False, "error": str(exc)}
-                continue
-            results[sensor.name] = {
-                "ok": True,
-                "link": sensor.parent_link,
-                "position": [float(v) for v in est.position],
-                "rpy": [float(v) for v in est.rpy],
-                "samples": est.samples,
-                "residual": est.residual,
-            }
+    for s_idx, sensor in enumerate(accelerometers):
+        if model.link_index[sensor.parent_link] == 0:
+            results[sensor.name] = {"ok": False, "error": "sensor sits on the fixed base"}
+            continue
+        streams = synthesize_sensor_streams(
+            model, traj, sensor, noise_std=noise_std, rng=np.random.default_rng(seed + s_idx)
+        )
+        try:
+            est = estimate_sensor_pose(*streams)
+        except ExcitationError as exc:
+            results[sensor.name] = {"ok": False, "error": str(exc)}
+            continue
+        results[sensor.name] = {
+            "ok": True,
+            "link": sensor.parent_link,
+            "position": [float(v) for v in est.position],
+            "rpy": [float(v) for v in est.rpy],
+            "samples": est.samples,
+            "residual": est.residual,
+        }
 
     calib_path = out / "sensor_poses.json"
     with open(calib_path, "w") as fh:

@@ -447,11 +447,6 @@ class ConstraintAssembler:
         """D as a CSC matrix from one sample's values (CSC data order)."""
         return self._pattern.csc(values)
 
-    def assemble(self, q, qd, dtype=float):
-        """Return (D, b_D) at one state; D is CSC."""
-        values, b = self.assemble_values(kinematic_sweep(self.model, q, qd), dtype)
-        return self.matrix(values[0]), b[0]
-
     def assemble_values(self, sweep, dtype=float):
         """(values, b_D) of a stack of samples from their kinematic sweep.
 

@@ -29,7 +29,7 @@ from scipy.linalg.lapack import dpotrf, dtrtri
 from mapdyn.dynamics import BLOCK_COLS
 
 # pivots below this fraction of the largest diagonal entry are treated as
-# factorization failures; callers opt into jitter explicitly
+# factorization failures
 PIVOT_REL_TOL = 1e-13
 
 # a sample is unobserved when its unobserved dimension reaches this value: a
@@ -92,7 +92,8 @@ class SparseCholeskySolver:
         block_of = np.arange(n) // BLOCK_COLS
         n_blocks = -(-n // BLOCK_COLS)
         neighbours = [set() for _ in range(n_blocks)]
-        for i, j in set(zip(block_of[pattern.row].tolist(), block_of[pattern.col].tolist())):
+        coupled = np.unique(block_of[pattern.row] * n_blocks + block_of[pattern.col])
+        for i, j in zip(*(part.tolist() for part in np.divmod(coupled, n_blocks))):
             if i != j:
                 neighbours[i].add(j)
                 neighbours[j].add(i)
@@ -145,25 +146,6 @@ class SparseCholeskySolver:
     def _panel(self, stack, p):
         width = self.widths[p]
         return stack[:, self._offsets[p]: self._offsets[p + 1]].reshape(stack.shape[0], -1, width)
-
-    def factorize(self, matrix: sp.spmatrix, jitter=0.0):
-        """Numeric factorization of one sparse matrix; raises on non-SPD input unless jittered.
-
-        ``jitter`` is an explicit opt-in diagonal addition (absolute).
-        Reported pivot indices refer to the caller's (unpermuted) ordering.
-        """
-        coo = sp.coo_matrix(matrix)
-        if coo.shape != (self.n, self.n):
-            raise EstimatorError("matrix shape does not match the symbolic pattern")
-        rows, cols = self.iperm[coo.row], self.iperm[coo.col]
-        lower = rows >= cols
-        slots = self.slots(rows[lower], cols[lower])
-        if np.any(slots < 0):
-            raise EstimatorError("matrix has entries outside the symbolic pattern")
-        values = np.zeros(self.size)
-        np.add.at(values, slots, coo.data[lower])
-        values[self.diag_slots] += jitter
-        return self.factorize_blocks(values)
 
     def factorize_blocks(self, values):
         """Numeric factorization of a stack of matrices in the block storage.
@@ -232,7 +214,7 @@ class SparseCholeskySolver:
         with the inverted diagonal block and the panel below it.
         """
         if self._stack is None:
-            raise EstimatorError("factorize() must run before solve()")
+            raise EstimatorError("factorize_blocks() must run before solve()")
         if self._inverted:
             raise EstimatorError("the factor was overwritten by marginal_variances(); factorize again to solve")
         stack = self._stack
@@ -269,7 +251,7 @@ class SparseCholeskySolver:
         calls read them; ``solve`` is no longer possible afterwards.
         """
         if self._stack is None:
-            raise EstimatorError("factorize() must run before marginal_variances()")
+            raise EstimatorError("factorize_blocks() must run before marginal_variances()")
         if self._variances is None:
             self._variances = self._selected_inverse()
         variances = np.take(self._variances, np.atleast_1d(np.asarray(indices, dtype=int)), axis=1)
@@ -327,14 +309,6 @@ def _block_elimination(neighbours, widths):
             graph[c].discard(k)
     position = {k: p for p, k in enumerate(order)}
     return order, [sorted(position[c] for c in r) for r in reach]
-
-
-def sparse_cholesky_solve(matrix, rhs, solver: SparseCholeskySolver | None = None):
-    """One-shot permuted SPD solve; pass a solver to reuse the permutation."""
-    if solver is None:
-        solver = SparseCholeskySolver(matrix)
-    solver.factorize(matrix)
-    return solver.solve(rhs)
 
 
 # ---------------------------------------------------------------------------
@@ -407,27 +381,6 @@ class MapProblem:
         return self.D.shape[1]
 
 
-def _ones_like_pattern(mat):
-    out = sp.csc_matrix(mat, copy=True)
-    out.data = np.ones_like(out.data)
-    return out
-
-
-def structural_pattern(problem: "MapProblem") -> sp.csc_matrix:
-    """Union sparsity pattern of the posterior precision.
-
-    Numeric assembly can produce exact zeros at special states (identity
-    rotations), which sparse arithmetic prunes; a symbolic factorization
-    built from such a collapsed pattern would not cover generic states.
-    Replacing values by ones makes every structural product positive, so the
-    returned pattern is the state-independent superset.
-    """
-    d1 = _ones_like_pattern(problem.D)
-    y1 = _ones_like_pattern(problem.Y)
-    dim = problem.dim_d
-    return (d1.T @ d1 + y1.T @ y1 + sp.identity(dim, format="csc")).tocsc()
-
-
 class PrecisionPlan:
     """Posterior precision blocks and right-hand side from a fixed index plan.
 
@@ -439,15 +392,15 @@ class PrecisionPlan:
     precision, the two entries, the row and the slot in the solver's block
     storage. A sample then costs one gather and one ``np.bincount``.
     ``MapProblem``'s shape and variance checks run once, on the problem the
-    plan is built from; the solver is built from that problem's structural
-    pattern.
+    plan is built from. The solver is built from the columns of all those
+    pairs, the pattern of ``M^T M``: it holds every stored entry, zero or
+    not, so it covers every state, and the prior adds only the diagonal.
 
     A non-finite reading is missing: its row gets zero weight for that sample
     and adds nothing to the right-hand side.
     """
 
     def __init__(self, problem: MapProblem):
-        self.solver = solver = SparseCholeskySolver(structural_pattern(problem))
         mat_d, mat_y = problem.D, problem.Y
         n_rows = mat_d.shape[0] + mat_y.shape[0]
         rows = np.concatenate([mat_d.indices, mat_y.indices + mat_d.shape[0]])
@@ -461,6 +414,10 @@ class PrecisionPlan:
         a = np.repeat(order, count)
         within_row = np.arange(count.sum()) - np.repeat(np.cumsum(count) - count, count)
         b = order[np.repeat(row_start[rows[order]], count) + within_row]
+        dim = problem.dim_d
+        self.solver = solver = SparseCholeskySolver(
+            sp.coo_matrix((np.ones(a.size), (cols[a], cols[b])), shape=(dim, dim))
+        )
         pa, pb = solver.iperm[cols[a]], solver.iperm[cols[b]]
         lower = pa >= pb
         # native-width indices: gathers with int32 ones took about twice as long

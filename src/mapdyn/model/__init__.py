@@ -23,7 +23,6 @@ from mapdyn.model.kinematics import (
     IkResult,
     forward_kinematics,
     ik_frame_match,
-    joint_transform,
     joint_velocities_from_angular,
     relative_angular_jacobian,
 )
@@ -47,7 +46,6 @@ __all__ = [
     "forward_kinematics",
     "generate_human_template",
     "ik_frame_match",
-    "joint_transform",
     "joint_velocities_from_angular",
     "load_body_tables",
     "parse_model",

@@ -7,14 +7,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from mapdyn.spatial import HomTransform, rotation_about_axis, se3_log
+from mapdyn.spatial import HomTransform, se3_log
 from mapdyn.model.tree import KinematicTreeModel, ModelError
-
-
-def joint_transform(joint, q):
-    """Pose of the joint's child link in the parent frame at angle q."""
-    rot = rotation_about_axis(joint.axis, q)
-    return HomTransform(joint.origin.rotation @ rot, joint.origin.translation)
 
 
 def check_joint_angles(model: KinematicTreeModel, q):
@@ -37,18 +31,19 @@ def check_joint_angles(model: KinematicTreeModel, q):
 def forward_kinematics(model: KinematicTreeModel, q) -> list:
     """Per-link pose w.r.t. the base; entry 0 is the identity.
 
+    The poses are those of the kinematic sweep of the one sample (T = 1).
     Joint-limit violations warn but never fail (see ``check_joint_angles``).
     """
+    # imported here: mapdyn.dynamics imports mapdyn.model, whose package imports this module
+    from mapdyn.dynamics import kinematic_sweep
+
     q = np.asarray(q)
     if q.shape != (model.n_dof,):
         raise ModelError(f"expected q of length {model.n_dof}, got shape {q.shape}")
     if check_joint_angles(model, q):
         warnings.warn("joint limits violated", stacklevel=2)
-    poses = [HomTransform.identity()]
-    for i in range(1, model.n_moving + 1):
-        joint = model.joint_of(i)
-        poses.append(poses[model.parent[i]] @ joint_transform(joint, q[i - 1]))
-    return poses
+    sweep = kinematic_sweep(model, q, np.zeros(model.n_dof))
+    return [HomTransform(rotation, position) for rotation, position in zip(sweep.rotation[0], sweep.position[0])]
 
 
 def path_to_root(model, index):

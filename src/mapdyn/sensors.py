@@ -135,20 +135,6 @@ def validate_specs(model: KinematicTreeModel, specs) -> list:
     return specs
 
 
-@dataclass
-class MeasurementSet:
-    """Ordered sensor descriptors with stacked readings and variances."""
-
-    specs: list
-    y: np.ndarray
-    variances: np.ndarray
-
-    def __post_init__(self):
-        dim = sum(s.dim for s in self.specs)
-        if self.y.shape != (dim,) or self.variances.shape != (dim,):
-            raise MeasurementModelError("stacked readings do not match the descriptor dimensions")
-
-
 def measurement_dim(specs) -> int:
     return sum(s.dim for s in specs)
 
@@ -226,11 +212,6 @@ class MeasurementAssembler:
     def matrix(self, values):
         """Y as a CSC matrix from one sample's values (CSC data order)."""
         return self._pattern.csc(values)
-
-    def assemble(self, q, qd, dtype=float):
-        """Return (Y, b_Y) at one state; Y is CSC."""
-        values, b = self.assemble_values(kinematic_sweep(self.model, q, qd), dtype)
-        return self.matrix(values[0]), b[0]
 
     def assemble_values(self, sweep, dtype=float):
         """(values, b_Y) of a stack of samples from their kinematic sweep.

@@ -12,14 +12,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from mapdyn.dynamics import (
-    ConstraintAssembler,
-    DynLayout,
-    kinematic_sweep,
-    link_accelerations,
-    rnea,
-    sample_chunks,
-)
+from mapdyn.dynamics import DynLayout, kinematic_sweep, link_accelerations, rnea, sample_chunks
 from mapdyn.model.tree import KinematicTreeModel, Joint, Link, ModelError
 from mapdyn.sensors import MeasurementAssembler, simulate_readings
 from mapdyn.spatial import HomTransform, SpatialInertia
@@ -181,28 +174,6 @@ def generate_observations(scenario: SyntheticScenario, truth: GroundTruth, noise
             scenario.model, assembler, truth.q[chunk], truth.qd[chunk], truth.d[chunk], rng=rng
         )
     return out
-
-
-def measurement_set_series(scenario: SyntheticScenario, truth: GroundTruth, noiseless=False):
-    """The observation series wrapped as one MeasurementSet per sample."""
-    from mapdyn.sensors import MeasurementSet, canonical_order
-
-    readings = generate_observations(scenario, truth, noiseless=noiseless)
-    specs = canonical_order(scenario.sensor_specs)
-    variances = np.concatenate([s.variance for s in specs])
-    return [MeasurementSet(specs, y, variances) for y in readings]
-
-
-def max_constraint_residual(scenario: SyntheticScenario, truth: GroundTruth) -> float:
-    """Worst relative constraint residual across the ground-truth series."""
-    assembler = ConstraintAssembler(scenario.model)
-    worst = 0.0
-    for chunk in sample_chunks(truth.times.size):
-        values, b = assembler.assemble_values(kinematic_sweep(scenario.model, truth.q[chunk], truth.qd[chunk]))
-        for row, b_k, d_k in zip(values, b, truth.d[chunk]):
-            res = np.abs(assembler.matrix(row) @ d_k + b_k).max()
-            worst = max(worst, res / (1.0 + np.abs(d_k).max()))
-    return worst
 
 
 # ---------------------------------------------------------------------------

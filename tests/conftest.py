@@ -141,6 +141,7 @@ def two_link_problem(two_link_model, rng):
     from mapdyn.dynamics import ConstraintAssembler, rnea
     from mapdyn.sensors import MeasurementAssembler, default_sensor_specs, simulate_readings
     from mapdyn.estimator import MapProblem
+    from oracles import one_state_system
 
     q = rng.uniform(-0.6, 0.6, 2)
     qd = rng.normal(0, 0.8, 2)
@@ -148,10 +149,9 @@ def two_link_problem(two_link_model, rng):
     fx = np.zeros((2, 6))
     fx[1] = rng.normal(0, 4.0, 6)
     d_star = rnea(two_link_model, q, qd, qdd, fx_base=fx)
-    mat_d, b_d = ConstraintAssembler(two_link_model).assemble(q, qd)
     specs = default_sensor_specs(two_link_model, contact_links=("link2",))
     assembler = MeasurementAssembler(two_link_model, specs)
-    mat_y, b_y = assembler.assemble(q, qd)
+    mat_d, b_d, mat_y, b_y = one_state_system(ConstraintAssembler(two_link_model), assembler, q, qd)
     y = simulate_readings(two_link_model, assembler, q, qd, d_star, rng=7)
     problem = MapProblem(mat_d, b_d, mat_y, b_y, y, sigma_y=assembler.variances)
     return problem, d_star, (q, qd)

@@ -4,14 +4,18 @@ Dense and slow on purpose: each restates a result in its textbook form,
 independent of the batched recursions in ``mapdyn.dynamics`` and of the
 sparse Cholesky path in ``mapdyn.estimator``. The precision terms are the
 sparse products ``PrecisionPlan`` replaces.
+
+The one-sample helpers at the end go through the package's own path
+(``kinematic_sweep``, ``assemble_values``, ``factorize_blocks``) and hand
+one sample's sparse matrices to tests that compare against them.
 """
 
 import numpy as np
 import scipy.sparse as sp
 
-from mapdyn.dynamics import DynLayout
-from mapdyn.estimator import EstimatorError, MapProblem, RankDeficiencyError
-from mapdyn.model import joint_transform
+from mapdyn.dynamics import ConstraintAssembler, DynLayout, kinematic_sweep, sample_chunks
+from mapdyn.estimator import EstimatorError, MapProblem, RankDeficiencyError, SparseCholeskySolver
+from mapdyn.sensors import assemble_system
 from mapdyn.spatial import (
     GRAVITY_SPATIAL,
     HomTransform,
@@ -19,7 +23,25 @@ from mapdyn.spatial import (
     adjoint_motion,
     cross_force_matrix,
     cross_motion_matrix,
+    rotation_about_axis,
 )
+
+
+def joint_transform(joint, q):
+    """Pose of the joint's child link in the parent frame at angle q."""
+    return HomTransform(joint.origin.rotation @ rotation_about_axis(joint.axis, q), joint.origin.translation)
+
+
+def link_poses_4x4(model, q):
+    """Per-link 4x4 homogeneous poses in base coordinates, composed link by link."""
+    poses = [np.eye(4)]
+    for i in range(1, model.n_moving + 1):
+        h = joint_transform(model.joint_of(i), q[i - 1])
+        step = np.eye(4)
+        step[:3, :3] = h.rotation
+        step[:3, 3] = h.translation
+        poses.append(poses[model.parent[i]] @ step)
+    return poses
 
 
 def rnea_one_sample(model, q, qd, qdd, fx_base=None):
@@ -161,3 +183,54 @@ def lmmse_forms_check(c, sigma_x, sigma_e, mu_x, y):
     cov2 = np.linalg.inv(info)
     mean2 = cov2 @ (c.T @ np.linalg.inv(sigma_e) @ y + np.linalg.solve(sigma_x, mu_x))
     return (mean1, cov1), (mean2, cov2)
+
+
+def max_constraint_residual(scenario, truth) -> float:
+    """Worst relative constraint residual ``|D d + b_D|`` across a ground-truth series."""
+    assembler = ConstraintAssembler(scenario.model)
+    worst = 0.0
+    for chunk in sample_chunks(truth.times.size):
+        values, b = assembler.assemble_values(kinematic_sweep(scenario.model, truth.q[chunk], truth.qd[chunk]))
+        for row, b_k, d_k in zip(values, b, truth.d[chunk]):
+            res = np.abs(assembler.matrix(row) @ d_k + b_k).max()
+            worst = max(worst, res / (1.0 + np.abs(d_k).max()))
+    return worst
+
+
+# ---------------------------------------------------------------------------
+# one-sample helpers over the package's path
+
+
+def one_state(assembler, q, qd, dtype=float):
+    """(matrix, bias) of one assembler at one state, from its own kinematic sweep."""
+    values, b = assembler.assemble_values(kinematic_sweep(assembler.model, q, qd), dtype)
+    return assembler.matrix(values[0]), b[0]
+
+
+def one_state_system(casm, masm, q, qd, dtype=float):
+    """(D, b_D, Y, b_Y) at one state, from ``assemble_system``'s stack of one sample."""
+    values_d, b_d, values_y, b_y = assemble_system(casm, masm, q, qd, dtype)
+    return casm.matrix(values_d[0]), b_d[0], masm.matrix(values_y[0]), b_y[0]
+
+
+def block_values(solver, matrix):
+    """A sparse symmetric matrix in the solver's block storage, by a plain scatter.
+
+    The entries of the permuted lower triangle go to their ``solver.slots``;
+    the result is one sample's values for ``solver.factorize_blocks``.
+    """
+    coo = sp.coo_matrix(matrix)
+    rows, cols = solver.iperm[coo.row], solver.iperm[coo.col]
+    lower = rows >= cols
+    slots = solver.slots(rows[lower], cols[lower])
+    if np.any(slots < 0):
+        raise EstimatorError("matrix has entries outside the symbolic pattern")
+    values = np.zeros(solver.size)
+    np.add.at(values, slots, coo.data[lower])
+    return values
+
+
+def factorized(matrix):
+    """A solver built on the pattern of a sparse SPD matrix, factorized on its values."""
+    solver = SparseCholeskySolver(matrix)
+    return solver.factorize_blocks(block_values(solver, matrix))

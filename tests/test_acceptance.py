@@ -23,7 +23,7 @@ from mapdyn.dynamics import (
 )
 from mapdyn.estimator import (
     MapProblem,
-    SparseCholeskySolver,
+    PrecisionPlan,
     complex_step_bias_jacobians,
     finite_difference_bias_jacobians,
     map_solve,
@@ -32,6 +32,7 @@ from mapdyn.estimator import (
 from mapdyn.model import build_human_model, parse_model
 from mapdyn.sensors import (
     MeasurementAssembler,
+    assemble_system,
     default_sensor_specs,
     estimate_sensor_pose,
 )
@@ -49,7 +50,7 @@ from mapdyn.simharness import (
 from mapdyn.spatial import matrix_to_rpy
 
 from conftest import TWO_LINK_XML
-from oracles import lmmse_forms_check, map_as_gls, posterior_precision_terms
+from oracles import lmmse_forms_check, map_as_gls, one_state, one_state_system, posterior_precision_terms
 
 CONTACT_LINKS = ("RightFoot", "RightToe", "LeftToe")
 
@@ -133,7 +134,7 @@ def test_02_constraint_oracle_equivalence():
             q, qd, qdd = random_state(model, rng)
             fx = rng.normal(0, 8.0, (n, 6))
             d = rnea(model, q, qd, qdd, fx_base=fx)
-            mat, b = assembler.assemble(q, qd)
+            mat, b = one_state(assembler, q, qd)
             rel = np.abs(mat @ d + b).max() / (1 + np.abs(d).max())
             worst = max(worst, rel)
             draws += 1
@@ -175,17 +176,18 @@ def test_04_estimator_identities(two_link_problem, human48, human48_truth, human
     gls = map_as_gls(problem)
     gap_gls = np.abs(mean - gls).max() / (1 + np.abs(mean).max())
 
-    # sparse permuted Cholesky equals a dense solve (48-DoF posterior)
+    # the plan-built block Cholesky equals a dense solve (48-DoF posterior)
     truth = human48_truth
     casm = ConstraintAssembler(human48)
     masm = MeasurementAssembler(human48, human48_scenario.sensor_specs)
-    mat_d, b_d = casm.assemble(truth.q[0], truth.qd[0])
-    mat_y, b_y = masm.assemble(truth.q[0], truth.qd[0])
-    big = MapProblem(mat_d, b_d, mat_y, b_y, np.zeros(masm.dim), sigma_y=masm.variances)
-    precision, rhs = posterior_precision_terms(big)
-    solver = SparseCholeskySolver(precision).factorize(precision)
-    x_sparse = solver.solve(rhs)
-    x_dense = np.linalg.solve(precision.toarray(), rhs)
+    values_d, b_d, values_y, b_y = assemble_system(casm, masm, truth.q[0], truth.qd[0])
+    y0 = np.zeros((1, masm.dim))
+    big = MapProblem(casm.matrix(values_d[0]), b_d[0], masm.matrix(values_y[0]), b_y[0], y0[0], sigma_y=masm.variances)
+    plan = PrecisionPlan(big)
+    values, rhs = plan.terms(values_d, b_d, values_y, b_y, y0)
+    x_sparse = plan.solver.factorize_blocks(values[0]).solve(rhs[0])
+    precision, rhs_oracle = posterior_precision_terms(big)
+    x_dense = np.linalg.solve(precision.toarray(), rhs_oracle)
     gap_chol = np.abs(x_sparse - x_dense).max() / (1 + np.abs(x_dense).max())
 
     # the two LMMSE algebraic forms agree; both prior limits hold
@@ -218,60 +220,45 @@ def test_05_end_to_end_recovery(human48, human48_scenario, human48_truth):
     truth = human48_truth
     casm = ConstraintAssembler(human48)
     masm = MeasurementAssembler(human48, human48_scenario.sensor_specs)
+    values_d, b_d, values_y, b_y = assemble_system(casm, masm, truth.q, truth.qd)
+    mat_d, mat_y = casm.matrix(values_d[0]), masm.matrix(values_y[0])
 
     # zero noise, exact-confidence settings: per-channel recovery of d*
     clean = generate_observations(human48_scenario, truth, noiseless=True)
-    solver = None
-    worst = 0.0
-    for k in range(0, truth.times.size, 2):
-        mat_d, b_d = casm.assemble(truth.q[k], truth.qd[k])
-        mat_y, b_y = masm.assemble(truth.q[k], truth.qd[k])
-        problem = MapProblem(
-            mat_d, b_d, mat_y, b_y, clean[k],
-            sigma_D=1e-10, sigma_y=1e-12, sigma_d=1e8,
-        )
-        precision, rhs = posterior_precision_terms(problem)
-        if solver is None:
-            solver = SparseCholeskySolver(precision)
-        solver.factorize(precision)
-        worst = max(worst, np.abs(solver.solve(rhs) - truth.d[k]).max())
+    plan = PrecisionPlan(MapProblem(
+        mat_d, b_d[0], mat_y, b_y[0], clean[0], sigma_D=1e-10, sigma_y=1e-12, sigma_d=1e8,
+    ))
+    every = slice(0, truth.times.size, 2)
+    values, rhs = plan.terms(values_d[every], b_d[every], values_y[every], b_y[every], clean[every])
+    means = plan.solver.factorize_blocks(values).solve(rhs)
+    worst = np.abs(means - truth.d[every]).max()
 
     # noisy run at the default tuning: measured channels beat their noise.
     # The exact claim is on the posterior reconstruction variance; the
     # sampled RMSE over N=200 error draws must sit inside its chi-square
     # envelope around it (some channels are informed only by their own
     # reading, so their true ratio equals 1).
-    from mapdyn.estimator import structural_pattern
-
     sigma = np.sqrt(masm.variances)
     rng = np.random.default_rng(23)
     err2 = np.zeros(masm.dim)
     count = 0
-    solver2 = None
-    wy = None
+    mats_y = [masm.matrix(row) for row in values_y]
+    plan = PrecisionPlan(MapProblem(mat_d, b_d[0], mat_y, b_y[0], clean[0], sigma_y=masm.variances))
+    values, rhs_clean = plan.terms(values_d, b_d, values_y, b_y, clean)
     for k in range(truth.times.size):
-        mat_d, b_d = casm.assemble(truth.q[k], truth.qd[k])
-        mat_y, b_y = masm.assemble(truth.q[k], truth.qd[k])
-        clean_k = mat_y @ truth.d[k] + b_y
-        problem = MapProblem(mat_d, b_d, mat_y, b_y, clean_k, sigma_y=masm.variances)
-        precision, rhs_clean = posterior_precision_terms(problem)
-        if solver2 is None:
-            solver2 = SparseCholeskySolver(structural_pattern(problem))
-        solver2.factorize(precision)
-        weighted = mat_y.T @ sp.diags(1.0 / masm.variances)
+        solver = plan.solver.factorize_blocks(values[k])
+        weighted = mats_y[k].T @ sp.diags(1.0 / masm.variances)
         for _ in range(10):
             noise = rng.normal(0.0, sigma)
-            d_hat = solver2.solve(rhs_clean + weighted @ noise)
-            err2 += np.asarray(mat_y @ (d_hat - truth.d[k])) ** 2
+            d_hat = solver.solve(rhs_clean[k] + weighted @ noise)
+            err2 += np.asarray(mats_y[k] @ (d_hat - truth.d[k])) ** 2
             count += 1
     rmse = np.sqrt(err2 / count)
     margin = (rmse / sigma).max()
     envelope = 1.0 + 3.5 / np.sqrt(2.0 * count)
 
     # deterministic part of the claim at one state
-    mat_d, b_d = casm.assemble(truth.q[0], truth.qd[0])
-    mat_y, b_y = masm.assemble(truth.q[0], truth.qd[0])
-    problem = MapProblem(mat_d, b_d, mat_y, b_y, np.zeros(masm.dim), sigma_y=masm.variances)
+    problem = MapProblem(mat_d, b_d[0], mat_y, b_y[0], np.zeros(masm.dim), sigma_y=masm.variances)
     precision, _ = posterior_precision_terms(problem)
     cov = np.linalg.inv(precision.toarray())
     pred = np.sqrt(np.diag(mat_y.toarray() @ cov @ mat_y.toarray().T))
@@ -295,9 +282,8 @@ def test_06_information_monotonicity(human48, human48_truth):
     asm1 = MeasurementAssembler(human48, specs1)
     asm2 = MeasurementAssembler(human48, specs2)
     q, qd = truth.q[3], truth.qd[3]
-    mat_d, b_d = casm.assemble(q, qd)
-    mat1, bias1 = asm1.assemble(q, qd)
-    mat2, bias2 = asm2.assemble(q, qd)
+    mat_d, b_d, mat1, bias1 = one_state_system(casm, asm1, q, qd)
+    mat2, bias2 = one_state(asm2, q, qd)
 
     # CASE 2 = CASE 1 plus the IMU rows
     case1 = MapProblem(mat_d, b_d, mat1, bias1, np.zeros(asm1.dim), sigma_y=asm1.variances)
@@ -426,8 +412,7 @@ def test_09_augmented_linearized_solve(two_link_model, rng):
 
     def build(x):
         dtype = x.dtype
-        mat_y, b_y = masm.assemble(x[:n], x[n:], dtype=dtype)
-        mat_d, b_d = casm.assemble(x[:n], x[n:], dtype=dtype)
+        mat_d, b_d, mat_y, b_y = one_state_system(casm, masm, x[:n], x[n:], dtype=dtype)
         return mat_y, b_y, mat_d, b_d
 
     dby_cs, dbd_cs = complex_step_bias_jacobians(build, x_bar, d_star)
@@ -435,8 +420,7 @@ def test_09_augmented_linearized_solve(two_link_model, rng):
     rel_y = np.abs(dby_cs - dby_fd).max() / (1 + np.abs(dby_fd).max())
     rel_d = np.abs(dbd_cs - dbd_fd).max() / (1 + np.abs(dbd_fd).max())
 
-    mat_d, b_d = casm.assemble(q, qd)
-    mat_y, b_y = masm.assemble(q, qd)
+    mat_d, b_d, mat_y, b_y = one_state_system(casm, masm, q, qd)
     y = mat_y @ d_star + b_y
     problem = MapProblem(mat_d, b_d, mat_y, b_y, y, sigma_y=masm.variances)
     result = map_solve_augmented(
@@ -458,18 +442,17 @@ def test_10_performance(human48, human48_scenario, human48_truth, tmp_path):
     truth = human48_truth
     casm = ConstraintAssembler(human48)
     masm = MeasurementAssembler(human48, human48_scenario.sensor_specs)
-    mat_d, b_d = casm.assemble(truth.q[0], truth.qd[0])
-    mat_y, b_y = masm.assemble(truth.q[0], truth.qd[0])
-    problem = MapProblem(
-        mat_d, b_d, mat_y, b_y, np.zeros(masm.dim), sigma_y=masm.variances
-    )
-    precision, rhs = posterior_precision_terms(problem)
-    solver = SparseCholeskySolver(precision)  # symbolic precomputed
+    # sample 0 through estimate's per-sample path, the plan built beforehand
+    values_d, b_d, values_y, b_y = assemble_system(casm, masm, truth.q[:1], truth.qd[:1])
+    y = np.zeros((1, masm.dim))
+    plan = PrecisionPlan(MapProblem(
+        casm.matrix(values_d[0]), b_d[0], masm.matrix(values_y[0]), b_y[0], y[0], sigma_y=masm.variances
+    ))
     times = []
     for _ in range(15):
         t0 = time.perf_counter()
-        solver.factorize(precision)
-        solver.solve(rhs)
+        values, rhs = plan.terms(values_d, b_d, values_y, b_y, y)
+        plan.solver.factorize_blocks(values).solve(rhs)
         times.append(time.perf_counter() - t0)
     solve_ms = float(np.median(times) * 1e3)
 
@@ -518,5 +501,5 @@ def test_10_performance(human48, human48_scenario, human48_truth, tmp_path):
     report(
         "10 performance",
         ok,
-        f"48-DoF factor+solve {solve_ms:.2f} ms, 1000-sample estimate {wall:.1f} s / 4 workers",
+        f"48-DoF terms+factor+solve {solve_ms:.2f} ms, 1000-sample estimate {wall:.1f} s / 4 workers",
     )

@@ -760,7 +760,13 @@ class TestFusion:
         assert "'fusion.max_states' must be a positive integer" in capsys.readouterr().err
 
 
+@pytest.mark.filterwarnings("error")
 class TestSensorPose:
+    @pytest.fixture(autouse=True)
+    def _silence_limit_warnings(self):
+        """Joint-limit warnings fail here too: calibration hides no warning."""
+        yield
+
     def test_synthetic_calibration(self, two_link_setup, capsys):
         tmp_path, cfg = two_link_setup
         sp_cfg = dict(cfg)

@@ -21,6 +21,8 @@ from mapdyn.spatial import (
     cross_force,
 )
 
+from oracles import link_poses_4x4, one_state
+
 SINGLE_LINK_XML = """
 <robot name="single">
   <link name="base">
@@ -96,12 +98,12 @@ class TestConstraintAssembly:
         q, qd, qdd = random_state(two_link_model, rng)
         fx = rng.normal(0, 5.0, (2, 6))
         d = rnea(two_link_model, q, qd, qdd, fx_base=fx)
-        mat, b = ConstraintAssembler(two_link_model).assemble(q, qd)
+        mat, b = one_state(ConstraintAssembler(two_link_model), q, qd)
         res = np.abs(mat @ d + b).max()
         assert res <= 1e-9 * (1 + np.abs(d).max())
 
     def test_zero_motion_residual_is_base_gravity_rows(self, two_link_model):
-        mat, b = ConstraintAssembler(two_link_model).assemble(np.array([0.4, -0.2]), np.zeros(2))
+        mat, b = one_state(ConstraintAssembler(two_link_model), np.array([0.4, -0.2]), np.zeros(2))
         res = mat @ np.zeros(52) + b
         # only the acceleration rows of base children carry the gravity bias
         assert np.abs(res[:6]).max() > 1.0
@@ -109,7 +111,7 @@ class TestConstraintAssembly:
         assert np.allclose(res[19:], 0)
 
     def test_dimensions_48dof(self, human_model):
-        mat, b = ConstraintAssembler(human_model).assemble(np.zeros(48), np.zeros(48))
+        mat, b = one_state(ConstraintAssembler(human_model), np.zeros(48), np.zeros(48))
         assert mat.shape == (912, 1248)
         assert b.shape == (912,)
 
@@ -117,8 +119,8 @@ class TestConstraintAssembly:
         assembler = ConstraintAssembler(five_link)
         for _ in range(3):
             q, qd, _ = random_state(five_link, rng)
-            d1, b1 = assembler.assemble(q, qd)
-            fresh_d, fresh_b = ConstraintAssembler(five_link).assemble(q, qd)
+            d1, b1 = one_state(assembler, q, qd)
+            fresh_d, fresh_b = one_state(ConstraintAssembler(five_link), q, qd)
             assert np.allclose((d1 - fresh_d).toarray(), 0)
             assert np.allclose(b1, fresh_b)
 
@@ -150,23 +152,21 @@ class TestConstraintAssembly:
             q, qd, qdd = random_state(model, rng)
             fx = rng.normal(0, 8.0, (n, 6))
             d = rnea(model, q, qd, qdd, fx_base=fx)
-            mat, b = assembler.assemble(q, qd)
+            mat, b = one_state(assembler, q, qd)
             res = np.abs(mat @ d + b).max()
             assert res <= 1e-9 * (1 + np.abs(d).max())
 
 
 class TestKinematicSweep:
     def test_poses_match_forward_kinematics(self, human_model, rng):
-        """The sweep's poses are forward kinematics, to rounding."""
-        import mapdyn.model.kinematics as kinematics
-
+        """The sweep's poses are forward kinematics: 4x4 joint transforms composed link by link, to rounding."""
         q, qd, _ = random_state(human_model, rng, q_scale=0.4)
-        expected = kinematics.forward_kinematics(human_model, q)
+        expected = link_poses_4x4(human_model, q)
         sweep = kinematic_sweep(human_model, q, qd)
         assert sweep.rotation.shape == (1, 49, 3, 3)
         for rotation, position, reference in zip(sweep.rotation[0], sweep.position[0], expected):
-            np.testing.assert_allclose(rotation, reference.rotation, rtol=0, atol=1e-14)
-            np.testing.assert_allclose(position, reference.translation, rtol=0, atol=1e-14)
+            np.testing.assert_allclose(rotation, reference[:3, :3], rtol=0, atol=1e-14)
+            np.testing.assert_allclose(position, reference[:3, 3], rtol=0, atol=1e-14)
 
     def test_rnea_matches_per_sample_oracle(self, human_model, rng):
         """A stack of states gives, per sample, the link-by-link recursion's d."""
@@ -280,7 +280,7 @@ class TestBlockElimination:
         fx = rng.normal(0, 6.0, (2, 6))
         layout = DynLayout(two_link_model)
         d = rnea(two_link_model, q, qd, qdd, fx_base=fx)
-        mat, b_d = ConstraintAssembler(two_link_model).assemble(q, qd)
+        mat, b_d = one_state(ConstraintAssembler(two_link_model), q, qd)
         dense = mat.toarray()
 
         kin_cols = []  # a, fB, f slots

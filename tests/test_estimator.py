@@ -15,26 +15,23 @@ from mapdyn.estimator import (
     map_solve,
     map_solve_augmented,
     shape_prior,
-    sparse_cholesky_solve,
     unobserved_dimension,
 )
-from mapdyn.sensors import MeasurementAssembler, assemble_system
+from mapdyn.sensors import MeasurementAssembler
 from mapdyn.simharness import random_chain_model, random_state, random_tree_model
 
 from oracles import (
+    block_values,
+    factorized,
     gls_solve,
     lmmse_forms_check,
     map_as_gls,
+    one_state,
+    one_state_system,
     posterior_precision_terms,
     prior_precision_terms,
     stacked_rank_deficiency,
 )
-
-
-def one_state_system(casm, masm, q, qd):
-    """(D, b_D, Y, b_Y) at one state, from ``assemble_system``'s stack of one sample."""
-    values_d, b_d, values_y, b_y = assemble_system(casm, masm, q, qd)
-    return casm.matrix(values_d[0]), b_d[0], masm.matrix(values_y[0]), b_y[0]
 
 
 def stack_terms(plan, samples):
@@ -62,12 +59,12 @@ def random_spd(rng, n, density=0.2):
 class TestSparseCholesky:
     def test_identity(self, rng):
         rhs = rng.normal(0, 1, 12)
-        assert np.allclose(sparse_cholesky_solve(sp.identity(12, format="csc"), rhs), rhs)
+        assert np.allclose(factorized(sp.identity(12, format="csc")).solve(rhs), rhs)
 
     def test_matches_dense(self, rng):
         mat = random_spd(rng, 50)
         rhs = rng.normal(0, 1, 50)
-        x = sparse_cholesky_solve(mat, rhs)
+        x = factorized(mat).solve(rhs)
         xd = np.linalg.solve(mat.toarray(), rhs)
         assert np.abs(x - xd).max() < 1e-10 * (1 + np.abs(xd).max())
 
@@ -77,11 +74,10 @@ class TestSparseCholesky:
         casm = ConstraintAssembler(human_model_foot)
         masm = MeasurementAssembler(human_model_foot, default_sensor_specs(human_model_foot))
         q, qd, _ = random_state(human_model_foot, rng, 0.2, 0.3, 0.3)
-        mat_d, b_d = casm.assemble(q, qd)
-        mat_y, b_y = masm.assemble(q, qd)
+        mat_d, b_d, mat_y, b_y = one_state_system(casm, masm, q, qd)
         problem = MapProblem(mat_d, b_d, mat_y, b_y, np.zeros(masm.dim), sigma_y=masm.variances)
         precision, _ = posterior_precision_terms(problem)
-        solver = SparseCholeskySolver(precision)
+        solver = PrecisionPlan(problem).solver
         # 48 link blocks, eliminated without fill: every block of the factor
         # below the diagonal couples two links in the precision (a parent and
         # a child, or two siblings)
@@ -91,23 +87,33 @@ class TestSparseCholesky:
         coupled = set(zip(solver.iperm[blocks.row] // 26, solver.iperm[blocks.col] // 26))
         assert all((q, p) in coupled for p, below in enumerate(solver.below) for q in below)
 
+    @pytest.mark.parametrize("make_model", [random_chain_model, random_tree_model])
+    def test_plan_solver_has_the_blocks_of_the_oracle_precision(self, make_model):
+        """The plan builds its solver from its own pairs of entries: the same blocks,
+        in the same order, as a solver on the pattern of the precision by sparse products."""
+        for problem in random_model_problems(make_model, np.random.default_rng(35)):
+            solver = PrecisionPlan(problem).solver
+            reference = SparseCholeskySolver(posterior_precision_terms(problem)[0])
+            np.testing.assert_array_equal(solver.perm, reference.perm)
+            np.testing.assert_array_equal(solver.widths, reference.widths)
+            assert solver.below == reference.below
+
     def test_permuted_equals_unpermuted(self, rng):
         mat = random_spd(rng, 80)
         rhs = rng.normal(0, 1, 80)
         # the reversed matrix puts other columns into each block and orders the blocks otherwise
         rev = np.arange(80)[::-1]
         mat_rev = sp.csc_matrix(mat.toarray()[np.ix_(rev, rev)])
-        x_perm = sparse_cholesky_solve(mat, rhs)
-        x_nat = sparse_cholesky_solve(mat_rev, rhs[rev])[np.argsort(rev)]
+        x_perm = factorized(mat).solve(rhs)
+        x_nat = factorized(mat_rev).solve(rhs[rev])[np.argsort(rev)]
         r_perm = np.linalg.norm(mat @ x_perm - rhs)
         r_nat = np.linalg.norm(mat @ x_nat - rhs)
         assert abs(r_perm - r_nat) <= 1e-12 * (1 + max(r_perm, r_nat))
 
     def test_non_positive_definite_reports_pivot(self):
         mat = sp.csc_matrix(np.diag([1.0, 1.0, -2.0, 1.0]))
-        solver = SparseCholeskySolver(mat)
         with pytest.raises(NotPositiveDefiniteError) as err:
-            solver.factorize(mat)
+            factorized(mat)
         assert err.value.pivot_index == 2
 
     def test_non_positive_definite_reports_failing_minor(self):
@@ -115,23 +121,18 @@ class TestSparseCholesky:
         dense = np.eye(5)
         dense[2, 3] = dense[3, 2] = 2.0
         mat = sp.csc_matrix(dense)
-        solver = SparseCholeskySolver(mat)
         with pytest.raises(NotPositiveDefiniteError) as err:
-            solver.factorize(mat)
+            factorized(mat)
         assert err.value.pivot_index == 3
 
     def test_tiny_pivot_is_failure_not_silent_jitter(self):
         mat = sp.csc_matrix(np.diag([1.0, 1e-16, 1.0]))
-        solver = SparseCholeskySolver(mat)
         with pytest.raises(NotPositiveDefiniteError):
-            solver.factorize(mat)
-        # explicit jitter opt-in succeeds
-        solver.factorize(mat, jitter=1e-8)
-        assert np.isfinite(solver.solve(np.ones(3))).all()
+            factorized(mat)
 
     def test_marginal_variances_match_dense_inverse(self, rng):
         mat = random_spd(rng, 40)
-        solver = SparseCholeskySolver(mat).factorize(mat)
+        solver = factorized(mat)
         dense = np.linalg.inv(mat.toarray())
         idx = np.array([0, 7, 13, 39])
         assert np.allclose(solver.marginal_variances(idx), np.diag(dense)[idx], rtol=1e-10)
@@ -175,7 +176,7 @@ class TestSelectedInversion:
     )
     def test_matches_dense_inverse_on_band_matrices(self, rng, n, bandwidth):
         mat = random_band_spd(rng, n, bandwidth)
-        solver = SparseCholeskySolver(mat).factorize(mat)
+        solver = factorized(mat)
         assert sorted(solver.widths) == sorted([26] * (n // 26) + ([n % 26] if n % 26 else []))
         expected = np.diag(np.linalg.inv(mat.toarray()))
         np.testing.assert_allclose(solver.marginal_variances(np.arange(n)), expected, rtol=1e-10)
@@ -184,7 +185,7 @@ class TestSelectedInversion:
 
     def test_48dof_posterior_matches_dense_inverse(self, human_model_foot, rng):
         precision, _ = posterior_precision_terms(human_posterior(human_model_foot, rng))
-        solver = SparseCholeskySolver(precision).factorize(precision)
+        solver = factorized(precision)
         expected = np.diag(np.linalg.inv(precision.toarray()))
         np.testing.assert_allclose(solver.marginal_variances(np.arange(solver.n)), expected, rtol=1e-10)
 
@@ -192,7 +193,7 @@ class TestSelectedInversion:
         import tracemalloc
 
         precision, _ = posterior_precision_terms(human_posterior(human_model_foot, rng))
-        solver = SparseCholeskySolver(precision).factorize(precision)
+        solver = factorized(precision)
         assert solver.n == 1248
         tracemalloc.start()
         try:
@@ -204,22 +205,11 @@ class TestSelectedInversion:
 
 
 class TestPrecisionPlan:
-    def _blocks_of(self, solver, precision):
-        """The permuted lower triangle of a sparse precision in block storage, by a plain scatter."""
-        coo = precision.tocoo()
-        rows, cols = solver.iperm[coo.row], solver.iperm[coo.col]
-        keep = rows >= cols
-        slots = solver.slots(rows[keep], cols[keep])
-        assert np.all(slots >= 0)
-        blocks = np.zeros(solver.size)
-        np.add.at(blocks, slots, coo.data[keep])
-        return blocks
-
     def _check(self, problem):
         plan = PrecisionPlan(problem)
         band, rhs = one_sample_terms(plan, problem)
         precision, expected_rhs = posterior_precision_terms(problem)
-        expected = self._blocks_of(plan.solver, precision)
+        expected = block_values(plan.solver, precision)
         np.testing.assert_allclose(band, expected, rtol=1e-13, atol=1e-13 * np.abs(expected).max())
         np.testing.assert_allclose(rhs, expected_rhs, rtol=1e-13, atol=1e-13 * np.abs(expected_rhs).max())
 
@@ -350,8 +340,7 @@ class TestMapSolve:
     def test_recovers_truth_with_tight_measurements(self, two_link_model, rng):
         q, qd, qdd = random_state(two_link_model, rng)
         d_star = rnea(two_link_model, q, qd, qdd)
-        casm = ConstraintAssembler(two_link_model)
-        mat_d, b_d = casm.assemble(q, qd)
+        mat_d, b_d = one_state(ConstraintAssembler(two_link_model), q, qd)
         dim = d_star.size
         problem = MapProblem(
             mat_d, b_d,
@@ -615,8 +604,7 @@ class TestAugmentedSolve:
 
         def build(x):
             dtype = x.dtype
-            mat_y, b_y = masm.assemble(x[:n], x[n:], dtype=dtype)
-            mat_d, b_d = casm.assemble(x[:n], x[n:], dtype=dtype)
+            mat_d, b_d, mat_y, b_y = one_state_system(casm, masm, x[:n], x[n:], dtype=dtype)
             return mat_y, b_y, mat_d, b_d
 
         dby_cs, dbd_cs = complex_step_bias_jacobians(build, x_bar, d_bar)
@@ -635,15 +623,13 @@ class TestAugmentedSolve:
         q, qd, qdd = random_state(two_link_model, rng)
         d_star = rnea(two_link_model, q, qd, qdd)
         x_bar = np.concatenate([q, qd])
-        mat_d, b_d = casm.assemble(q, qd)
-        mat_y, b_y = masm.assemble(q, qd)
+        mat_d, b_d, mat_y, b_y = one_state_system(casm, masm, q, qd)
         y = mat_y @ d_star + b_y
         problem = MapProblem(mat_d, b_d, mat_y, b_y, y, sigma_y=masm.variances)
 
         def build(x):
             dtype = x.dtype
-            ymat, by = masm.assemble(x[:n], x[n:], dtype=dtype)
-            dmat, bd = casm.assemble(x[:n], x[n:], dtype=dtype)
+            dmat, bd, ymat, by = one_state_system(casm, masm, x[:n], x[n:], dtype=dtype)
             return ymat, by, dmat, bd
 
         def jac(d_bar, xb):
@@ -742,7 +728,7 @@ class TestBlockSolver:
             dense[26 * k: 26 * k + 26, 26 * nxt: 26 * nxt + 26] = rng.normal(0.0, 0.1, (26, 26))
         dense += dense.T + np.diag(np.abs(dense).sum(axis=1) + 1.0)
         mat = sp.csc_matrix(dense)
-        solver = SparseCholeskySolver(mat).factorize(mat)
+        solver = factorized(mat)
         assert sum(len(below) for below in solver.below) == 5  # the ring's 4 couplings and 1 fill
         rhs = rng.normal(0.0, 1.0, 104)
         expected = np.linalg.solve(dense, rhs)

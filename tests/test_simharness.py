@@ -13,9 +13,10 @@ from mapdyn.simharness import (
     TrajectorySpec,
     generate_ground_truth,
     generate_observations,
-    max_constraint_residual,
     waveform_from_config,
 )
+
+from oracles import max_constraint_residual, one_state_system
 
 
 def scenario_for(model, duration=0.5, rate=100.0, seed=0, amplitude=0.3):
@@ -134,8 +135,7 @@ class TestObservations:
         casm = ConstraintAssembler(two_link_model)
         masm = MeasurementAssembler(two_link_model, scenario.sensor_specs)
         for k in range(truth.times.size):
-            mat_d, b_d = casm.assemble(truth.q[k], truth.qd[k])
-            mat_y, b_y = masm.assemble(truth.q[k], truth.qd[k])
+            mat_d, b_d, mat_y, b_y = one_state_system(casm, masm, truth.q[k], truth.qd[k])
             problem = MapProblem(
                 mat_d, b_d, mat_y, b_y, obs[k],
                 sigma_D=1e-10, sigma_y=1e-12, sigma_d=1e8,
@@ -149,18 +149,6 @@ class TestObservations:
         obs1 = generate_observations(scenario, truth)
         obs2 = generate_observations(scenario, truth)
         assert np.array_equal(obs1, obs2)
-
-    def test_measurement_set_series(self, two_link_model):
-        from mapdyn.simharness import measurement_set_series
-
-        scenario = scenario_for(two_link_model, duration=0.1, rate=50.0)
-        truth = generate_ground_truth(scenario)
-        sets = measurement_set_series(scenario, truth, noiseless=True)
-        assert len(sets) == truth.times.size
-        assert all(s.y.shape == (23,) for s in sets)
-        assert np.array_equal(
-            np.stack([s.y for s in sets]), generate_observations(scenario, truth, noiseless=True)
-        )
 
     def test_noise_scaling(self, two_link_model):
         base = scenario_for(two_link_model, duration=6.0, rate=100.0)
