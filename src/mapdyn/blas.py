@@ -1,11 +1,19 @@
-"""Thread counts of the OpenBLAS copies bundled in the numpy and scipy wheels.
+"""The OpenBLAS copies bundled in the numpy and scipy wheels.
 
 The numpy and scipy wheels each ship their own OpenBLAS build, each with its
 own thread pool sized to the core count. A process pool that already keeps
 every core busy has to run both copies single-threaded, or each worker adds
 one BLAS thread per core per copy and the cores are oversubscribed. The
 counts are set and read back through each copy's exported thread-count
-functions via ctypes, so no extra package is needed.
+functions via ctypes, so no extra package is needed. scipy's copy is opened
+by path: no ``scipy`` subpackage is imported for it.
+
+The block solver's LAPACK routines, the Cholesky factor ``dpotrf`` and the
+triangular inverse ``dtrtri``, come from a bundled copy through ctypes too
+(``cholesky_inverse``): scipy's, the very library ``scipy.linalg.lapack``
+calls, else numpy's. So the solver's path needs no ``scipy.linalg``. Where
+neither copy exports them (MKL or system-BLAS builds),
+``scipy.linalg.lapack`` is the fallback.
 """
 
 from __future__ import annotations
@@ -14,6 +22,8 @@ import ctypes
 import functools
 import logging
 from pathlib import Path
+
+import numpy as np
 
 log = logging.getLogger("mapdyn")
 
@@ -26,33 +36,59 @@ _SYMBOLS = (
     ("openblas_set_num_threads", "openblas_get_num_threads"),
 )
 
+# (package, dpotrf, dtrtri, LAPACK integer) of the bundled copies. scipy's
+# copy comes first: it is the library scipy.linalg.lapack calls, so its
+# factors are the ones scipy's wrappers give, and a potrf + trtri pair on a
+# 26 x 26 block took 6.8 us there against 7.4 us in numpy's copy. The
+# scipy-openblas builds (scipy >= 1.13, numpy >= 2) prefix their symbols;
+# numpy's copy is an ILP64 build, with 64-bit integers.
+_LAPACK_SYMBOLS = (
+    ("scipy", "scipy_dpotrf_", "scipy_dtrtri_", ctypes.c_int32),
+    ("scipy", "dpotrf_", "dtrtri_", ctypes.c_int32),
+    ("numpy", "scipy_dpotrf_64_", "scipy_dtrtri_64_", ctypes.c_int64),
+    ("numpy", "dpotrf_64_", "dtrtri_64_", ctypes.c_int64),
+)
+
+
+def _bundled_libs(package):
+    """(searched directories, OpenBLAS libraries found in them) of a wheel.
+
+    `<package>.libs` for Linux and Windows wheels, `<package>/.dylibs` for
+    macOS wheels.
+    """
+    root = Path(package.__file__).parent
+    lib_dirs = (root.parent / f"{package.__name__}.libs", root / ".dylibs")
+    return lib_dirs, [lib for lib_dir in lib_dirs for lib in sorted(lib_dir.glob("lib*openblas*"))]
+
+
+def _open(lib: Path):
+    try:
+        return ctypes.CDLL(str(lib))
+    except OSError:
+        return None
+
 
 @functools.cache
 def bundled_openblas() -> dict:
     """{"<libs dir>/<library>": (set_threads, get_threads)} per bundled copy.
 
-    Searches `numpy.libs` / `scipy.libs` (Linux and Windows wheels) and
-    `numpy/.dylibs` / `scipy/.dylibs` (macOS wheels). A package without a
-    bundled OpenBLAS (an MKL or system-BLAS build) is logged as a warning
-    once per process, since its threads cannot be capped here.
+    A package without a bundled OpenBLAS (an MKL or system-BLAS build) is
+    logged as a warning once per process, since its threads cannot be
+    capped here.
     """
-    import numpy
     import scipy
-    import scipy.linalg  # noqa: F401  (loads scipy's copy)
 
     copies = {}
-    for package in (numpy, scipy):
-        root = Path(package.__file__).parent
-        lib_dirs = (root.parent / f"{package.__name__}.libs", root / ".dylibs")
+    for package in (np, scipy):
+        lib_dirs, libs = _bundled_libs(package)
         found = False
-        for lib_dir in lib_dirs:
-            for lib in sorted(lib_dir.glob("lib*openblas*")):
-                funcs = _thread_functions(lib)
-                if funcs is None:
-                    log.warning("%s has no usable OpenBLAS thread-count function; its BLAS threads are not capped", lib)
-                    continue
-                copies[f"{lib_dir.name}/{lib.name}"] = funcs
-                found = True
+        for lib in libs:
+            funcs = _thread_functions(lib)
+            if funcs is None:
+                log.warning("%s has no usable OpenBLAS thread-count function; its BLAS threads are not capped", lib)
+                continue
+            copies[f"{lib.parent.name}/{lib.name}"] = funcs
+            found = True
         if not found:
             log.warning(
                 "no bundled OpenBLAS found for %s in %s; its BLAS threads are not capped "
@@ -63,10 +99,7 @@ def bundled_openblas() -> dict:
 
 
 def _thread_functions(lib: Path):
-    try:
-        handle = ctypes.CDLL(str(lib))
-    except OSError:
-        return None
+    handle = _open(lib)
     for set_name, get_name in _SYMBOLS:
         setter = getattr(handle, set_name, None)
         getter = getattr(handle, get_name, None)
@@ -94,3 +127,109 @@ def set_blas_threads(counts) -> dict:
         if n is not None:
             setter(n)
     return previous
+
+
+# ---------------------------------------------------------------------------
+# Cholesky factor and triangular inverse of stacked blocks
+
+
+def bundled_lapack() -> list:
+    """An ``OpenBlasCholeskyInverse`` per bundled copy and symbol pair found, in
+    the order of ``_LAPACK_SYMBOLS``."""
+    import scipy
+
+    packages = {"numpy": np, "scipy": scipy}
+    routes = []
+    for package, potrf, trtri, integer in _LAPACK_SYMBOLS:
+        for lib in _bundled_libs(packages[package])[1]:
+            funcs = [getattr(_open(lib), name, None) for name in (potrf, trtri)]
+            if None not in funcs:
+                routes.append(OpenBlasCholeskyInverse(*funcs, integer, f"{lib.parent.name}/{lib.name}"))
+    return routes
+
+
+@functools.cache
+def cholesky_inverse():
+    """The routine that turns a stack of SPD blocks into inverted Cholesky factors.
+
+    It is called as ``route(blocks, address)``: ``blocks`` is a (samples,
+    w, w) float64 array whose blocks are each C-contiguous, and ``address``
+    the address of its first entry, which a caller that cut the blocks from
+    a stack has at hand. Each block's lower triangle becomes the inverse of
+    its lower Cholesky factor, in place; its strict upper triangle is left
+    as it is. The result is ``None``, or ``(sample, order)`` for the first
+    sample whose leading minor of that order is not positive definite. The
+    route is the first of ``bundled_lapack``, else ``scipy.linalg.lapack``.
+    """
+    routes = bundled_lapack()
+    if routes:
+        return routes[0]
+    log.info("no bundled OpenBLAS exports dpotrf/dtrtri; the block solver uses scipy.linalg.lapack")
+    return ScipyCholeskyInverse()
+
+
+@functools.lru_cache(maxsize=1024)
+def _block_pointers(address, count, step):
+    """ctypes pointers to ``count`` blocks ``step`` bytes apart from ``address``.
+
+    A solver refills one stack batch after batch, so the pointers of its
+    blocks are built once and then found here.
+    """
+    return tuple(ctypes.c_void_p(address + k * step) for k in range(count))
+
+
+@functools.cache
+def _order(integer, width):
+    return ctypes.byref(integer(width))
+
+
+class OpenBlasCholeskyInverse:
+    """``dpotrf`` and ``dtrtri`` of a bundled OpenBLAS copy, through ctypes.
+
+    The transpose of a C-ordered block is the Fortran-ordered upper factor,
+    which LAPACK factorizes and inverts in place. Every argument goes as a
+    prebuilt ctypes object, with no ``argtypes``: converting the arguments
+    on each call made the pair of calls slower than scipy's f2py wrappers.
+    So the blocks are checked here, before their pointers go out.
+    """
+
+    def __init__(self, potrf, trtri, integer, library):
+        potrf.restype = trtri.restype = None
+        self._potrf, self._trtri, self._integer = potrf, trtri, integer
+        self.library = library
+        self._upper = ctypes.byref(ctypes.c_char(b"U"))
+        self._not_unit = ctypes.byref(ctypes.c_char(b"N"))
+
+    def __call__(self, blocks, address):
+        samples, width, columns = blocks.shape
+        item = blocks.itemsize
+        if blocks.dtype != np.float64 or columns != width or (width > 1 and blocks.strides[1:] != (width * item, item)):
+            raise ValueError("LAPACK needs square float64 blocks, each C-contiguous")
+        potrf, trtri, upper, not_unit = self._potrf, self._trtri, self._upper, self._not_unit
+        # ctypes releases the GIL during a call, so each call has its own info
+        info = self._integer()
+        info_ref = ctypes.byref(info)
+        n = _order(self._integer, width)
+        for k, block in enumerate(_block_pointers(address, samples, blocks.strides[0])):
+            potrf(upper, n, block, n, info_ref)
+            if info.value > 0:  # the leading minor of order info is not positive definite
+                return k, info.value
+            trtri(upper, not_unit, n, block, n, info_ref)
+        return None
+
+
+class ScipyCholeskyInverse:
+    """``dpotrf`` and ``dtrtri`` of ``scipy.linalg.lapack``, block by block."""
+
+    def __init__(self):
+        from scipy.linalg.lapack import dpotrf, dtrtri
+
+        self._potrf, self._trtri = dpotrf, dtrtri
+
+    def __call__(self, blocks, address=None):
+        for k, block in enumerate(blocks):
+            _, info = self._potrf(block.T, 0, 0, 1)  # upper, leave the rest, overwrite
+            if info > 0:
+                return k, info
+            self._trtri(block.T, 0, 0, 1)  # upper, not unit, overwrite
+        return None

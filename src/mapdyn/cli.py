@@ -11,6 +11,7 @@ Exit codes: 0 ok, 1 usage, 2 input/model error, 3 numerical failure.
 from __future__ import annotations
 
 import csv
+import ctypes
 import hashlib
 import json
 import logging
@@ -30,7 +31,6 @@ from mapdyn.model.kinematics import check_joint_angles
 from mapdyn.estimator import (
     UNOBSERVED_TOL,
     EstimatorError,
-    MapProblem,
     PrecisionPlan,
     RankDeficiencyError,
     unobserved_dimension,
@@ -122,7 +122,8 @@ def write_manifest(out_dir: Path, command: str, cfg: dict, seed, inputs=(), outp
     }
     path = out_dir / "manifest.json"
     with open(path, "w") as fh:
-        json.dump(manifest, fh, indent=2, sort_keys=True)
+        # strict JSON: a NaN or an infinity here is a bug, not a value
+        json.dump(manifest, fh, indent=2, sort_keys=True, allow_nan=False)
     return path
 
 
@@ -165,6 +166,17 @@ def read_csv(path):
     except ValueError:
         pass
     return header, _parse_rows(path, header, lines)
+
+
+def _require_finite(path, header, data, columns):
+    """Raise InputError at the first non-finite cell of ``data[:, columns]``, by line and column."""
+    bad = np.argwhere(~np.isfinite(data[:, columns]))
+    if bad.size:
+        row, col = bad[0]
+        column = columns[col]
+        raise InputError(
+            f"{path}, line {row + 2}, column {header[column]!r}: {float(data[row, column])!r} is not a finite number"
+        )
 
 
 def _parse_rows(path, header, lines):
@@ -364,20 +376,47 @@ ESTIMATE_BATCH = 8
 CHUNK_MIN = 4
 
 
+# glibc's mallopt parameters
+_M_TRIM_THRESHOLD, _M_MMAP_THRESHOLD = -1, -3
+
+
+def _keep_freed_heap():
+    """Keep freed memory in the heap for the next batch (glibc; elsewhere a no-op).
+
+    A batch's temporaries take a few MB, some of them over glibc's default
+    128 kB thresholds. In a process that imported little, so that its heap
+    is small, glibc then returns the heap top to the system after a batch
+    and faults it back in for the next one: a pool worker on the
+    `state-tau` inputs (160 samples, chunks of 20) took 121 minor page
+    faults per sample, about 0.3 ms of system time on a 2-core host,
+    against 15 with these thresholds. Forked workers inherit them.
+    """
+    try:
+        mallopt = ctypes.CDLL(None).mallopt
+    except (OSError, TypeError, AttributeError):
+        return
+    mallopt.argtypes, mallopt.restype = [ctypes.c_int, ctypes.c_int], ctypes.c_int
+    mallopt(_M_TRIM_THRESHOLD, 16 << 20)
+    mallopt(_M_MMAP_THRESHOLD, 4 << 20)
+
+
 def _estimate_worker_init(model_xml, sensors_cfg, cov_cfg, marginal_mode):
     # one BLAS thread per worker: the pool already saturates the cores
     set_blas_threads(1)
     model = parse_model(model_xml)
     specs = sensor_specs_from_config(model, {"sensors": sensors_cfg})
     layout = DynLayout(model)
-    _WORKER["model"] = model
-    _WORKER["constraints"] = ConstraintAssembler(model)
-    _WORKER["measurements"] = MeasurementAssembler(model, specs)
-    _WORKER["layout"] = layout
-    _WORKER["cov"] = cov_cfg
+    casm, masm = ConstraintAssembler(model), MeasurementAssembler(model, specs)
+    sigma_D, sigma_d, mu_d = cov_cfg
+    _WORKER["constraints"] = casm
+    _WORKER["measurements"] = masm
+    _WORKER["sigma_d"] = sigma_d
     _WORKER["marginal_idx"] = _marginal_indices(layout, marginal_mode)
-    _WORKER["plan"] = None
-    _WORKER["stack"] = None
+    # the layouts of D and Y are fixed: one plan, and one factor stack
+    # refilled batch after batch
+    plan = PrecisionPlan(casm.pattern, masm.pattern, sigma_D, masm.variances, mu_d, sigma_d)
+    _WORKER["plan"] = plan
+    _WORKER["stack"] = np.empty((ESTIMATE_BATCH, plan.solver.size))
 
 
 def _marginal_indices(layout, mode):
@@ -392,7 +431,8 @@ def _estimate_chunk(args):
     indices, q_rows, qd_rows, y_rows = args
     casm = _WORKER["constraints"]
     masm = _WORKER["measurements"]
-    sigma_D, sigma_d, mu_d = _WORKER["cov"]
+    plan = _WORKER["plan"]
+    sigma_d = _WORKER["sigma_d"]
     marg_idx = _WORKER["marginal_idx"]
     all_idx = np.arange(casm.layout.size)
     means = np.empty((len(indices), casm.layout.size))
@@ -402,16 +442,6 @@ def _estimate_chunk(args):
     limit_violations = check_joint_angles(casm.model, q_rows)
     # one kinematic sweep for the chunk; the factorization runs in stacks
     system = assemble_system(casm, masm, q_rows, qd_rows)
-    if _WORKER["plan"] is None:
-        # the layout of D and Y is fixed: check and plan it once
-        _WORKER["plan"] = PrecisionPlan(MapProblem(
-            casm.matrix(system[0][0]), system[1][0], masm.matrix(system[2][0]), system[3][0], y_rows[0],
-            sigma_D=sigma_D, sigma_y=masm.variances, mu_d=mu_d, sigma_d=sigma_d,
-        ))
-    plan = _WORKER["plan"]
-    if _WORKER["stack"] is None:
-        # one factor stack per worker, refilled batch after batch
-        _WORKER["stack"] = np.empty((ESTIMATE_BATCH, plan.solver.size))
     for start in range(0, len(indices), ESTIMATE_BATCH):
         batch = slice(start, min(start + ESTIMATE_BATCH, len(indices)))
         stack = _WORKER["stack"][: batch.stop - batch.start]
@@ -433,6 +463,7 @@ def _estimate_chunk(args):
 @click.option("--workers", default=None, type=int, help="worker processes (default: cores)")
 def cmd_estimate(config_path, model_override, out_dir, workers):
     """MAP estimation over an observation series (state CSV or IK from poses)."""
+    _keep_freed_heap()
     cfg = load_config(config_path)
     out = _out_dir(cfg, out_dir)
     model, model_path = load_model_from_config(cfg, model_override)
@@ -462,6 +493,8 @@ def cmd_estimate(config_path, model_override, out_dir, workers):
             raise InputError(
                 f"state CSV needs time plus q and qd columns ({1 + 2 * n}), found {data.shape[1]}"
             )
+        # a state has no variance: unlike a reading, a non-finite one cannot be missing
+        _require_finite(inputs_cfg["state"], header, data, np.arange(1, 1 + 2 * n))
         q_series = data[:, 1: 1 + n]
         qd_series = data[:, 1 + n: 1 + 2 * n]
         input_files.append(Path(inputs_cfg["state"]))
@@ -597,6 +630,7 @@ def _state_from_poses(model, cfg, poses_path):
     for name in real:
         if f"{name}_x" not in col:
             raise InputError(f"pose CSV lacks columns for link {name!r}")
+    _require_finite(poses_path, header, data, np.concatenate([col[f"{name}_x"] + np.arange(6) for name in real]))
 
     pairs = _real_link_pairs(model)
     n = model.n_dof
@@ -685,8 +719,9 @@ def cmd_fusion(config_path, model_override, out_dir):
 
     tau_idx = layout.tau_indices()
     per_case = np.zeros((len(case_specs), model.n_dof))
-    plans = [None] * len(assemblers)
     casm = ConstraintAssembler(model)
+    # the layouts of D and Y are fixed: one plan per case
+    plans = [PrecisionPlan(casm.pattern, asm.pattern, sigma_D, asm.variances, mu_d, sigma_d) for asm in assemblers]
     for chunk in sample_chunks(len(q_states)):
         # one sweep per stack of states serves the constraints and every case
         sweep = kinematic_sweep(model, q_states[chunk], qd_states[chunk])
@@ -694,12 +729,6 @@ def cmd_fusion(config_path, model_override, out_dir):
         for ci, asm in enumerate(assemblers):
             values_y, b_y = asm.assemble_values(sweep)
             y = np.zeros((len(values_y), asm.dim))
-            if plans[ci] is None:
-                # the layouts of D and Y are fixed: check and plan each case once
-                plans[ci] = PrecisionPlan(MapProblem(
-                    casm.matrix(values_d[0]), b_d[0], asm.matrix(values_y[0]), b_y[0], y[0],
-                    sigma_D=sigma_D, sigma_y=asm.variances, mu_d=mu_d, sigma_d=sigma_d,
-                ))
             values, _ = plans[ci].terms(values_d, b_d, values_y, b_y, y)
             for variances in plans[ci].solver.factorize_blocks(values).marginal_variances(tau_idx):
                 per_case[ci] += variances

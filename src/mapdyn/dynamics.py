@@ -26,7 +26,6 @@ import weakref
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.sparse as sp
 
 from mapdyn.spatial import (
     GRAVITY_SPATIAL,
@@ -354,21 +353,22 @@ class BlockPattern:
     def freeze(self, shape):
         """Fix the shape and the CSC layout; no blocks may follow.
 
-        ``constant`` holds the constant entries in CSC data order, with
-        zeros where state-dependent entries go.
+        ``rows`` and ``cols`` hold the row and column of each stored entry
+        in CSC data order (by column, then row), and ``constant`` the
+        constant entries in that order, with zeros where state-dependent
+        entries go.
         """
         self.shape = shape
         stored = np.flatnonzero(np.concatenate(self._stored))
-        marker = sp.coo_matrix(
-            (stored, (np.concatenate(self._rows)[stored], np.concatenate(self._cols)[stored])),
-            shape=shape,
-        ).tocsc()
-        self.nnz = marker.nnz
-        self.constant = np.concatenate(self._values)[marker.data]
+        rows, cols = np.concatenate(self._rows)[stored], np.concatenate(self._cols)[stored]
+        # blocks never overlap, so each (row, col) is stored once
+        order = np.lexsort((rows, cols))
+        entries = stored[order]
+        self.rows, self.cols = rows[order], cols[order]
+        self.nnz = entries.size
+        self.constant = np.concatenate(self._values)[entries]
         self._slot_of = np.full(self._entries, -1, dtype=np.intp)
-        self._slot_of[marker.data] = np.arange(self.nnz)
-        self._indices = marker.indices
-        self._indptr = marker.indptr
+        self._slot_of[entries] = np.arange(self.nnz)
 
     def state_slots(self, blocks):
         """(CSC slots, sources) of the stored entries of state-dependent blocks.
@@ -389,7 +389,10 @@ class BlockPattern:
 
     def csc(self, values):
         """The CSC matrix of one sample's values, a vector in CSC data order."""
-        return sp.csc_matrix((values, self._indices, self._indptr), shape=self.shape)
+        import scipy.sparse as sp  # only the sparse entry points need it
+
+        indptr = np.searchsorted(self.cols, np.arange(self.shape[1] + 1))
+        return sp.csc_matrix((values, self.rows, indptr), shape=self.shape)
 
 
 class ConstraintAssembler:
@@ -434,7 +437,7 @@ class ConstraintAssembler:
             pattern.add(r0 + 18, c0 + OFF_F, 1, 6, s)
             pattern.add(r0 + 18, c0 + OFF_TAU, 1, 1, -1.0)
         pattern.freeze((self.n_rows, self.n_cols))
-        self._pattern = pattern
+        self.pattern = pattern
         self._motion_slots, self._motion_sources = pattern.state_slots(motion_blocks)
         self._force_slots, self._force_sources = pattern.state_slots(force_blocks)
         self._base_children = np.array(model.children[0], dtype=np.intp)
@@ -445,7 +448,7 @@ class ConstraintAssembler:
 
     def matrix(self, values):
         """D as a CSC matrix from one sample's values (CSC data order)."""
-        return self._pattern.csc(values)
+        return self.pattern.csc(values)
 
     def assemble_values(self, sweep, dtype=float):
         """(values, b_D) of a stack of samples from their kinematic sweep.
@@ -454,7 +457,7 @@ class ConstraintAssembler:
         ``b_D`` is (T, rows).
         """
         n_samples = sweep.v.shape[0]
-        values = self._pattern.stack(n_samples, dtype)
+        values = self.pattern.stack(n_samples, dtype)
         values[:, self._motion_slots] = sweep.x_from_parent.reshape(n_samples, -1)[:, self._motion_sources]
         values[:, self._force_slots] = -sweep.x0_force.reshape(n_samples, -1)[:, self._force_sources]
         b = np.zeros((n_samples, self.model.n_moving, BLOCK_ROWS), dtype=dtype)

@@ -20,13 +20,18 @@ leave undetermined (``unobserved_dimension``).
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
+from types import SimpleNamespace
+from typing import TYPE_CHECKING
 
 import numpy as np
-import scipy.sparse as sp
-from scipy.linalg.lapack import dpotrf, dtrtri
 
+from mapdyn.blas import cholesky_inverse
 from mapdyn.dynamics import BLOCK_COLS
+
+if TYPE_CHECKING:
+    import scipy.sparse as sp
 
 # pivots below this fraction of the largest diagonal entry are treated as
 # factorization failures
@@ -75,24 +80,23 @@ class SparseCholeskySolver:
     and a stack of samples is an array of shape (samples, size).
 
     The numeric phase works on the stack in place: per block a LAPACK
-    Cholesky and triangular inverse for each sample, then batched products
-    for the panel and the Schur updates. A panel's diagonal block keeps the
-    inverse of its Cholesky factor, so ``solve`` is products only. All
-    marginal variances come from the block Takahashi recurrence from the
-    root to the leaves, which writes the selected inverse over the factor.
+    Cholesky and triangular inverse for each sample (``blas.cholesky_inverse``),
+    then batched products for the panel and the Schur updates. A panel's
+    diagonal block keeps the inverse of its Cholesky factor, so ``solve`` is
+    products only. All marginal variances come from the block Takahashi
+    recurrence from the root to the leaves, which writes the selected
+    inverse over the factor.
     Symbolic state is read-only after construction and shareable across
     workers; numeric state is per instance.
     """
 
-    def __init__(self, pattern: sp.spmatrix):
-        pattern = sp.coo_matrix(pattern)
-        if pattern.shape[0] != pattern.shape[1]:
-            raise EstimatorError("solver needs a square matrix")
-        self.n = n = pattern.shape[0]
+    def __init__(self, rows, cols, n):
+        """The symbolic phase for an n x n matrix that stores entries at (rows, cols)."""
+        self.n = n
         block_of = np.arange(n) // BLOCK_COLS
         n_blocks = -(-n // BLOCK_COLS)
         neighbours = [set() for _ in range(n_blocks)]
-        coupled = np.unique(block_of[pattern.row] * n_blocks + block_of[pattern.col])
+        coupled = np.unique(block_of[rows] * n_blocks + block_of[cols])
         for i, j in zip(*(part.tolist() for part in np.divmod(coupled, n_blocks))):
             if i != j:
                 neighbours[i].add(j)
@@ -117,6 +121,8 @@ class SparseCholeskySolver:
                 heights[p] += widths[q]
         self._offsets = np.concatenate([[0], np.cumsum(heights * widths)]).astype(np.intp)
         self.size = int(self._offsets[-1])
+        # where each panel starts in a sample's values, in bytes, for LAPACK's pointers
+        self._byte_offsets = (self._offsets[:-1] * np.dtype(float).itemsize).tolist()
         self._block_of = np.repeat(np.arange(n_blocks), widths)
         self.diag_slots = self.slots(np.arange(n), np.arange(n))
         # per block, the permuted indices of the blocks below it, and the
@@ -151,35 +157,37 @@ class SparseCholeskySolver:
         """Numeric factorization of a stack of matrices in the block storage.
 
         ``values`` is one sample's (``size``,) vector or a (samples, size)
-        stack; it is factorized in place. Each sample is factorized on its
-        own: a stack gives the same numbers as its samples one by one.
+        stack of the lower triangle, at the ``slots``; the upper triangle of
+        the diagonal blocks, which no slot names, holds zeros. It is
+        factorized in place. Each sample is factorized on its own: a stack
+        gives the same numbers as its samples one by one.
         Reported pivot indices refer to the caller's (unpermuted) ordering;
         ``min_pivot_ratio`` is, per sample, the smallest squared pivot over
-        the largest diagonal entry.
+        the largest diagonal entry. A non-finite pivot (a NaN or infinite
+        value, say from a non-finite state) fails as a small one does.
         """
         if values.shape[-1] != self.size or values.ndim > 2:
             raise EstimatorError("values do not match the block storage of the symbolic pattern")
         stack = np.ascontiguousarray(values, dtype=float).reshape(-1, self.size)
         max_diag = np.take(stack, self.diag_slots, axis=1).max(axis=1, initial=0.0)
+        cholesky = cholesky_inverse()
+        address = stack.ctypes.data
         for p, width in enumerate(self.widths):
             panel = self._panel(stack, p)
             diag = panel[:, :width]
-            for k in range(len(stack)):
-                # the transpose of a C-ordered block is the Fortran-ordered
-                # upper factor, which LAPACK factorizes and inverts in place
-                _, info = dpotrf(diag[k].T, 0, 1, 1)  # upper, clean, overwrite
-                if info > 0:  # the leading minor of order info is not positive definite
-                    raise self._failure(self.starts[p] + info - 1, k, len(stack))
-                dtrtri(diag[k].T, 0, 0, 1)  # upper, not unit, overwrite
+            failed = cholesky(diag, address + self._byte_offsets[p])
+            if failed is not None:
+                k, order = failed
+                raise self._failure(self.starts[p] + order - 1, k, len(stack))
             below = panel[:, width:]
             if below.shape[1]:
                 below[:] = below @ diag.transpose(0, 2, 1)
                 self._schur_update(stack, p, below)
         # the inverted factor's diagonal holds the reciprocal pivots
         pivots = 1.0 / np.take(stack, self.diag_slots, axis=1) ** 2
-        small = pivots < PIVOT_REL_TOL * max_diag[:, None]
-        if np.any(small):
-            k, i = np.argwhere(small)[0]
+        failing = ~np.isfinite(pivots) | (pivots < PIVOT_REL_TOL * max_diag[:, None])
+        if np.any(failing):
+            k, i = np.argwhere(failing)[0]
             raise self._failure(i, k, len(stack))
         ratio = pivots.min(axis=1, initial=np.inf) / max_diag
         self._stack = stack
@@ -204,6 +212,11 @@ class SparseCholeskySolver:
             target = self._panel(stack, q)
             for r in self.below[p][j:]:
                 update = below[:, rows[r]] @ below[:, rows[q]].transpose(0, 2, 1)
+                if r == q:
+                    # the diagonal block: its upper triangle stays +0.0
+                    # (x * 0.0 is +-0.0, and 0.0 - +-0.0 is 0.0), so the
+                    # factor and its inverse have zeros there as LAPACK leaves it
+                    update *= _lower_ones(widths[q])
                 target[:, first_row[q, r]: first_row[q, r] + widths[r]] -= update
 
     def solve(self, rhs):
@@ -275,6 +288,11 @@ class SparseCholeskySolver:
             inv[:] = block
             variances[:, self.starts[p]: self.starts[p] + width] = np.diagonal(block, axis1=1, axis2=2)
         return np.take(variances, self.iperm, axis=1)
+
+
+@functools.cache
+def _lower_ones(width):
+    return np.tril(np.ones((width, width)))
 
 
 def _block_elimination(neighbours, widths):
@@ -358,6 +376,8 @@ class MapProblem:
     sigma_d: np.ndarray | float = 1e4
 
     def __post_init__(self):
+        import scipy.sparse as sp  # only the sparse entry points need it
+
         self.D = sp.csc_matrix(self.D)
         self.Y = sp.csc_matrix(self.Y)
         dim = self.dim_d
@@ -380,31 +400,44 @@ class MapProblem:
     def dim_d(self) -> int:
         return self.D.shape[1]
 
+    def plan(self) -> PrecisionPlan:
+        """The ``PrecisionPlan`` of this problem's sparsity layout and variances."""
+        return PrecisionPlan(
+            _csc_pattern(self.D), _csc_pattern(self.Y), self.sigma_D, self.sigma_y, self.mu_d, self.sigma_d
+        )
+
 
 class PrecisionPlan:
     """Posterior precision blocks and right-hand side from a fixed index plan.
 
-    ``D`` and ``Y`` keep one CSC layout from sample to sample, so every
+    ``D`` and ``Y`` keep one sparsity layout from sample to sample, so every
     entry of the posterior precision is a fixed sum of products
     ``M[r, i] M[r, j] / sigma[r]`` over the rows of the stacked
     ``M = [D; Y]``. Once per pattern the plan lists, for each pair of stored
     entries that share a row and land in the lower triangle of the permuted
     precision, the two entries, the row and the slot in the solver's block
     storage. A sample then costs one gather and one ``np.bincount``.
-    ``MapProblem``'s shape and variance checks run once, on the problem the
-    plan is built from. The solver is built from the columns of all those
-    pairs, the pattern of ``M^T M``: it holds every stored entry, zero or
-    not, so it covers every state, and the prior adds only the diagonal.
+
+    ``d_pattern`` and ``y_pattern`` describe the layouts: ``rows`` and
+    ``cols``, the row and the column of each stored entry in the order of
+    the values ``terms`` takes, and ``shape``. An assembler's
+    ``BlockPattern`` is one, and ``MapProblem.plan`` makes them from CSC
+    matrices. The variances are as in ``MapProblem`` and are checked the
+    same way. The solver is built from the columns of all those pairs, the
+    pattern of ``M^T M``: it holds every stored entry, zero or not, so it
+    covers every state, and the prior adds only the diagonal.
 
     A non-finite reading is missing: its row gets zero weight for that sample
     and adds nothing to the right-hand side.
     """
 
-    def __init__(self, problem: MapProblem):
-        mat_d, mat_y = problem.D, problem.Y
-        n_rows = mat_d.shape[0] + mat_y.shape[0]
-        rows = np.concatenate([mat_d.indices, mat_y.indices + mat_d.shape[0]])
-        cols = np.concatenate([_csc_columns(mat_d), _csc_columns(mat_y)])
+    def __init__(self, d_pattern, y_pattern, sigma_D, sigma_y, mu_d=0.0, sigma_d=1e4):
+        (n_rows_d, dim), (n_rows_y, dim_y) = d_pattern.shape, y_pattern.shape
+        if dim_y != dim:
+            raise EstimatorError("D and Y column counts disagree")
+        n_rows = n_rows_d + n_rows_y
+        rows = np.concatenate([d_pattern.rows, y_pattern.rows + n_rows_d])
+        cols = np.concatenate([d_pattern.cols, y_pattern.cols])
         # every ordered pair (a, b) of stored entries in one row: each entry a
         # repeats once per entry of its row, and b runs over that row
         order = np.argsort(rows, kind="stable")  # entries grouped by row
@@ -414,10 +447,7 @@ class PrecisionPlan:
         a = np.repeat(order, count)
         within_row = np.arange(count.sum()) - np.repeat(np.cumsum(count) - count, count)
         b = order[np.repeat(row_start[rows[order]], count) + within_row]
-        dim = problem.dim_d
-        self.solver = solver = SparseCholeskySolver(
-            sp.coo_matrix((np.ones(a.size), (cols[a], cols[b])), shape=(dim, dim))
-        )
+        self.solver = solver = SparseCholeskySolver(cols[a], cols[b], dim)
         pa, pb = solver.iperm[cols[a]], solver.iperm[cols[b]]
         lower = pa >= pb
         # native-width indices: gathers with int32 ones took about twice as long
@@ -426,18 +456,19 @@ class PrecisionPlan:
         self._slot = solver.slots(pa[lower], pb[lower])
         self._rows = rows
         self._cols = cols
-        self._nnz = (mat_d.data.size, mat_y.data.size)
-        self._inv_sigma_D = 1.0 / problem.sigma_D
-        self._inv_sigma_y = 1.0 / problem.sigma_y
-        self._prior_diag = (1.0 / problem.sigma_d)[solver.perm]
-        self._prior_rhs = problem.mu_d / problem.sigma_d
+        self._nnz = (len(d_pattern.rows), len(y_pattern.rows))
+        self._inv_sigma_D = 1.0 / _as_diag_variances(sigma_D, n_rows_d, "sigma_D")
+        self._inv_sigma_y = 1.0 / _as_diag_variances(sigma_y, n_rows_y, "sigma_y")
+        sigma_d = _as_diag_variances(sigma_d, dim, "sigma_d")
+        self._prior_diag = (1.0 / sigma_d)[solver.perm]
+        self._prior_rhs = np.broadcast_to(np.asarray(mu_d, dtype=float), (dim,)) / sigma_d
 
     def terms(self, values_d, b_d, values_y, b_y, y, out=None):
         """(values, rhs) of the posterior for a stack of samples.
 
         ``values_d`` and ``values_y`` are (T, nnz) arrays of the values of D
-        and Y in the CSC data order of the plan's problem (what the
-        assemblers fill); ``b_d``, ``b_y`` and ``y`` are (T, rows). The
+        and Y in the order of the plan's patterns (what the assemblers
+        fill); ``b_d``, ``b_y`` and ``y`` are (T, rows). The
         result ``values`` (T, ``solver.size``) is the lower triangle of each
         sample's permuted precision in the solver's block storage, ready for
         ``solver.factorize_blocks``; it is written into ``out`` when given,
@@ -471,9 +502,10 @@ class PrecisionPlan:
         return blocks, rhs
 
 
-def _csc_columns(mat):
-    """Column index of every stored entry of a CSC matrix."""
-    return np.repeat(np.arange(mat.shape[1]), np.diff(mat.indptr))
+def _csc_pattern(mat):
+    """The rows, columns and shape of the stored entries of a CSC matrix, in data order."""
+    cols = np.repeat(np.arange(mat.shape[1]), np.diff(mat.indptr))
+    return SimpleNamespace(rows=mat.indices, cols=cols, shape=mat.shape)
 
 
 def unobserved_dimension(variances, sigma_d):
@@ -503,7 +535,7 @@ def map_solve(problem: MapProblem) -> GaussianBelief:
     side, the block Cholesky. A non-finite reading is missing; a failing
     pivot raises ``NotPositiveDefiniteError``.
     """
-    plan = PrecisionPlan(problem)
+    plan = problem.plan()
     values, rhs = plan.terms(
         problem.D.data[None], problem.b_D[None], problem.Y.data[None], problem.b_Y[None], problem.y[None]
     )
@@ -513,6 +545,8 @@ def map_solve(problem: MapProblem) -> GaussianBelief:
 
 def shape_prior(problem: MapProblem) -> GaussianBelief:
     """Constraint-shaped prior over d: ``map_solve`` with no measurement rows."""
+    import scipy.sparse as sp
+
     dim = problem.dim_d
     return map_solve(MapProblem(
         problem.D, problem.b_D, sp.csc_matrix((0, dim)), np.zeros(0), np.zeros(0),
@@ -572,6 +606,8 @@ def map_solve_augmented(
     dim_x = np.asarray(mu_x).size
     if dby.shape != (problem.Y.shape[0], dim_x) or dbd.shape != (problem.D.shape[0], dim_x):
         raise EstimatorError("jacobian callback shapes do not match the system")
+
+    import scipy.sparse as sp
 
     x_bar = np.asarray(x_bar, dtype=float)
     aug = MapProblem(

@@ -202,7 +202,7 @@ class MeasurementAssembler:
                 pattern.add(row0, layout.base_of(li) + OFF_FX, 6, 6, np.eye(6))
                 row0 += 6
         pattern.freeze((self.dim, layout.size))
-        self._pattern = pattern
+        self.pattern = pattern
         self._imu_rows = np.array(imu_rows, dtype=np.intp).reshape(-1, 3)
         self._imu_links = np.array(imu_links, dtype=np.intp)
         self._imu_adjoints = np.array(imu_adjoints).reshape(-1, 6, 6)
@@ -211,7 +211,7 @@ class MeasurementAssembler:
 
     def matrix(self, values):
         """Y as a CSC matrix from one sample's values (CSC data order)."""
-        return self._pattern.csc(values)
+        return self.pattern.csc(values)
 
     def assemble_values(self, sweep, dtype=float):
         """(values, b_Y) of a stack of samples from their kinematic sweep.
@@ -220,7 +220,7 @@ class MeasurementAssembler:
         ``b_Y`` is (T, dim).
         """
         n_samples = sweep.v.shape[0]
-        values = self._pattern.stack(n_samples, dtype)
+        values = self.pattern.stack(n_samples, dtype)
         # plate <- base <- child: the base <- child force adjoint is the
         # transpose of the child's motion adjoint from the parent
         plate = self._plate @ sweep.x_from_parent[:, self._base_children].swapaxes(-1, -2)
@@ -258,7 +258,9 @@ def simulate_readings(model, specs, q, qd, d, rng=None):
     single = np.ndim(q) == 1
     values, b = assembler.assemble_values(kinematic_sweep(model, q, qd))
     d = np.asarray(d).reshape(len(values), -1)
-    y = np.array([assembler.matrix(row) @ d_k for row, d_k in zip(values, d)]) + b
+    rows, cols = assembler.pattern.rows, assembler.pattern.cols
+    # Y d per sample, summed in the CSC order a sparse product takes
+    y = np.array([np.bincount(rows, row * d_k[cols], minlength=assembler.dim) for row, d_k in zip(values, d)]) + b
     if rng is not None:
         rng = np.random.default_rng(rng) if not isinstance(rng, np.random.Generator) else rng
         y = y + rng.normal(0.0, np.sqrt(assembler.variances), size=y.shape)

@@ -232,5 +232,6 @@ def block_values(solver, matrix):
 
 def factorized(matrix):
     """A solver built on the pattern of a sparse SPD matrix, factorized on its values."""
-    solver = SparseCholeskySolver(matrix)
+    coo = sp.coo_matrix(matrix)
+    solver = SparseCholeskySolver(coo.row, coo.col, coo.shape[0])
     return solver.factorize_blocks(block_values(solver, matrix))

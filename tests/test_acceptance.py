@@ -23,7 +23,6 @@ from mapdyn.dynamics import (
 )
 from mapdyn.estimator import (
     MapProblem,
-    PrecisionPlan,
     complex_step_bias_jacobians,
     finite_difference_bias_jacobians,
     map_solve,
@@ -183,7 +182,7 @@ def test_04_estimator_identities(two_link_problem, human48, human48_truth, human
     values_d, b_d, values_y, b_y = assemble_system(casm, masm, truth.q[0], truth.qd[0])
     y0 = np.zeros((1, masm.dim))
     big = MapProblem(casm.matrix(values_d[0]), b_d[0], masm.matrix(values_y[0]), b_y[0], y0[0], sigma_y=masm.variances)
-    plan = PrecisionPlan(big)
+    plan = big.plan()
     values, rhs = plan.terms(values_d, b_d, values_y, b_y, y0)
     x_sparse = plan.solver.factorize_blocks(values[0]).solve(rhs[0])
     precision, rhs_oracle = posterior_precision_terms(big)
@@ -225,9 +224,9 @@ def test_05_end_to_end_recovery(human48, human48_scenario, human48_truth):
 
     # zero noise, exact-confidence settings: per-channel recovery of d*
     clean = generate_observations(human48_scenario, truth, noiseless=True)
-    plan = PrecisionPlan(MapProblem(
+    plan = MapProblem(
         mat_d, b_d[0], mat_y, b_y[0], clean[0], sigma_D=1e-10, sigma_y=1e-12, sigma_d=1e8,
-    ))
+    ).plan()
     every = slice(0, truth.times.size, 2)
     values, rhs = plan.terms(values_d[every], b_d[every], values_y[every], b_y[every], clean[every])
     means = plan.solver.factorize_blocks(values).solve(rhs)
@@ -243,7 +242,7 @@ def test_05_end_to_end_recovery(human48, human48_scenario, human48_truth):
     err2 = np.zeros(masm.dim)
     count = 0
     mats_y = [masm.matrix(row) for row in values_y]
-    plan = PrecisionPlan(MapProblem(mat_d, b_d[0], mat_y, b_y[0], clean[0], sigma_y=masm.variances))
+    plan = MapProblem(mat_d, b_d[0], mat_y, b_y[0], clean[0], sigma_y=masm.variances).plan()
     values, rhs_clean = plan.terms(values_d, b_d, values_y, b_y, clean)
     for k in range(truth.times.size):
         solver = plan.solver.factorize_blocks(values[k])
@@ -445,9 +444,9 @@ def test_10_performance(human48, human48_scenario, human48_truth, tmp_path):
     # sample 0 through estimate's per-sample path, the plan built beforehand
     values_d, b_d, values_y, b_y = assemble_system(casm, masm, truth.q[:1], truth.qd[:1])
     y = np.zeros((1, masm.dim))
-    plan = PrecisionPlan(MapProblem(
+    plan = MapProblem(
         casm.matrix(values_d[0]), b_d[0], masm.matrix(values_y[0]), b_y[0], y[0], sigma_y=masm.variances
-    ))
+    ).plan()
     times = []
     for _ in range(15):
         t0 = time.perf_counter()

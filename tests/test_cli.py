@@ -257,6 +257,53 @@ class TestEstimate:
         assert main(["estimate", "--config", config, "--workers", "1"]) == 2
         assert f"{obs}, line 4: 0 cells" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("column, value", [("q_joint2", "nan"), ("qd_joint1", "-inf")])
+    def test_non_finite_state_exits_2(self, two_link_setup, capsys, column, value):
+        """A state has no variance, so unlike a reading a non-finite one cannot be missing."""
+        tmp_path, cfg = two_link_setup
+        config, _ = self._simulate(tmp_path, cfg)
+        traj = Path(cfg["out"]) / "trajectory.csv"
+        lines = traj.read_text().splitlines()
+        cells = lines[4].split(",")
+        cells[lines[0].split(",").index(column)] = value
+        lines[4] = ",".join(cells)
+        traj.write_text("\n".join(lines) + "\n")
+        assert main(["estimate", "--config", config, "--workers", "1"]) == 2
+        assert f"{traj}, line 5, column {column!r}: {value} is not a finite number" in capsys.readouterr().err
+        assert not (tmp_path / "est" / "estimates.csv").exists()
+
+    def test_non_finite_pose_exits_2(self, two_link_setup, capsys):
+        tmp_path, cfg = two_link_setup
+        config, _ = self._simulate(tmp_path, cfg)
+        est_cfg = json.loads(Path(config).read_text())
+        poses = Path(cfg["out"]) / "link_poses.csv"
+        lines = poses.read_text().splitlines()
+        column = lines[0].split(",")[-1]
+        lines[7] = ",".join(lines[7].split(",")[:-1] + ["nan"])
+        poses.write_text("\n".join(lines) + "\n")
+        est_cfg["inputs"]["link_poses"] = str(poses)
+        del est_cfg["inputs"]["state"]
+        assert main(["estimate", "--config", write_config(tmp_path, est_cfg, "poses.json"), "--workers", "1"]) == 2
+        assert f"{poses}, line 8, column {column!r}: nan is not a finite number" in capsys.readouterr().err
+
+    def test_manifest_is_strict_json(self, two_link_setup):
+        """manifest.json holds no NaN or infinity, also with a missing reading."""
+        tmp_path, cfg = two_link_setup
+        config, _ = self._simulate(tmp_path, cfg)
+        obs = Path(cfg["out"]) / "observations.csv"
+        lines = obs.read_text().splitlines()
+        lines[3] = ",".join(lines[3].split(",")[:2] + ["nan"] + lines[3].split(",")[3:])
+        obs.write_text("\n".join(lines) + "\n")
+        assert main(["estimate", "--config", config, "--workers", "1"]) == 0
+
+        def reject(constant):
+            raise ValueError(f"manifest.json holds {constant}")
+
+        manifest = json.loads((tmp_path / "est" / "manifest.json").read_text(), parse_constant=reject)
+        assert manifest["missing_readings"] == 1
+        assert 0.0 <= manifest["max_unobserved_dimension"] < 0.5
+        assert 0.0 < manifest["min_pivot_ratio"] <= 1.0
+
     def test_too_short_pose_series_exits_2(self, two_link_setup, capsys):
         tmp_path, cfg = two_link_setup
         config, _ = self._simulate(tmp_path, cfg)
@@ -513,9 +560,12 @@ class TestReadCsv:
 
 
 def test_state_csv_estimate_and_sine_simulate_skip_optional_scipy_modules(two_link_setup):
-    """Neither command loads scipy.signal, scipy.interpolate or scipy.stats.
+    """Neither command loads scipy.sparse, scipy.linalg, scipy.signal, scipy.interpolate or scipy.stats.
 
-    A child process: other tests import those modules into this one.
+    `estimate` runs in-process and in a pool of two workers. A child process
+    runs the commands under ``-X importtime``, which the workers inherit, so
+    an import in any of the processes shows on its standard error; other
+    tests import those modules into this process.
     """
     import os
     import subprocess
@@ -530,18 +580,29 @@ def test_state_csv_estimate_and_sine_simulate_skip_optional_scipy_modules(two_li
         "state": str(Path(cfg["out"]) / "trajectory.csv"),
     })
     est = write_config(tmp_path, est_cfg, "est.json")
+    pool_out = str(tmp_path / "est_pool")
     script = (
-        "import sys\n"
         "from mapdyn.cli import main\n"
         f"assert main(['simulate', '--config', {sim!r}]) == 0\n"
         f"assert main(['estimate', '--config', {est!r}, '--workers', '1']) == 0\n"
-        "print(sorted(m for m in ('scipy.signal', 'scipy.interpolate', 'scipy.stats') if m in sys.modules))\n"
+        f"assert main(['estimate', '--config', {est!r}, '--workers', '2', '--out', {pool_out!r}]) == 0\n"
     )
     src = str(Path(mapdyn.__file__).resolve().parent.parent)
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
-    result = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True, env=env, timeout=120)
+    result = subprocess.run(
+        [sys.executable, "-X", "importtime", "-c", script], capture_output=True, text=True, env=env, timeout=120
+    )
     assert result.returncode == 0, result.stderr
-    assert result.stdout.splitlines()[-1] == "[]"
+    assert len(read_rows(Path(cfg["out"]) / "trajectory.csv")[1]) >= 8  # the pool path runs
+    assert json.loads((Path(pool_out) / "manifest.json").read_text())["workers"] == 2
+    imported = {
+        line.rsplit("|", 1)[-1].strip() for line in result.stderr.splitlines() if line.startswith("import time:")
+    }
+    assert "mapdyn.cli" in imported
+    # each imported module's top two levels: scipy.sparse._csc counts as scipy.sparse
+    packages = {".".join(name.split(".")[:2]) for name in imported}
+    forbidden = {"scipy.sparse", "scipy.linalg", "scipy.signal", "scipy.interpolate", "scipy.stats"}
+    assert sorted(packages & forbidden) == []
 
 
 def _bundled_openblas_files():
@@ -684,10 +745,10 @@ class TestFusion:
         sweep = mapdyn.cli.kinematic_sweep
 
         class CountingPlan(plan_class):
-            def __init__(self, problem):
+            def __init__(self, *args):
                 self.index = len(stacks_per_plan)
                 stacks_per_plan.append([])
-                super().__init__(problem)
+                super().__init__(*args)
 
             def terms(self, *args):
                 stacks_per_plan[self.index].append(len(args[0]))

@@ -77,7 +77,7 @@ class TestSparseCholesky:
         mat_d, b_d, mat_y, b_y = one_state_system(casm, masm, q, qd)
         problem = MapProblem(mat_d, b_d, mat_y, b_y, np.zeros(masm.dim), sigma_y=masm.variances)
         precision, _ = posterior_precision_terms(problem)
-        solver = PrecisionPlan(problem).solver
+        solver = problem.plan().solver
         # 48 link blocks, eliminated without fill: every block of the factor
         # below the diagonal couples two links in the precision (a parent and
         # a child, or two siblings)
@@ -92,8 +92,9 @@ class TestSparseCholesky:
         """The plan builds its solver from its own pairs of entries: the same blocks,
         in the same order, as a solver on the pattern of the precision by sparse products."""
         for problem in random_model_problems(make_model, np.random.default_rng(35)):
-            solver = PrecisionPlan(problem).solver
-            reference = SparseCholeskySolver(posterior_precision_terms(problem)[0])
+            solver = problem.plan().solver
+            precision = sp.coo_matrix(posterior_precision_terms(problem)[0])
+            reference = SparseCholeskySolver(precision.row, precision.col, precision.shape[0])
             np.testing.assert_array_equal(solver.perm, reference.perm)
             np.testing.assert_array_equal(solver.widths, reference.widths)
             assert solver.below == reference.below
@@ -206,7 +207,7 @@ class TestSelectedInversion:
 
 class TestPrecisionPlan:
     def _check(self, problem):
-        plan = PrecisionPlan(problem)
+        plan = problem.plan()
         band, rhs = one_sample_terms(plan, problem)
         precision, expected_rhs = posterior_precision_terms(problem)
         expected = block_values(plan.solver, precision)
@@ -236,11 +237,29 @@ class TestPrecisionPlan:
     def test_band_matches_posterior_terms_on_48dof_model(self, human_model_foot, rng):
         self._check(human_posterior(human_model_foot, rng))
 
+    def test_assembler_patterns_give_the_plan_of_the_csc_matrices(self, human_model_foot, rng):
+        """`estimate`'s plan, from the assemblers' index arrays, equals `map_solve`'s, from CSC matrices."""
+        from mapdyn.sensors import assemble_system, default_sensor_specs
+
+        model = human_model_foot
+        casm = ConstraintAssembler(model)
+        masm = MeasurementAssembler(model, default_sensor_specs(model))
+        q, qd = rng.uniform(-0.2, 0.2, (3, model.n_dof)), rng.normal(0.0, 0.3, (3, model.n_dof))
+        system = assemble_system(casm, masm, q, qd)
+        y = rng.normal(0.0, 1.0, (3, masm.dim))
+        ours = PrecisionPlan(casm.pattern, masm.pattern, 1e-4, masm.variances)
+        theirs = MapProblem(
+            casm.matrix(system[0][0]), system[1][0], masm.matrix(system[2][0]), system[3][0], y[0],
+            sigma_y=masm.variances,
+        ).plan()
+        for a, b in zip(ours.terms(*system, y), theirs.terms(*system, y)):
+            assert a.tobytes() == b.tobytes()
+
     def test_missing_reading_equals_deleted_row(self, two_link_problem):
         problem, _, _ = two_link_problem
         y = problem.y.copy()
         y[2] = np.nan
-        plan = PrecisionPlan(problem)
+        plan = problem.plan()
         band, rhs = one_sample_terms(plan, problem, y)
         assert np.isfinite(band).all() and np.isfinite(rhs).all()
         mean = plan.solver.factorize_blocks(band).solve(rhs)
@@ -261,7 +280,7 @@ class TestPrecisionPlan:
         mu = rng.normal(0.0, 1.0, dim)
         empty = sp.csc_matrix((0, dim))
         problem = MapProblem(empty, np.zeros(0), empty, np.zeros(0), np.zeros(0), mu_d=mu, sigma_d=sigma_d)
-        plan = PrecisionPlan(problem)
+        plan = problem.plan()
         band, rhs = one_sample_terms(plan, problem)
         assert band.dtype == np.float64
         expected = np.zeros(plan.solver.size)
@@ -271,7 +290,7 @@ class TestPrecisionPlan:
 
     def test_rejects_other_layout(self, two_link_problem):
         problem, _, _ = two_link_problem
-        plan = PrecisionPlan(problem)
+        plan = problem.plan()
         with pytest.raises(EstimatorError):
             plan.terms(
                 problem.D[:, :-1].data[None], problem.b_D[None], problem.Y.data[None], problem.b_Y[None], problem.y[None]
@@ -432,7 +451,7 @@ class TestUnobservedDimension:
         rng = np.random.default_rng(31)
         cases = separated = 0
         for problem in random_model_problems(make_model, rng):
-            plan = PrecisionPlan(problem)
+            plan = problem.plan()
             stack = sp.vstack([problem.D, problem.Y]).toarray() * np.sqrt(problem.sigma_d)
             for fraction in (0.0, 0.05, 0.2, 0.5, 0.9):
                 dropped = rng.random(problem.Y.shape[0]) < fraction
@@ -452,7 +471,7 @@ class TestUnobservedDimension:
     def test_dropping_channels_never_lowers_variance_or_u(self, make_model):
         rng = np.random.default_rng(32)
         for problem in random_model_problems(make_model, rng):
-            plan = PrecisionPlan(problem)
+            plan = problem.plan()
             dropped = np.zeros(problem.Y.shape[0], dtype=bool)
             before = masked_variances(plan, problem, dropped)
             u_before = unobserved_dimension(before, problem.sigma_d)
@@ -691,7 +710,7 @@ def human_samples(model, rng, count):
 
 class TestBlockSolver:
     def _check_against_dense(self, problem):
-        plan = PrecisionPlan(problem)
+        plan = problem.plan()
         mean, variances = solve_stack(plan, [(problem.D, problem.b_D, problem.Y, problem.b_Y, problem.y)])
         precision, rhs = posterior_precision_terms(problem)
         dense_mean = np.linalg.solve(precision.toarray(), rhs)
@@ -738,7 +757,7 @@ class TestBlockSolver:
 
     def test_stack_position_does_not_change_a_sample(self, human_model_foot, rng):
         samples, variances = human_samples(human_model_foot, rng, 8)
-        plan = PrecisionPlan(MapProblem(*samples[0], sigma_y=variances))
+        plan = MapProblem(*samples[0], sigma_y=variances).plan()
         alone = [solve_stack(plan, [sample]) for sample in samples]
         for shift in range(len(samples)):
             order = np.roll(np.arange(len(samples)), shift)
@@ -749,7 +768,7 @@ class TestBlockSolver:
 
     def test_failing_sample_of_a_stack_names_the_callers_column(self, human_model_foot, rng):
         samples, variances = human_samples(human_model_foot, rng, 4)
-        plan = PrecisionPlan(MapProblem(*samples[0], sigma_y=variances))
+        plan = MapProblem(*samples[0], sigma_y=variances).plan()
         solver = plan.solver
         column = DynLayout(human_model_foot).tau(30)
         values, _ = stack_terms(plan, samples)
@@ -758,11 +777,27 @@ class TestBlockSolver:
             solver.factorize_blocks(values)
         assert err.value.pivot_index == column
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_angle_fails_its_sample(self, human_model_foot, rng, bad):
+        """A non-finite joint angle reaches the factor as a non-finite pivot: an error, not a NaN mean."""
+        from mapdyn.sensors import assemble_system, default_sensor_specs
+
+        model = human_model_foot
+        casm = ConstraintAssembler(model)
+        masm = MeasurementAssembler(model, default_sensor_specs(model))
+        plan = PrecisionPlan(casm.pattern, masm.pattern, 1e-4, masm.variances)
+        q, qd = rng.uniform(-0.2, 0.2, (8, model.n_dof)), rng.normal(0.0, 0.3, (8, model.n_dof))
+        q[3, 10] = bad
+        with np.errstate(invalid="ignore"):
+            values, _ = plan.terms(*assemble_system(casm, masm, q, qd), np.zeros((8, masm.dim)))
+        with pytest.raises(NotPositiveDefiniteError, match="sample 3 of 8"), np.errstate(invalid="ignore"):
+            plan.solver.factorize_blocks(values)
+
     def test_one_batch_of_8_allocates_under_1mb_per_sample(self, human_model_foot, rng):
         import tracemalloc
 
         samples, variances = human_samples(human_model_foot, rng, 8)
-        plan = PrecisionPlan(MapProblem(*samples[0], sigma_y=variances))
+        plan = MapProblem(*samples[0], sigma_y=variances).plan()
         solve_stack(plan, samples[:1])  # first-call allocations of numpy and LAPACK
         tracemalloc.start()
         try:
@@ -774,5 +809,5 @@ class TestBlockSolver:
 
     def test_48dof_plan_lists_at_most_41000_pairs(self, human_model_foot, rng):
         samples, variances = human_samples(human_model_foot, rng, 1)
-        plan = PrecisionPlan(MapProblem(*samples[0], sigma_y=variances))
+        plan = MapProblem(*samples[0], sigma_y=variances).plan()
         assert plan._slot.size <= 41000
