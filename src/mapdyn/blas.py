@@ -9,11 +9,10 @@ functions via ctypes, so no extra package is needed. scipy's copy is opened
 by path: no ``scipy`` subpackage is imported for it.
 
 The block solver's LAPACK routines, the Cholesky factor ``dpotrf`` and the
-triangular inverse ``dtrtri``, come from a bundled copy through ctypes too
-(``cholesky_inverse``): scipy's, the very library ``scipy.linalg.lapack``
-calls, else numpy's. So the solver's path needs no ``scipy.linalg``. Where
-neither copy exports them (MKL or system-BLAS builds),
-``scipy.linalg.lapack`` is the fallback.
+triangular inverse ``dtrtri``, come from scipy's copy through ctypes too
+(``cholesky_inverse``): the very library ``scipy.linalg.lapack`` calls, so
+the solver's path needs no ``scipy.linalg``. Where that copy does not export
+them (MKL or system-BLAS builds), ``scipy.linalg.lapack`` is the fallback.
 """
 
 from __future__ import annotations
@@ -36,17 +35,12 @@ _SYMBOLS = (
     ("openblas_set_num_threads", "openblas_get_num_threads"),
 )
 
-# (package, dpotrf, dtrtri, LAPACK integer) of the bundled copies. scipy's
-# copy comes first: it is the library scipy.linalg.lapack calls, so its
-# factors are the ones scipy's wrappers give, and a potrf + trtri pair on a
-# 26 x 26 block took 6.8 us there against 7.4 us in numpy's copy. The
-# scipy-openblas builds (scipy >= 1.13, numpy >= 2) prefix their symbols;
-# numpy's copy is an ILP64 build, with 64-bit integers.
+# (dpotrf, dtrtri) in scipy's bundled copy: the scipy-openblas builds of
+# scipy >= 1.13 prefix their symbols, older builds do not. Both are LP64
+# builds, with 32-bit LAPACK integers.
 _LAPACK_SYMBOLS = (
-    ("scipy", "scipy_dpotrf_", "scipy_dtrtri_", ctypes.c_int32),
-    ("scipy", "dpotrf_", "dtrtri_", ctypes.c_int32),
-    ("numpy", "scipy_dpotrf_64_", "scipy_dtrtri_64_", ctypes.c_int64),
-    ("numpy", "dpotrf_64_", "dtrtri_64_", ctypes.c_int64),
+    ("scipy_dpotrf_", "scipy_dtrtri_"),
+    ("dpotrf_", "dtrtri_"),
 )
 
 
@@ -134,17 +128,16 @@ def set_blas_threads(counts) -> dict:
 
 
 def bundled_lapack() -> list:
-    """An ``OpenBlasCholeskyInverse`` per bundled copy and symbol pair found, in
-    the order of ``_LAPACK_SYMBOLS``."""
+    """An ``OpenBlasCholeskyInverse`` per library in scipy's bundled copy and
+    symbol pair found, in the order of ``_LAPACK_SYMBOLS``."""
     import scipy
 
-    packages = {"numpy": np, "scipy": scipy}
     routes = []
-    for package, potrf, trtri, integer in _LAPACK_SYMBOLS:
-        for lib in _bundled_libs(packages[package])[1]:
+    for potrf, trtri in _LAPACK_SYMBOLS:
+        for lib in _bundled_libs(scipy)[1]:
             funcs = [getattr(_open(lib), name, None) for name in (potrf, trtri)]
             if None not in funcs:
-                routes.append(OpenBlasCholeskyInverse(*funcs, integer, f"{lib.parent.name}/{lib.name}"))
+                routes.append(OpenBlasCholeskyInverse(*funcs, f"{lib.parent.name}/{lib.name}"))
     return routes
 
 
@@ -152,19 +145,18 @@ def bundled_lapack() -> list:
 def cholesky_inverse():
     """The routine that turns a stack of SPD blocks into inverted Cholesky factors.
 
-    It is called as ``route(blocks, address)``: ``blocks`` is a (samples,
-    w, w) float64 array whose blocks are each C-contiguous, and ``address``
-    the address of its first entry, which a caller that cut the blocks from
-    a stack has at hand. Each block's lower triangle becomes the inverse of
-    its lower Cholesky factor, in place; its strict upper triangle is left
-    as it is. The result is ``None``, or ``(sample, order)`` for the first
-    sample whose leading minor of that order is not positive definite. The
-    route is the first of ``bundled_lapack``, else ``scipy.linalg.lapack``.
+    It is called as ``route(blocks)``: ``blocks`` is a writable (samples, w,
+    w) float64 array whose blocks are each C-contiguous. Each block's lower
+    triangle becomes the inverse of its lower Cholesky factor, in place; its
+    strict upper triangle is left as it is. The result is ``None``, or
+    ``(sample, order)`` for the first sample whose leading minor of that
+    order is not positive definite. The route is the first of
+    ``bundled_lapack``, else ``scipy.linalg.lapack``.
     """
     routes = bundled_lapack()
     if routes:
         return routes[0]
-    log.info("no bundled OpenBLAS exports dpotrf/dtrtri; the block solver uses scipy.linalg.lapack")
+    log.info("scipy's bundled OpenBLAS exports no dpotrf/dtrtri; the block solver uses scipy.linalg.lapack")
     return ScipyCholeskyInverse()
 
 
@@ -179,38 +171,41 @@ def _block_pointers(address, count, step):
 
 
 @functools.cache
-def _order(integer, width):
-    return ctypes.byref(integer(width))
+def _order(width):
+    return ctypes.byref(ctypes.c_int(width))
 
 
 class OpenBlasCholeskyInverse:
-    """``dpotrf`` and ``dtrtri`` of a bundled OpenBLAS copy, through ctypes.
+    """``dpotrf`` and ``dtrtri`` of scipy's bundled OpenBLAS, through ctypes.
 
     The transpose of a C-ordered block is the Fortran-ordered upper factor,
     which LAPACK factorizes and inverts in place. Every argument goes as a
     prebuilt ctypes object, with no ``argtypes``: converting the arguments
     on each call made the pair of calls slower than scipy's f2py wrappers.
-    So the blocks are checked here, before their pointers go out.
+    So the blocks are checked here, and their pointers taken from the array
+    itself, before they go out.
     """
 
-    def __init__(self, potrf, trtri, integer, library):
+    def __init__(self, potrf, trtri, library):
         potrf.restype = trtri.restype = None
-        self._potrf, self._trtri, self._integer = potrf, trtri, integer
+        self._potrf, self._trtri = potrf, trtri
         self.library = library
         self._upper = ctypes.byref(ctypes.c_char(b"U"))
         self._not_unit = ctypes.byref(ctypes.c_char(b"N"))
 
-    def __call__(self, blocks, address):
+    def __call__(self, blocks):
         samples, width, columns = blocks.shape
         item = blocks.itemsize
         if blocks.dtype != np.float64 or columns != width or (width > 1 and blocks.strides[1:] != (width * item, item)):
             raise ValueError("LAPACK needs square float64 blocks, each C-contiguous")
+        if not blocks.flags.writeable:
+            raise ValueError("LAPACK writes its factors over the blocks, which are read-only")
         potrf, trtri, upper, not_unit = self._potrf, self._trtri, self._upper, self._not_unit
         # ctypes releases the GIL during a call, so each call has its own info
-        info = self._integer()
+        info = ctypes.c_int()
         info_ref = ctypes.byref(info)
-        n = _order(self._integer, width)
-        for k, block in enumerate(_block_pointers(address, samples, blocks.strides[0])):
+        n = _order(width)
+        for k, block in enumerate(_block_pointers(blocks.ctypes.data, samples, blocks.strides[0])):
             potrf(upper, n, block, n, info_ref)
             if info.value > 0:  # the leading minor of order info is not positive definite
                 return k, info.value
@@ -226,7 +221,7 @@ class ScipyCholeskyInverse:
 
         self._potrf, self._trtri = dpotrf, dtrtri
 
-    def __call__(self, blocks, address=None):
+    def __call__(self, blocks):
         for k, block in enumerate(blocks):
             _, info = self._potrf(block.T, 0, 0, 1)  # upper, leave the rest, overwrite
             if info > 0:

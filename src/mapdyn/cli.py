@@ -11,7 +11,6 @@ Exit codes: 0 ok, 1 usage, 2 input/model error, 3 numerical failure.
 from __future__ import annotations
 
 import csv
-import ctypes
 import hashlib
 import json
 import logging
@@ -376,30 +375,6 @@ ESTIMATE_BATCH = 8
 CHUNK_MIN = 4
 
 
-# glibc's mallopt parameters
-_M_TRIM_THRESHOLD, _M_MMAP_THRESHOLD = -1, -3
-
-
-def _keep_freed_heap():
-    """Keep freed memory in the heap for the next batch (glibc; elsewhere a no-op).
-
-    A batch's temporaries take a few MB, some of them over glibc's default
-    128 kB thresholds. In a process that imported little, so that its heap
-    is small, glibc then returns the heap top to the system after a batch
-    and faults it back in for the next one: a pool worker on the
-    `state-tau` inputs (160 samples, chunks of 20) took 121 minor page
-    faults per sample, about 0.3 ms of system time on a 2-core host,
-    against 15 with these thresholds. Forked workers inherit them.
-    """
-    try:
-        mallopt = ctypes.CDLL(None).mallopt
-    except (OSError, TypeError, AttributeError):
-        return
-    mallopt.argtypes, mallopt.restype = [ctypes.c_int, ctypes.c_int], ctypes.c_int
-    mallopt(_M_TRIM_THRESHOLD, 16 << 20)
-    mallopt(_M_MMAP_THRESHOLD, 4 << 20)
-
-
 def _estimate_worker_init(model_xml, sensors_cfg, cov_cfg, marginal_mode):
     # one BLAS thread per worker: the pool already saturates the cores
     set_blas_threads(1)
@@ -463,7 +438,6 @@ def _estimate_chunk(args):
 @click.option("--workers", default=None, type=int, help="worker processes (default: cores)")
 def cmd_estimate(config_path, model_override, out_dir, workers):
     """MAP estimation over an observation series (state CSV or IK from poses)."""
-    _keep_freed_heap()
     cfg = load_config(config_path)
     out = _out_dir(cfg, out_dir)
     model, model_path = load_model_from_config(cfg, model_override)

@@ -121,8 +121,6 @@ class SparseCholeskySolver:
                 heights[p] += widths[q]
         self._offsets = np.concatenate([[0], np.cumsum(heights * widths)]).astype(np.intp)
         self.size = int(self._offsets[-1])
-        # where each panel starts in a sample's values, in bytes, for LAPACK's pointers
-        self._byte_offsets = (self._offsets[:-1] * np.dtype(float).itemsize).tolist()
         self._block_of = np.repeat(np.arange(n_blocks), widths)
         self.diag_slots = self.slots(np.arange(n), np.arange(n))
         # per block, the permuted indices of the blocks below it, and the
@@ -171,11 +169,10 @@ class SparseCholeskySolver:
         stack = np.ascontiguousarray(values, dtype=float).reshape(-1, self.size)
         max_diag = np.take(stack, self.diag_slots, axis=1).max(axis=1, initial=0.0)
         cholesky = cholesky_inverse()
-        address = stack.ctypes.data
         for p, width in enumerate(self.widths):
             panel = self._panel(stack, p)
             diag = panel[:, :width]
-            failed = cholesky(diag, address + self._byte_offsets[p])
+            failed = cholesky(diag)
             if failed is not None:
                 k, order = failed
                 raise self._failure(self.starts[p] + order - 1, k, len(stack))

@@ -19,17 +19,14 @@ def spd_stack(rng, samples, width):
 
 def run(route, stack):
     blocks = stack.copy()
-    return route(blocks, blocks.ctypes.data), blocks
+    return route(blocks), blocks
 
 
 @needs_openblas
 @pytest.mark.parametrize("width", [1, 6, 26])
 def test_openblas_routes_match_scipy(rng, width):
-    """Every bundled copy's route against scipy.linalg.lapack's wrappers.
-
-    scipy's copy is the library those wrappers call: bit for bit. numpy's
-    copy is another OpenBLAS build, which need not round alike.
-    """
+    """Every route of scipy's bundled copy against scipy.linalg.lapack's
+    wrappers, which call that very library: bit for bit."""
     stack = spd_stack(rng, 9, width)
     failed_scipy, theirs = run(blas.ScipyCholeskyInverse(), stack)
     assert failed_scipy is None
@@ -37,9 +34,7 @@ def test_openblas_routes_match_scipy(rng, width):
     for route in ROUTES:
         failed, ours = run(route, stack)
         assert failed is None
-        if route.library.startswith("scipy"):
-            assert ours.tobytes() == theirs.tobytes(), route.library
-        np.testing.assert_allclose(ours, theirs, rtol=1e-13, atol=1e-15, err_msg=route.library)
+        assert ours.tobytes() == theirs.tobytes(), route.library
         # the strict upper triangle is left as it was
         assert np.array_equal(ours[:, ~lower], stack[:, ~lower])
     # the lower triangle is the inverse of the lower Cholesky factor
@@ -47,9 +42,24 @@ def test_openblas_routes_match_scipy(rng, width):
     np.testing.assert_allclose(np.where(lower, theirs, 0.0), expected, rtol=1e-10, atol=1e-14)
 
 
-def test_scipy_copy_comes_first():
-    if any(route.library.startswith("scipy") for route in ROUTES):
-        assert blas.cholesky_inverse().library.startswith("scipy")
+@needs_openblas
+def test_openblas_route_writes_the_blocks_of_a_panel_view(rng):
+    """Blocks cut from the top of taller panels, as the solver passes them:
+    only the blocks change, each at its own place."""
+    width = 6
+    stack = spd_stack(rng, 5, width)
+    panels = rng.normal(0.0, 1.0, (5, width + 4, width))
+    panels[:, :width] = stack
+    below = panels[:, width:].copy()
+    assert blas.cholesky_inverse()(panels[:, :width]) is None
+    _, expected = run(blas.ScipyCholeskyInverse(), stack)
+    assert panels[:, :width].tobytes() == expected.tobytes()
+    assert panels[:, width:].tobytes() == below.tobytes()
+
+
+@needs_openblas
+def test_solver_route_is_the_first_bundled_one():
+    assert blas.cholesky_inverse().library == ROUTES[0].library
 
 
 @needs_openblas
@@ -57,7 +67,10 @@ def test_openblas_route_rejects_blocks_it_cannot_pass(rng):
     stack = spd_stack(rng, 3, 6)
     for blocks in (stack.transpose(0, 2, 1), stack[:, :, :5], stack.astype(np.float32)):
         with pytest.raises(ValueError, match="C-contiguous"):
-            blas.cholesky_inverse()(blocks, blocks.ctypes.data)
+            blas.cholesky_inverse()(blocks)
+    stack.flags.writeable = False
+    with pytest.raises(ValueError, match="read-only"):
+        blas.cholesky_inverse()(stack)
 
 
 def test_lookup_without_symbols_falls_back_to_scipy(monkeypatch):
