@@ -128,8 +128,8 @@ def set_blas_threads(counts) -> dict:
 
 
 def bundled_lapack() -> list:
-    """An ``OpenBlasCholeskyInverse`` per library in scipy's bundled copy and
-    symbol pair found, in the order of ``_LAPACK_SYMBOLS``."""
+    """An ``OpenBlasCholeskyInverse`` per symbol pair found in a library of
+    scipy's bundled OpenBLAS, in the order of ``_LAPACK_SYMBOLS``."""
     import scipy
 
     routes = []
