@@ -91,6 +91,13 @@ def load_config(path) -> dict:
         raise InputError(f"config is not valid JSON: {exc}") from exc
 
 
+def _positive_int(value, key):
+    """``value`` if it is a positive integer (not a bool), else an InputError naming ``key``."""
+    if isinstance(value, bool) or not isinstance(value, int) or value < 1:
+        raise InputError(f"'{key}' must be a positive integer, got {value!r}")
+    return value
+
+
 def config_hash(cfg: dict) -> str:
     return hashlib.sha256(json.dumps(cfg, sort_keys=True).encode()).hexdigest()
 
@@ -423,6 +430,9 @@ def _estimate_worker_init(model_xml, sensors_cfg, cov_cfg, marginal_mode):
     _WORKER["stack"] = np.empty((ESTIMATE_BATCH, plan.solver.size))
 
 
+MARGINAL_MODES = ("tau", "tau_ddq", "all")
+
+
 def _marginal_indices(layout, mode):
     if mode == "all":
         return np.arange(layout.size)
@@ -474,6 +484,13 @@ def cmd_estimate(config_path, model_override, out_dir, workers):
     masm = MeasurementAssembler(model, specs)
     layout = DynLayout(model)
     sigma_D, sigma_d, mu_d = covariances_from_config(cfg)
+    # checked before the inputs are read: the IK of a pose CSV takes long
+    marginal_mode = cfg.get("marginals", "tau")
+    if marginal_mode not in MARGINAL_MODES:
+        raise InputError(f"'marginals' must be one of {', '.join(MARGINAL_MODES)}, got {marginal_mode!r}")
+    cfg_workers = cfg.get("workers")
+    if cfg_workers is not None:
+        _positive_int(cfg_workers, "workers")
 
     inputs_cfg = cfg.get("inputs", {})
     obs_path = inputs_cfg.get("observations")
@@ -509,9 +526,8 @@ def cmd_estimate(config_path, model_override, out_dir, workers):
     if q_series.shape[0] != times.size:
         raise InputError("state and observation sample counts disagree")
 
-    marginal_mode = cfg.get("marginals", "tau")
     marg_idx = _marginal_indices(layout, marginal_mode)
-    n_workers = workers or cfg.get("workers") or (os.cpu_count() or 1)
+    n_workers = workers or cfg_workers or (os.cpu_count() or 1)
     n_samples = times.size
     if n_samples < 8:
         n_workers = 1
@@ -621,8 +637,10 @@ def _state_from_poses(model, cfg, poses_path):
     header, data = read_csv(poses_path)
     times = data[:, 0]
     sg_cfg = cfg.get("sg", {})
-    window = int(sg_cfg.get("window", 57))
-    order = int(sg_cfg.get("order", 3))
+    window = _positive_int(sg_cfg.get("window", 57), "sg.window")
+    order = _positive_int(sg_cfg.get("order", 3), "sg.order")
+    if window % 2 == 0 or window <= order:
+        raise InputError(f"'sg.window' must be odd and larger than 'sg.order' ({order}), got {window}")
     min_window = order + 1 + order % 2  # the smallest odd window above the order
     if times.size < min_window:
         raise InputError(
@@ -690,9 +708,7 @@ def cmd_fusion(config_path, model_override, out_dir):
 
     traj = trajectory_from_config(model, cfg)
     _, q_series, qd_series, _ = traj.sample()
-    max_states = fusion_cfg.get("max_states", 10)
-    if isinstance(max_states, bool) or not isinstance(max_states, int) or max_states < 1:
-        raise InputError(f"'fusion.max_states' must be a positive integer, got {max_states!r}")
+    max_states = _positive_int(fusion_cfg.get("max_states", 10), "fusion.max_states")
     # evenly spaced, and at most max_states of them
     stride = -(-q_series.shape[0] // max_states)
     q_states, qd_states = q_series[::stride], qd_series[::stride]

@@ -425,7 +425,9 @@ class PrecisionPlan:
     covers every state, and the prior adds only the diagonal.
 
     A non-finite reading is missing: its row gets zero weight for that sample
-    and adds nothing to the right-hand side.
+    and adds nothing to the right-hand side. A non-finite bias (from a
+    non-finite joint velocity, say) is an ``EstimatorError`` naming its
+    sample.
     """
 
     def __init__(self, d_pattern, y_pattern, sigma_D, sigma_y, mu_d=0.0, sigma_d=1e4):
@@ -484,6 +486,12 @@ class PrecisionPlan:
         )
         residual = np.concatenate([-np.asarray(b_d), np.where(missing, 0.0, y - b_y)], axis=1)
         values = np.concatenate([values_d, values_y], axis=1)
+        if not np.isfinite(residual).all():
+            # a non-finite precision fails at its pivot in the factor; a finite
+            # one would pass it and turn a non-finite bias into a NaN mean
+            bad = ~np.isfinite(residual).all(axis=1) & np.isfinite(values).all(axis=1)
+            if bad.any():
+                raise EstimatorError(f"sample {np.flatnonzero(bad)[0]} of {n_samples}: b_D or b_Y is not finite")
         weighted = values * weights[:, self._rows]
         solver = self.solver
         blocks = np.empty((n_samples, solver.size)) if out is None else out
@@ -529,8 +537,9 @@ def map_solve(problem: MapProblem) -> GaussianBelief:
 
     Goes through the path ``estimate`` takes, with a stack of one sample: a
     ``PrecisionPlan`` of the problem, its precision blocks and right-hand
-    side, the block Cholesky. A non-finite reading is missing; a failing
-    pivot raises ``NotPositiveDefiniteError``.
+    side, the block Cholesky. A non-finite reading is missing; a non-finite
+    bias raises ``EstimatorError``, a failing pivot
+    ``NotPositiveDefiniteError``.
     """
     plan = problem.plan()
     values, rhs = plan.terms(

@@ -23,8 +23,6 @@ from mapdyn.model.kinematics import (
     IkResult,
     forward_kinematics,
     ik_frame_match,
-    joint_velocities_from_angular,
-    relative_angular_jacobian,
 )
 
 __all__ = [
@@ -46,8 +44,6 @@ __all__ = [
     "forward_kinematics",
     "generate_human_template",
     "ik_frame_match",
-    "joint_velocities_from_angular",
     "load_body_tables",
     "parse_model",
-    "relative_angular_jacobian",
 ]

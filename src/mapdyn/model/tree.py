@@ -191,65 +191,6 @@ class KinematicTreeModel:
     def sensors_of_kind(self, kind: str):
         return tuple(s for s in self.sensors if s.kind == kind)
 
-    def structurally_equal(self, other: "KinematicTreeModel") -> bool:
-        """Structural equality (names, numbers, topology, sensors).
-
-        Scalars and translations compare exactly; rotation matrices within
-        1e-14, since serialization goes through Euler angles.
-        """
-
-        def same_rot(a, b):
-            return np.allclose(a, b, rtol=0.0, atol=1e-14)
-
-        if (
-            self.name != other.name
-            or len(self.links) != len(other.links)
-            or len(self.sensors) != len(other.sensors)
-        ):
-            return False
-        for a, b in zip(self.links, other.links):
-            if a.name != b.name or a.is_dummy != b.is_dummy:
-                return False
-            if (a.inertia is None) != (b.inertia is None):
-                return False
-            if a.inertia is not None:
-                if (
-                    a.inertia.mass != b.inertia.mass
-                    or not np.array_equal(a.inertia.com, b.inertia.com)
-                    or not np.array_equal(a.inertia.inertia, b.inertia.inertia)
-                ):
-                    return False
-            if (a.visual is None) != (b.visual is None):
-                return False
-            if a.visual is not None:
-                if a.visual.kind != b.visual.kind or a.visual.dims != b.visual.dims:
-                    return False
-                if not np.array_equal(
-                    a.visual.origin.translation, b.visual.origin.translation
-                ) or not same_rot(a.visual.origin.rotation, b.visual.origin.rotation):
-                    return False
-        for a, b in zip(self.joints, other.joints):
-            if (
-                a.name != b.name
-                or a.parent != b.parent
-                or a.child != b.child
-                or not np.array_equal(a.axis, b.axis)
-                or a.limits != b.limits
-                or not np.array_equal(a.origin.translation, b.origin.translation)
-                or not same_rot(a.origin.rotation, b.origin.rotation)
-            ):
-                return False
-        for a, b in zip(self.sensors, other.sensors):
-            if (
-                a.name != b.name
-                or a.kind != b.kind
-                or a.parent_link != b.parent_link
-                or not np.array_equal(a.pose.translation, b.pose.translation)
-                or not same_rot(a.pose.rotation, b.pose.rotation)
-            ):
-                return False
-        return True
-
     def __repr__(self):
         return (
             f"KinematicTreeModel({self.name!r}, moving={self.n_moving}, "

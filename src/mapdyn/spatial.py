@@ -45,31 +45,6 @@ def skew(v):
     return z
 
 
-def cross_motion_matrix(v):
-    """6x6 cross operator of a motion vector acting on motion vectors."""
-    v = np.asarray(v)
-    m = np.zeros((6, 6), dtype=v.dtype)
-    w = skew(v[3:])
-    m[:3, :3] = w
-    m[:3, 3:] = skew(v[:3])
-    m[3:, 3:] = w
-    return m
-
-
-def cross_force_matrix(v):
-    """6x6 dual cross operator acting on force vectors.
-
-    Equals the negative transpose of :func:`cross_motion_matrix`.
-    """
-    v = np.asarray(v)
-    m = np.zeros((6, 6), dtype=v.dtype)
-    w = skew(v[3:])
-    m[:3, :3] = w
-    m[3:, :3] = skew(v[:3])
-    m[3:, 3:] = w
-    return m
-
-
 def cross_motion(v, u):
     """Spatial cross product of two motion vectors: v x u.
 
@@ -154,16 +129,6 @@ def orthonormalize(r):
     if np.linalg.det(out) < 0:
         out = u @ np.diag([1.0, 1.0, -1.0]) @ vt
     return out
-
-
-def random_rotation(rng):
-    """Uniform-ish random rotation from the exponential of a random skew."""
-    w = rng.normal(size=3)
-    angle = rng.uniform(0.0, np.pi)
-    n = np.linalg.norm(w)
-    if n < 1e-12:
-        return np.eye(3)
-    return rotation_about_axis(w / n, angle)
 
 
 # ---------------------------------------------------------------------------
@@ -357,23 +322,3 @@ def inertia_of_shape(shape: str, dims, mass: float):
         (r,) = dims
         return np.diag([0.4 * mass * r * r] * 3)
     raise ValueError(f"unknown shape {shape!r}")
-
-
-# ---------------------------------------------------------------------------
-# point kinematics of a moving frame
-
-
-def point_velocity(o_dot, omega, rotation, p_body):
-    """Velocity of a body-fixed point given the frame's twist.
-
-    o_dot, omega are the frame origin velocity / angular velocity in the
-    reference frame; p_body is the point in body coordinates.
-    """
-    return np.asarray(o_dot) + skew(omega) @ (rotation @ np.asarray(p_body))
-
-
-def point_acceleration(o_ddot, omega, omega_dot, rotation, p_body):
-    """Acceleration of a body-fixed point given the frame's motion."""
-    rp = rotation @ np.asarray(p_body)
-    w = skew(omega)
-    return np.asarray(o_ddot) + skew(omega_dot) @ rp + w @ (w @ rp)

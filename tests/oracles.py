@@ -21,10 +21,34 @@ from mapdyn.spatial import (
     HomTransform,
     adjoint_force,
     adjoint_motion,
-    cross_force_matrix,
-    cross_motion_matrix,
     rotation_about_axis,
+    skew,
 )
+
+
+def cross_motion_matrix(v):
+    """6x6 cross operator of a motion vector acting on motion vectors."""
+    v = np.asarray(v)
+    m = np.zeros((6, 6), dtype=v.dtype)
+    w = skew(v[3:])
+    m[:3, :3] = w
+    m[:3, 3:] = skew(v[:3])
+    m[3:, 3:] = w
+    return m
+
+
+def cross_force_matrix(v):
+    """6x6 dual cross operator acting on force vectors.
+
+    Equals the negative transpose of :func:`cross_motion_matrix`.
+    """
+    v = np.asarray(v)
+    m = np.zeros((6, 6), dtype=v.dtype)
+    w = skew(v[3:])
+    m[:3, :3] = w
+    m[3:, :3] = skew(v[:3])
+    m[3:, 3:] = w
+    return m
 
 
 def joint_transform(joint, q):

@@ -41,15 +41,13 @@ from mapdyn.simharness import (
     TrajectorySpec,
     generate_ground_truth,
     generate_observations,
-    random_chain_model,
-    random_state,
-    random_tree_model,
     synthesize_sensor_streams,
 )
 from mapdyn.spatial import matrix_to_rpy
 
 from conftest import TWO_LINK_XML
 from oracles import lmmse_forms_check, map_as_gls, one_state, one_state_system, posterior_precision_terms
+from random_models import random_chain_model, random_state, random_tree_model
 
 CONTACT_LINKS = ("RightFoot", "RightToe", "LeftToe")
 

@@ -315,6 +315,22 @@ class TestEstimate:
         assert main(["estimate", "--config", write_config(tmp_path, est_cfg, "short.json"), "--workers", "1"]) == 2
         assert "smoothing order 3 needs at least 5 pose samples, got 3" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "key, value", [("marginals", "al"), ("sg.window", 30), ("sg.order", "x"), ("workers", "two")]
+    )
+    def test_bad_config_value_exits_2_with_its_key(self, two_link_setup, capsys, key, value):
+        """A config value `estimate` reads but cannot use is an input error naming its key."""
+        tmp_path, cfg = two_link_setup
+        config, _ = self._simulate(tmp_path, cfg)
+        est_cfg = json.loads(Path(config).read_text())
+        # the pose input, so that the run reads the `sg` block too
+        est_cfg["inputs"]["link_poses"] = str(Path(cfg["out"]) / "link_poses.csv")
+        del est_cfg["inputs"]["state"]
+        block, _, name = key.rpartition(".")
+        (est_cfg.setdefault(block, {}) if block else est_cfg)[name] = value
+        assert main(["estimate", "--config", write_config(tmp_path, est_cfg, "bad.json")]) == 2
+        assert f"'{key}' must be" in capsys.readouterr().err
+
     def test_missing_reading_gets_zero_weight(self, two_link_setup, capsys):
         """A NaN cell drops that channel for that sample; the run counts it."""
         from mapdyn.cli import covariances_from_config, sensor_specs_from_config

@@ -13,7 +13,6 @@ from mapdyn.dynamics import (
     rnea,
 )
 from mapdyn.model import parse_model
-from mapdyn.simharness import random_chain_model, random_state, random_tree_model
 from mapdyn.spatial import (
     GRAVITY_SPATIAL,
     adjoint_force,
@@ -22,6 +21,7 @@ from mapdyn.spatial import (
 )
 
 from oracles import link_poses_4x4, one_state
+from random_models import random_chain_model, random_state, random_tree_model
 
 SINGLE_LINK_XML = """
 <robot name="single">

@@ -18,7 +18,6 @@ from mapdyn.estimator import (
     unobserved_dimension,
 )
 from mapdyn.sensors import MeasurementAssembler
-from mapdyn.simharness import random_chain_model, random_state, random_tree_model
 
 from oracles import (
     block_values,
@@ -32,6 +31,7 @@ from oracles import (
     prior_precision_terms,
     stacked_rank_deficiency,
 )
+from random_models import random_chain_model, random_state, random_tree_model
 
 
 def stack_terms(plan, samples):
@@ -273,6 +273,25 @@ class TestPrecisionPlan:
         np.testing.assert_allclose(
             plan.solver.marginal_variances(idx), expected.marginal_variance(idx), rtol=1e-10
         )
+
+    def test_non_finite_bias_names_its_sample(self, two_link_problem):
+        """A non-finite bias would pass the factor and give a NaN mean: an error instead."""
+        problem, _, _ = two_link_problem
+        problem.b_D[0] = np.inf
+        with pytest.raises(EstimatorError, match="sample 0 of 1: b_D or b_Y is not finite"):
+            map_solve(problem)
+
+    def test_missing_reading_ignores_its_bias(self, two_link_problem):
+        problem, _, _ = two_link_problem
+        plan = problem.plan()
+        y = problem.y.copy()
+        y[2] = np.nan
+        b_y = problem.b_Y.copy()
+        b_y[2] = np.inf
+        ours = stack_terms(plan, [(problem.D, problem.b_D, problem.Y, b_y, y)])
+        finite_bias = stack_terms(plan, [(problem.D, problem.b_D, problem.Y, problem.b_Y, y)])
+        for a, b in zip(ours, finite_bias):
+            assert a.tobytes() == b.tobytes()
 
     def test_problem_without_stored_entries_gives_float_band(self, rng):
         dim = 4
@@ -792,6 +811,21 @@ class TestBlockSolver:
             values, _ = plan.terms(*assemble_system(casm, masm, q, qd), np.zeros((8, masm.dim)))
         with pytest.raises(NotPositiveDefiniteError, match="sample 3 of 8"), np.errstate(invalid="ignore"):
             plan.solver.factorize_blocks(values)
+
+    def test_non_finite_velocity_fails_its_sample(self, human_model_foot, rng):
+        """A non-finite joint velocity reaches only the biases: ``terms`` names its sample."""
+        from mapdyn.sensors import assemble_system, default_sensor_specs
+
+        model = human_model_foot
+        casm = ConstraintAssembler(model)
+        masm = MeasurementAssembler(model, default_sensor_specs(model))
+        plan = PrecisionPlan(casm.pattern, masm.pattern, 1e-4, masm.variances)
+        q, qd = rng.uniform(-0.2, 0.2, (8, model.n_dof)), rng.normal(0.0, 0.3, (8, model.n_dof))
+        qd[3, 20] = np.inf
+        with np.errstate(invalid="ignore"):
+            system = assemble_system(casm, masm, q, qd)
+        with pytest.raises(EstimatorError, match="sample 3 of 8: b_D or b_Y is not finite"):
+            plan.terms(*system, np.zeros((8, masm.dim)))
 
     def test_one_batch_of_8_allocates_under_1mb_per_sample(self, human_model_foot, rng):
         import tracemalloc

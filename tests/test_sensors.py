@@ -23,14 +23,12 @@ from mapdyn.simharness import (
     Sine,
     TrajectorySpec,
     link_motion,
-    random_chain_model,
-    random_state,
-    random_tree_model,
     synthesize_sensor_streams,
 )
 from mapdyn.spatial import GRAVITY_SPATIAL, HomTransform, matrix_to_rpy, rotation_about_axis
 
 from oracles import one_state
+from random_models import random_chain_model, random_state, random_tree_model
 
 
 def two_link_specs(model):
