@@ -474,7 +474,7 @@ def _estimate_chunk(args):
 @click.option("--config", "config_path", required=True, type=click.Path())
 @click.option("--model", "model_override", default=None, type=click.Path())
 @click.option("--out", "out_dir", default=None, type=click.Path())
-@click.option("--workers", default=None, type=int, help="worker processes (default: cores)")
+@click.option("--workers", default=None, type=click.IntRange(min=1), help="worker processes (default: cores)")
 def cmd_estimate(config_path, model_override, out_dir, workers):
     """MAP estimation over an observation series (state CSV or IK from poses)."""
     cfg = load_config(config_path)
@@ -518,8 +518,9 @@ def cmd_estimate(config_path, model_override, out_dir, workers):
         q_series = data[:, 1: 1 + n]
         qd_series = data[:, 1 + n: 1 + 2 * n]
         input_files.append(Path(inputs_cfg["state"]))
+        ik_unconverged = []
     elif inputs_cfg.get("link_poses"):
-        q_series, qd_series = _state_from_poses(model, cfg, inputs_cfg["link_poses"])
+        q_series, qd_series, ik_unconverged = _state_from_poses(model, cfg, inputs_cfg["link_poses"])
         input_files.append(Path(inputs_cfg["link_poses"]))
     else:
         raise InputError("config 'inputs' needs 'state' or 'link_poses'")
@@ -540,8 +541,7 @@ def cmd_estimate(config_path, model_override, out_dir, workers):
         (sigma_D, sigma_d, mu_d),
         marginal_mode,
     )
-    if n_workers <= 1:
-        n_workers = 1
+    if n_workers == 1:
         # in-process: hand the caller its own BLAS thread counts back
         previous = blas_threads()
         try:
@@ -588,6 +588,7 @@ def cmd_estimate(config_path, model_override, out_dir, workers):
             "worker_blas_threads": worker_blas,
             "missing_readings": missing,
             "joint_limit_samples": limit_samples,
+            "ik_unconverged_frames": ik_unconverged,
             "min_pivot_ratio": min_pivot_ratio,
             "max_unobserved_dimension": float(unobserved.max()),
             "unobserved_samples": unobserved_samples.tolist(),
@@ -598,7 +599,7 @@ def cmd_estimate(config_path, model_override, out_dir, workers):
     click.echo(
         f"estimated {n_samples} samples in {wall:.2f} s ({per_sample:.1f} ms/sample, "
         f"{n_workers} workers, BLAS threads per worker: {blas_note}, {missing} missing readings, "
-        f"{limit_samples} samples outside joint limits) "
+        f"{limit_samples} samples outside joint limits, {len(ik_unconverged)} IK frames unconverged) "
         f"-> {out} (manifest {manifest.name})"
     )
     if unobserved_samples.size:
@@ -633,7 +634,10 @@ def _make_chunks(n_samples, q_series, qd_series, y_series, n_workers):
 
 
 def _state_from_poses(model, cfg, poses_path):
-    """IK + smoothing differentiation from a per-link world-pose series."""
+    """IK + smoothing differentiation from a per-link world-pose series.
+
+    Returns q, qd and the indices of the frames whose IK did not converge.
+    """
     header, data = read_csv(poses_path)
     times = data[:, 0]
     sg_cfg = cfg.get("sg", {})
@@ -657,6 +661,7 @@ def _state_from_poses(model, cfg, poses_path):
     n = model.n_dof
     q_series = np.zeros((times.size, n))
     q_prev = None
+    unconverged = []
     for k in range(times.size):
         poses = {}
         for name in real:
@@ -670,13 +675,15 @@ def _state_from_poses(model, cfg, poses_path):
         result = ik_frame_match(model, targets, q_init=q_prev)
         q_series[k] = result.q
         q_prev = result.q
+        if not result.converged:
+            unconverged.append(k)
 
     if times.size < window:
         window = times.size - (1 - times.size % 2)  # the largest odd window that fits
         log.warning("short series: smoothing window reduced to %d", window)
     dt = float(np.median(np.diff(times))) if times.size > 1 else 1.0
     qd_series, _ = savitzky_golay_derivatives(q_series, dt, window=window, order=order)
-    return q_series, qd_series
+    return q_series, qd_series, unconverged
 
 
 def _real_link_pairs(model):

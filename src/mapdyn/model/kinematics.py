@@ -39,11 +39,6 @@ def forward_kinematics(model: KinematicTreeModel, q) -> list:
         raise ModelError(f"expected q of length {model.n_dof}, got shape {q.shape}")
     if check_joint_angles(model, q):
         warnings.warn("joint limits violated", stacklevel=2)
-    return _sweep_poses(model, q)
-
-
-def _sweep_poses(model, q):
-    """Per-link poses of the kinematic sweep of one sample, without the checks."""
     # imported here: mapdyn.dynamics imports mapdyn.model, whose package imports this module
     from mapdyn.dynamics import kinematic_sweep
 
@@ -60,23 +55,29 @@ class IkResult:
 
 
 def _pair_indices(model, targets):
-    pairs = []
-    for (name_i, name_k), target in targets.items():
-        for n in (name_i, name_k):
-            if n not in model.link_index:
-                raise ModelError(f"IK target references unknown link {n!r}")
-        pairs.append((model.link_index[name_i], model.link_index[name_k], target))
-    return pairs
+    """Link indices i and k of the target pairs, and their stacked target rotations and translations."""
+    for name in (name for pair in targets for name in pair):
+        if name not in model.link_index:
+            raise ModelError(f"IK target references unknown link {name!r}")
+    i, k = (np.array([model.link_index[pair[side]] for pair in targets], dtype=int) for side in (0, 1))
+    rotation = np.array([target.rotation for target in targets.values()], dtype=float).reshape(-1, 3, 3)
+    translation = np.array([target.translation for target in targets.values()], dtype=float).reshape(-1, 3)
+    return i, k, rotation, translation
 
 
 def _ik_residual(model, pairs, q):
+    """Pose-error logs of a (T, n_dof) stack of states, (T, 6 * pairs), from one sweep."""
+    from mapdyn.dynamics import kinematic_sweep
+
+    i, k, target_rotation, target_translation = pairs
     # the sweep does not warn: the finite differences step past the clamped limits
-    poses = _sweep_poses(model, q)
-    r = []
-    for i, k, target in pairs:
-        rel = poses[i].inverse() @ poses[k]
-        r.append(se3_log(target.inverse() @ rel))
-    return np.concatenate(r) if r else np.zeros(0)
+    sweep = kinematic_sweep(model, q, np.zeros_like(q))
+    # target^-1 pose_i^-1 pose_k = (pose_i target)^-1 pose_k, on (T, pairs, ...) arrays
+    rotation_i = sweep.rotation[:, i]
+    inverse_rotation = (rotation_i @ target_rotation).swapaxes(-1, -2)
+    origin = (rotation_i @ target_translation[..., None])[..., 0] + sweep.position[:, i]
+    error_translation = (inverse_rotation @ (sweep.position[:, k] - origin)[..., None])[..., 0]
+    return se3_log(inverse_rotation @ sweep.rotation[:, k], error_translation).reshape(q.shape[0], -1)
 
 
 def ik_frame_match(model, targets, q_init=None, max_iter=100, tol=1e-12) -> IkResult:
@@ -88,28 +89,26 @@ def ik_frame_match(model, targets, q_init=None, max_iter=100, tol=1e-12) -> IkRe
     iterate with ``converged=False``.
     """
     pairs = _pair_indices(model, targets)
+    n = model.n_dof
     lo, hi = model.limits()
-    q = np.zeros(model.n_dof) if q_init is None else np.clip(np.asarray(q_init, float), lo, hi)
+    q = np.zeros(n) if q_init is None else np.clip(np.asarray(q_init, float), lo, hi)
 
-    res = _ik_residual(model, pairs, q)
+    res = _ik_residual(model, pairs, q[None])[0]
     cost = float(res @ res)
     if cost <= tol:
         return IkResult(q, np.sqrt(cost), 0, True)
 
     damping = 1e-6
+    h = 1e-6
     it = 0
     for it in range(1, max_iter + 1):
-        jac = np.zeros((res.size, model.n_dof))
-        h = 1e-6
-        for j in range(model.n_dof):
-            qp = q.copy()
-            qm = q.copy()
-            qp[j] += h
-            qm[j] -= h
-            jac[:, j] = (_ik_residual(model, pairs, qp) - _ik_residual(model, pairs, qm)) / (2 * h)
-        step = np.linalg.solve(jac.T @ jac + damping * np.eye(model.n_dof), -(jac.T @ res))
+        # central differences: the 2 n_dof stepped states take one sweep
+        steps = h * np.eye(n)
+        stepped = _ik_residual(model, pairs, np.concatenate([q + steps, q - steps]))
+        jac = ((stepped[:n] - stepped[n:]) / (2 * h)).T
+        step = np.linalg.solve(jac.T @ jac + damping * np.eye(n), -(jac.T @ res))
         q_new = np.clip(q + step, lo, hi)
-        res_new = _ik_residual(model, pairs, q_new)
+        res_new = _ik_residual(model, pairs, q_new[None])[0]
         cost_new = float(res_new @ res_new)
         if cost_new < cost:
             moved = np.linalg.norm(q_new - q)

@@ -343,20 +343,14 @@ def estimate_sensor_pose(
         raise ExcitationError("at least two samples are required")
     gravity = GRAVITY_SPATIAL[:3]
 
-    a_rows = np.zeros((3 * n, 3))
-    b_rows = np.zeros(3 * n)
-    rpys = np.zeros((n, 3))
-    for i in range(n):
-        w = np.asarray(angular_velocities[i], dtype=float)
-        wd = np.asarray(angular_accelerations[i], dtype=float)
-        r_b = body_rotations[i]
-        r_s = np.asarray(sensor_rotations[i], dtype=float)
-        a_rows[3 * i: 3 * i + 3] = (skew(wd) + skew(w) @ skew(w)) @ r_b
-        b_rows[3 * i: 3 * i + 3] = (
-            r_s @ np.asarray(sensor_accelerations[i], dtype=float)
-            - (np.asarray(body_accelerations[i], dtype=float) - gravity)
-        )
-        rpys[i] = matrix_to_rpy(r_b.T @ r_s)
+    w = skew(np.asarray(angular_velocities, dtype=float))
+    r_s = np.asarray(sensor_rotations, dtype=float)
+    a_rows = ((skew(np.asarray(angular_accelerations, dtype=float)) + w @ w) @ body_rotations).reshape(3 * n, 3)
+    b_rows = (
+        (r_s @ np.asarray(sensor_accelerations, dtype=float)[..., None])[..., 0]
+        - (np.asarray(body_accelerations, dtype=float) - gravity)
+    ).reshape(3 * n)
+    rpys = matrix_to_rpy(body_rotations.swapaxes(-1, -2) @ r_s)
 
     if np.linalg.matrix_rank(a_rows, tol=1e-8) < 3:
         raise ExcitationError(

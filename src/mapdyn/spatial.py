@@ -229,22 +229,24 @@ def adjoint_force(h: HomTransform):
     return x
 
 
-def se3_log(h: HomTransform):
-    """Logarithm map of SE(3) returning a 6-vector [linear; angular]."""
+def se3_log(rotation, translation):
+    """Logarithm map of SE(3): (..., 6) vectors [linear; angular] of (..., 3, 3)
+    rotations and (..., 3) translations."""
     from scipy.spatial.transform import Rotation
 
-    w = Rotation.from_matrix(np.asarray(h.rotation, dtype=float)).as_rotvec()
-    theta = np.linalg.norm(w)
+    rotation = np.asarray(rotation, dtype=float)
+    w = Rotation.from_matrix(rotation.reshape(-1, 3, 3)).as_rotvec().reshape(rotation.shape[:-1])
+    theta = np.linalg.norm(w, axis=-1)[..., None, None]
     k = skew(w)
-    t2 = theta * theta
     # V^{-1} maps the translation onto the constant-twist linear part; the
-    # closed-form coefficient cancels catastrophically for small angles
-    if theta < 1e-4:
-        coeff = 1.0 / 12.0 + t2 / 720.0
-    else:
-        coeff = (1.0 - theta * np.sin(theta) / (2.0 * (1.0 - np.cos(theta)))) / t2
+    # closed-form coefficient cancels catastrophically for small angles, which
+    # take the series and a safe angle in the closed form they do not use
+    small = theta < 1e-4
+    safe = np.where(small, 1.0, theta)
+    closed = (1.0 - safe * np.sin(safe) / (2.0 * (1.0 - np.cos(safe)))) / (safe * safe)
+    coeff = np.where(small, 1.0 / 12.0 + theta * theta / 720.0, closed)
     vinv = np.eye(3) - 0.5 * k + coeff * (k @ k)
-    return np.concatenate([vinv @ h.translation, w])
+    return np.concatenate([(vinv @ np.asarray(translation, dtype=float)[..., None])[..., 0], w], axis=-1)
 
 
 # ---------------------------------------------------------------------------

@@ -315,6 +315,37 @@ class TestEstimate:
         assert main(["estimate", "--config", write_config(tmp_path, est_cfg, "short.json"), "--workers", "1"]) == 2
         assert "smoothing order 3 needs at least 5 pose samples, got 3" in capsys.readouterr().err
 
+    def test_unconverged_ik_frames_are_reported(self, two_link_setup, capsys):
+        """A pose row the chain cannot reach is listed in the manifest and counted on the summary line."""
+        tmp_path, cfg = two_link_setup
+        config, _ = self._simulate(tmp_path, cfg)
+        est_cfg = json.loads(Path(config).read_text())
+        est_cfg["inputs"]["link_poses"] = str(Path(cfg["out"]) / "link_poses.csv")
+        del est_cfg["inputs"]["state"]
+        config = write_config(tmp_path, est_cfg, "poses.json")
+        assert main(["estimate", "--config", config, "--workers", "1"]) == 0
+        assert "0 IK frames unconverged" in capsys.readouterr().out
+        assert json.loads((tmp_path / "est" / "manifest.json").read_text())["ik_unconverged_frames"] == []
+
+        poses = Path(est_cfg["inputs"]["link_poses"])
+        lines = poses.read_text().splitlines()
+        column = lines[0].split(",").index("link2_x")
+        cells = lines[6].split(",")
+        cells[column] = repr(float(cells[column]) + 1.0)  # link2 moved 1 m off its joint
+        lines[6] = ",".join(cells)
+        poses.write_text("\n".join(lines) + "\n")
+        assert main(["estimate", "--config", config, "--workers", "1"]) == 0
+        assert "1 IK frames unconverged" in capsys.readouterr().out
+        assert json.loads((tmp_path / "est" / "manifest.json").read_text())["ik_unconverged_frames"] == [5]
+
+    @pytest.mark.parametrize("workers", ["0", "-3"])
+    def test_workers_below_one_is_a_usage_error(self, two_link_setup, capsys, workers):
+        tmp_path, cfg = two_link_setup
+        config, _ = self._simulate(tmp_path, cfg)
+        assert main(["estimate", "--config", config, "--workers", workers]) == 1
+        assert "--workers" in capsys.readouterr().err
+        assert not (tmp_path / "est" / "estimates.csv").exists()
+
     @pytest.mark.parametrize(
         "key, value", [("marginals", "al"), ("sg.window", 30), ("sg.order", "x"), ("workers", "two")]
     )

@@ -357,3 +357,44 @@ class TestInverseKinematics:
         result = ik_frame_match(human_model, targets, q_init=np.clip(q_star + rng.normal(0, 0.05, 48), lo, hi))
         assert result.converged
         assert np.allclose(result.q, q_star, atol=1e-6)
+
+    def test_residual_of_a_stack_matches_one_state_at_a_time(self, human_model, rng):
+        from mapdyn.model.kinematics import _ik_residual, _pair_indices
+
+        poses = forward_kinematics(human_model, rng.uniform(-0.25, 0.25, 48))
+        targets = {
+            (human_model.links[human_model.parent[i]].name, human_model.links[i].name):
+                poses[human_model.parent[i]].inverse() @ poses[i]
+            for i in range(1, 49)
+        }
+        pairs = _pair_indices(human_model, targets)
+        states = rng.uniform(-0.3, 0.3, (5, 48))
+        stack = _ik_residual(human_model, pairs, states)
+        assert stack.shape == (5, 6 * 48)
+        for state, row in zip(states, stack):
+            np.testing.assert_array_equal(_ik_residual(human_model, pairs, state[None])[0], row)
+
+    def test_unknown_link_is_a_model_error(self, two_link_model):
+        with pytest.raises(ModelError, match="unknown link 'hand'"):
+            ik_frame_match(two_link_model, {("base", "hand"): HomTransform.identity()})
+
+    def test_warm_started_human_frame_is_fast(self, human_model, rng):
+        """One 48-DoF frame, started 0.02 rad off, converges in well under a second."""
+        import time
+
+        lo, hi = human_model.limits()
+        q_star = np.clip(rng.uniform(-0.25, 0.25, 48), lo + 1e-3, hi - 1e-3)
+        poses = forward_kinematics(human_model, q_star)
+        targets = {
+            (human_model.links[human_model.parent[i]].name, human_model.links[i].name):
+                poses[human_model.parent[i]].inverse() @ poses[i]
+            for i in range(1, 49)
+        }
+        q_init = np.clip(q_star + rng.normal(0, 0.02, 48), lo, hi)
+        ik_frame_match(human_model, targets, q_init=q_init)  # warm: imports and tree arrays
+        start = time.perf_counter()
+        result = ik_frame_match(human_model, targets, q_init=q_init)
+        elapsed = time.perf_counter() - start
+        assert result.converged
+        assert np.allclose(result.q, q_star, atol=1e-6)
+        assert elapsed < 0.2

@@ -172,19 +172,39 @@ class TestRotations:
             assert np.array_equal(pose.translation, drifted.translation)
 
     def test_se3_log_of_identity(self):
-        assert np.allclose(se3_log(HomTransform.identity()), 0)
+        assert np.allclose(se3_log(np.eye(3), np.zeros(3)), 0)
 
     def test_se3_log_round_trip_rotation_angle(self, rng):
         w = rng.normal(0, 1, 3)
         w /= np.linalg.norm(w)
         angle = 0.7
-        h = HomTransform(rotation_about_axis(w, angle), np.zeros(3))
-        assert np.allclose(se3_log(h)[3:], w * angle, atol=1e-12)
+        assert np.allclose(se3_log(rotation_about_axis(w, angle), np.zeros(3))[3:], w * angle, atol=1e-12)
 
     def test_se3_log_pure_translation(self, rng):
         t = rng.normal(0, 1, 3)
-        h = HomTransform(np.eye(3), t)
-        assert np.allclose(se3_log(h), np.concatenate([t, np.zeros(3)]), atol=1e-12)
+        assert np.allclose(se3_log(np.eye(3), t), np.concatenate([t, np.zeros(3)]), atol=1e-12)
+
+    @pytest.mark.filterwarnings("error")
+    def test_se3_log_of_a_stack(self, rng):
+        """A stack logs to the bits of its poses one at a time, small and near-pi angles included."""
+        w = rng.normal(0, 1, 3)
+        w /= np.linalg.norm(w)
+        angles = [0.0, 1e-6, 0.3, 2.0, np.pi - 1e-6]
+        rotation = np.array([rotation_about_axis(w, a) for a in angles] + [random_rotation(rng) for _ in range(3)])
+        translation = rng.normal(0, 0.5, (len(rotation), 3))
+        stack = se3_log(rotation.reshape(2, 4, 3, 3), translation.reshape(2, 4, 3))
+        assert stack.shape == (2, 4, 6)
+        one_at_a_time = np.array([se3_log(r, t) for r, t in zip(rotation, translation)])
+        np.testing.assert_array_equal(stack.reshape(-1, 6), one_at_a_time)
+        # theta = 1e-6 takes the series V^{-1} = I - K/2 + (1/12 + theta^2/720) K^2 (the closed
+        # form would be off by about 1e-4 there)
+        k = skew(one_at_a_time[1, 3:])
+        theta = np.linalg.norm(one_at_a_time[1, 3:])
+        assert theta == pytest.approx(1e-6, rel=1e-9)
+        series = (np.eye(3) - 0.5 * k + (1.0 / 12.0 + theta * theta / 720.0) * (k @ k)) @ translation[1]
+        np.testing.assert_array_equal(one_at_a_time[1, :3], series)
+        # theta = pi - 1e-6: the angular part is the rotation vector
+        assert np.allclose(one_at_a_time[4, 3:], (np.pi - 1e-6) * w, rtol=0, atol=1e-9)
 
 
 class TestInertia:
