@@ -134,17 +134,27 @@ def write_manifest(out_dir: Path, command: str, cfg: dict, seed, inputs=(), outp
     return path
 
 
-def write_csv(path, header, rows):
-    """Header through ``csv.writer``; numeric rows as the shortest round-trip reprs.
+def _csv_lines(rows) -> str:
+    """Numeric rows as CSV lines of their shortest round-trip reprs.
 
-    Each row becomes Python floats first (``repr`` of a numpy scalar is not
-    its number), then one joined line with ``csv``'s ``\\r\\n`` terminator:
-    the bytes ``csv.writer`` would write, without its per-cell overhead.
+    The block becomes Python floats in one ``tolist`` (``repr`` of a numpy
+    scalar is not its number), and each row one joined line with ``csv``'s
+    ``\\r\\n`` terminator: the bytes ``csv.writer`` would write, without its
+    per-cell overhead.
+    """
+    return "".join(",".join(map(repr, row)) + "\r\n" for row in np.asarray(rows, dtype=float).tolist())
+
+
+def write_csv(path, header, rows):
+    """Header through ``csv.writer``; the numeric rows through ``_csv_lines``.
+
+    The rows go in blocks of SAMPLE_CHUNK, so that a long series is never
+    held as one string.
     """
     with open(path, "w", newline="") as fh:
         csv.writer(fh).writerow(header)
-        for row in rows:
-            fh.write(",".join(map(repr, np.asarray(row, dtype=float).tolist())) + "\r\n")
+        for block in sample_chunks(len(rows)):
+            fh.write(_csv_lines(rows[block]))
 
 
 def read_csv(path):
@@ -442,15 +452,26 @@ def _marginal_indices(layout, mode):
 
 
 def _estimate_chunk(args):
-    indices, q_rows, qd_rows, y_rows = args
+    """One chunk of samples, estimated and formatted where it runs.
+
+    Returns the chunk's lines of ``estimates.csv`` and ``marginal_std.csv``,
+    time column first, formatted by ``_csv_lines``: a pool's workers format
+    their own samples, and the parent only writes the text. The serial
+    path runs this same function in-process. Also returns the
+    per-sample unobserved dimensions and joint-limit violation counts, the
+    BLAS thread counts read back and the chunk's smallest pivot ratio.
+    """
+    indices, times, q_rows, qd_rows, y_rows = args
     casm = _WORKER["constraints"]
     masm = _WORKER["measurements"]
     plan = _WORKER["plan"]
     sigma_d = _WORKER["sigma_d"]
     marg_idx = _WORKER["marginal_idx"]
     all_idx = np.arange(casm.layout.size)
-    means = np.empty((len(indices), casm.layout.size))
-    stds = np.empty((len(indices), marg_idx.size))
+    # the output rows with the time in column 0, formatted as they stand
+    means = np.empty((len(indices), 1 + casm.layout.size))
+    stds = np.empty((len(indices), 1 + marg_idx.size))
+    means[:, 0] = stds[:, 0] = times
     unobserved = np.empty(len(indices))
     min_pivot_ratio = np.inf
     limit_violations = check_joint_angles(casm.model, q_rows)
@@ -461,13 +482,15 @@ def _estimate_chunk(args):
         stack = _WORKER["stack"][: batch.stop - batch.start]
         values, rhs = plan.terms(*(part[batch] for part in system), y_rows[batch], out=stack)
         solver = plan.solver.factorize_blocks(values)
-        means[batch] = solver.solve(rhs)
+        means[batch, 1:] = solver.solve(rhs)
         # the recurrence computes the whole diagonal anyway
         variances = solver.marginal_variances(all_idx)
-        stds[batch] = np.sqrt(variances[:, marg_idx])
+        stds[batch, 1:] = np.sqrt(variances[:, marg_idx])
         unobserved[batch] = unobserved_dimension(variances, sigma_d)
         min_pivot_ratio = min(min_pivot_ratio, float(solver.min_pivot_ratio.min()))
-    return indices, means, stds, unobserved, limit_violations, blas_threads(), min_pivot_ratio
+    return (
+        indices, _csv_lines(means), _csv_lines(stds), unobserved, limit_violations, blas_threads(), min_pivot_ratio
+    )
 
 
 @cli.command("estimate")
@@ -532,7 +555,7 @@ def cmd_estimate(config_path, model_override, out_dir, workers):
     n_samples = times.size
     if n_samples < 8:
         n_workers = 1
-    chunks = _make_chunks(n_samples, q_series, qd_series, y_series, n_workers)
+    chunks = _make_chunks(times, q_series, qd_series, y_series, n_workers)
 
     t_start = time.perf_counter()
     init_args = (
@@ -555,16 +578,15 @@ def cmd_estimate(config_path, model_override, out_dir, workers):
             results = list(pool.map(_estimate_chunk, chunks))
     wall = time.perf_counter() - t_start
 
-    means = np.empty((n_samples, layout.size))
-    stds = np.empty((n_samples, marg_idx.size))
     unobserved = np.empty(n_samples)
     limit_violations = np.empty(n_samples, dtype=int)
     # per bundled copy, the most threads any worker read back
     worker_blas = {}
     min_pivot_ratio = np.inf
-    for indices, mean_rows, std_rows, unobserved_rows, violation_rows, threads, pivot_ratio in results:
-        means[indices] = mean_rows
-        stds[indices] = std_rows
+    est_lines, std_lines = [], []
+    for indices, est_text, std_text, unobserved_rows, violation_rows, threads, pivot_ratio in results:
+        est_lines.append(est_text)
+        std_lines.append(std_text)
         unobserved[indices] = unobserved_rows
         limit_violations[indices] = violation_rows
         min_pivot_ratio = min(min_pivot_ratio, pivot_ratio)
@@ -573,10 +595,13 @@ def cmd_estimate(config_path, model_override, out_dir, workers):
 
     col_names = layout.column_names()
     est_path = out / "estimates.csv"
-    write_csv(est_path, ["time"] + col_names, np.column_stack([times, means]))
     marg_path = out / "marginal_std.csv"
     marg_names = [col_names[i] for i in marg_idx]
-    write_csv(marg_path, ["time"] + marg_names, np.column_stack([times, stds]))
+    # the chunks come back in sample order, their lines already formatted
+    for path, names, lines in ((est_path, col_names, est_lines), (marg_path, marg_names, std_lines)):
+        with open(path, "w", newline="") as fh:
+            csv.writer(fh).writerow(["time"] + names)
+            fh.writelines(lines)
     unobserved_samples = np.flatnonzero(unobserved >= UNOBSERVED_TOL)
     # estimation accepts any measured posture; the run reports the samples outside the limits
     limit_samples = int(np.count_nonzero(limit_violations))
@@ -616,18 +641,19 @@ def _unobserved_error(unobserved, samples, times, shown=10):
     ))
 
 
-def _make_chunks(n_samples, q_series, qd_series, y_series, n_workers):
+def _make_chunks(times, q_series, qd_series, y_series, n_workers):
     """Contiguous chunks of samples, each assembled from one kinematic sweep.
 
     One process takes chunks of at most SAMPLE_CHUNK samples; a pool cuts
     four chunks per worker, of at least CHUNK_MIN samples each.
     """
+    n_samples = times.size
     n_chunks = -(-n_samples // SAMPLE_CHUNK)
     if n_workers > 1:
         n_chunks = max(n_chunks, min(n_workers * 4, n_samples // CHUNK_MIN))
     bounds = np.array_split(np.arange(n_samples), max(1, n_chunks))
     return [
-        (idx, q_series[idx], qd_series[idx], y_series[idx])
+        (idx, times[idx], q_series[idx], qd_series[idx], y_series[idx])
         for idx in bounds
         if idx.size
     ]

@@ -239,10 +239,15 @@ def assemble_system(constraints, measurements, q, qd, dtype=float):
     sample (T = 1). The values are (T, nnz) arrays in the CSC data order of
     ``constraints.matrix`` and ``measurements.matrix``, and the biases are
     (T, rows): the inputs of ``PrecisionPlan.terms``.
+
+    A non-finite velocity reaches only the biases, through ``inf * 0``
+    products that would warn; they run quietly here, so that
+    ``PrecisionPlan.terms`` can name the sample in its ``EstimatorError``.
     """
-    sweep = kinematic_sweep(constraints.model, q, qd)
-    values_d, b_d = constraints.assemble_values(sweep, dtype)
-    values_y, b_y = measurements.assemble_values(sweep, dtype)
+    with np.errstate(invalid="ignore"):
+        sweep = kinematic_sweep(constraints.model, q, qd)
+        values_d, b_d = constraints.assemble_values(sweep, dtype)
+        values_y, b_y = measurements.assemble_values(sweep, dtype)
     return values_d, b_d, values_y, b_y
 
 

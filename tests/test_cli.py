@@ -492,18 +492,18 @@ def human_run(human_model_foot, tmp_path_factory):
     return tmp_path, cfg
 
 
-def test_pool_and_serial_estimates_byte_identical_on_48dof(human_model_foot, tmp_path):
-    """32 samples: two workers factorize stacks of 4, one worker stacks of 8."""
+def _estimate_outputs_by_workers(model, tmp_path, duration, marginals, workers):
+    """``estimates.csv`` and ``marginal_std.csv`` bytes of one simulated 48-DoF run, per worker count."""
     from mapdyn.model import emit_model
 
     model_path = tmp_path / "model.xml"
-    model_path.write_text(emit_model(human_model_foot))
+    model_path.write_text(emit_model(model))
     cfg = {
         "model": str(model_path),
         "out": str(tmp_path / "sim"),
         "seed": 6,
         "scenario": {
-            "duration": 0.32,
+            "duration": duration,
             "rate": 100.0,
             "trajectory": {
                 "default": {"kind": "sine", "amplitude": 0.15, "frequency": 0.5},
@@ -512,7 +512,7 @@ def test_pool_and_serial_estimates_byte_identical_on_48dof(human_model_foot, tmp
             },
         },
         "sensors": {"contact_links": ["RightFoot", "RightToe", "LeftToe"]},
-        "marginals": "all",
+        "marginals": marginals,
         "inputs": {
             "observations": str(tmp_path / "sim" / "observations.csv"),
             "state": str(tmp_path / "sim" / "trajectory.csv"),
@@ -520,12 +520,25 @@ def test_pool_and_serial_estimates_byte_identical_on_48dof(human_model_foot, tmp
     }
     assert main(["simulate", "--config", write_config(tmp_path, cfg, "sim.json")]) == 0
     outputs = []
-    for workers in (1, 2):
-        est = dict(cfg, out=str(tmp_path / f"est{workers}"))
-        assert main(["estimate", "--config", write_config(tmp_path, est, "est.json"), "--workers", str(workers)]) == 0
+    for n in workers:
+        est = dict(cfg, out=str(tmp_path / f"est{n}"))
+        assert main(["estimate", "--config", write_config(tmp_path, est, "est.json"), "--workers", str(n)]) == 0
         outputs.append([(Path(est["out"]) / name).read_bytes() for name in ("estimates.csv", "marginal_std.csv")])
+    return outputs
+
+
+def test_pool_and_serial_estimates_byte_identical_on_48dof(human_model_foot, tmp_path):
+    """32 samples: two workers factorize stacks of 4, one worker stacks of 8."""
+    outputs = _estimate_outputs_by_workers(human_model_foot, tmp_path, 0.32, "all", (1, 2))
     assert len(outputs[0][0].splitlines()) == 33
     assert outputs[0] == outputs[1]
+
+
+def test_uneven_pool_chunks_write_the_serial_bytes(human_model_foot, tmp_path):
+    """37 samples cut into uneven chunks: every worker count writes the bytes of one process."""
+    outputs = _estimate_outputs_by_workers(human_model_foot, tmp_path, 0.37, "tau", (1, 2, 3))
+    assert [len(text.splitlines()) for text in outputs[0]] == [38, 38]
+    assert outputs[0] == outputs[1] == outputs[2]
 
 
 class TestUnobservedSamples:
@@ -589,7 +602,7 @@ class TestWriteCsv:
 
 class TestReadCsv:
     def test_values_bit_identical_to_float(self, tmp_path):
-        from mapdyn.cli import read_csv, write_csv
+        from mapdyn.cli import _csv_lines, read_csv, write_csv
 
         rng = np.random.default_rng(8)
         special = [float("nan"), float("inf"), -float("inf"), -0.0, 0.0, 5e-324, -5e-324, 2.2250738585072014e-308,
@@ -600,6 +613,9 @@ class TestReadCsv:
         write_csv(path, [f"c{i}" for i in range(len(special))], rows)
         header, data = read_csv(path)
         lines = path.read_text().splitlines()[1:]
+        # the one formatter of every output writes what float's repr writes
+        assert lines[0].startswith("nan,inf,-inf,-0.0,0.0,5e-324,-5e-324,")
+        assert _csv_lines([special]) == ",".join(map(repr, special)) + "\r\n"
         expected = np.array([[float(cell) for cell in line.split(",")] for line in lines])
         assert header == [f"c{i}" for i in range(len(special))]
         assert data.shape == expected.shape
