@@ -15,6 +15,7 @@ import ctypes
 import hashlib
 import json
 import logging
+import math
 import os
 import sys
 import time
@@ -26,15 +27,9 @@ import numpy as np
 
 import mapdyn
 from mapdyn.blas import blas_threads, bundled_openblas, set_blas_threads
-from mapdyn.dynamics import SAMPLE_CHUNK, ConstraintAssembler, DynLayout, kinematic_sweep, sample_chunks
+from mapdyn.dynamics import SAMPLE_CHUNK, DynLayout, kinematic_sweep, sample_chunks
 from mapdyn.model.kinematics import check_joint_angles
-from mapdyn.estimator import (
-    UNOBSERVED_TOL,
-    EstimatorError,
-    PrecisionPlan,
-    RankDeficiencyError,
-    unobserved_dimension,
-)
+from mapdyn.estimator import UNOBSERVED_TOL, EstimatorError, MapEstimator, RankDeficiencyError
 from mapdyn.model import (
     ModelError,
     TemplateError,
@@ -44,12 +39,11 @@ from mapdyn.model import (
 )
 from mapdyn.sensors import (
     ExcitationError,
-    MeasurementAssembler,
-    assemble_system,
     channel_names,
     default_sensor_specs,
     estimate_sensor_pose,
     savitzky_golay_derivatives,
+    validate_specs,
 )
 from mapdyn.simharness import (
     SyntheticScenario,
@@ -221,13 +215,22 @@ def load_model_from_config(cfg, override=None) -> tuple:
     return parse_model(text), Path(path)
 
 
-def sensor_specs_from_config(model, cfg) -> list:
-    sensors_cfg = cfg.get("sensors", {})
+def _config_block(cfg, key, label=None):
+    """``cfg[key]`` (default ``{}``) if it is a JSON object, else an InputError naming ``label``."""
+    block = cfg.get(key, {})
+    if not isinstance(block, dict):
+        raise InputError(f"'{label or key}' must be a JSON object, got {block!r}")
+    return block
+
+
+def sensor_specs_from_config(model, cfg, label="sensors") -> list:
+    """The validated sensor specs of ``cfg``'s ``sensors`` block, named ``label`` in errors."""
+    sensors_cfg = _config_block(cfg, "sensors", label)
     fp_pose = None
     if "fixed_base_pose" in sensors_cfg:
         pose_cfg = sensors_cfg["fixed_base_pose"]
         fp_pose = HomTransform.from_rpy(pose_cfg.get("xyz", [0, 0, 0]), pose_cfg.get("rpy", [0, 0, 0]))
-    return default_sensor_specs(
+    return validate_specs(model, default_sensor_specs(
         model,
         include_imus=sensors_cfg.get("include_imus", True),
         imu_variance=sensors_cfg.get("imu_variance", 1e-3),
@@ -237,7 +240,7 @@ def sensor_specs_from_config(model, cfg) -> list:
         contact_wrench_variance=sensors_cfg.get("contact_wrench_variance", 1e-3),
         base_wrench_variance=sensors_cfg.get("base_wrench_variance", 1e-3),
         fp_pose=fp_pose,
-    )
+    ))
 
 
 def trajectory_from_config(model, cfg) -> TrajectorySpec:
@@ -267,8 +270,17 @@ def scenario_from_config(model, cfg) -> SyntheticScenario:
 
 
 def covariances_from_config(cfg):
-    cov = cfg.get("covariances", {})
-    return cov.get("sigma_D", 1e-4), cov.get("sigma_d", 1e4), cov.get("mu_d", 0.0)
+    """(sigma_D, sigma_d, mu_d): finite numbers, the variances positive, else an InputError naming the key."""
+    cov = _config_block(cfg, "covariances")
+    values = []
+    for key, default, kind in (("sigma_D", 1e-4, "positive finite"), ("sigma_d", 1e4, "positive finite"),
+                               ("mu_d", 0.0, "finite")):
+        value = cov.get(key, default)
+        number = not isinstance(value, bool) and isinstance(value, (int, float)) and math.isfinite(value)
+        if not number or (kind != "finite" and value <= 0):
+            raise InputError(f"'covariances.{key}' must be a {kind} number, got {value!r}")
+        values.append(value)
+    return tuple(values)
 
 
 # ---------------------------------------------------------------------------
@@ -379,12 +391,8 @@ def _write_link_poses(path, model, truth):
     write_csv(path, header, np.column_stack([truth.times, rows]))
 
 
-# worker-process state for parallel estimation
-_WORKER = {}
-
-# samples per stacked factorization in `estimate`: each sample's numbers do
-# not depend on the stack, and a stack of 8 holds about 4.3 MB on the 48-DoF model
-ESTIMATE_BATCH = 8
+# the estimator of this process's `estimate` samples, a pool worker's or the caller's
+_estimator = None
 
 # samples per chunk of `estimate`, each assembled from one kinematic sweep: a
 # worker pool cuts four chunks per worker, of at least CHUNK_MIN samples (a
@@ -420,24 +428,12 @@ def _keep_freed_heap():
     mallopt(_M_MMAP_THRESHOLD, 4 << 20)
 
 
-def _estimate_worker_init(model_xml, sensors_cfg, cov_cfg, marginal_mode):
+def _estimate_worker_init(model, specs, covariances, marginal_idx):
+    global _estimator
     # one BLAS thread per worker: the pool already saturates the cores
     set_blas_threads(1)
     _keep_freed_heap()
-    model = parse_model(model_xml)
-    specs = sensor_specs_from_config(model, {"sensors": sensors_cfg})
-    layout = DynLayout(model)
-    casm, masm = ConstraintAssembler(model), MeasurementAssembler(model, specs)
-    sigma_D, sigma_d, mu_d = cov_cfg
-    _WORKER["constraints"] = casm
-    _WORKER["measurements"] = masm
-    _WORKER["sigma_d"] = sigma_d
-    _WORKER["marginal_idx"] = _marginal_indices(layout, marginal_mode)
-    # the layouts of D and Y are fixed: one plan, and one factor stack
-    # refilled batch after batch
-    plan = PrecisionPlan(casm.pattern, masm.pattern, sigma_D, masm.variances, mu_d, sigma_d)
-    _WORKER["plan"] = plan
-    _WORKER["stack"] = np.empty((ESTIMATE_BATCH, plan.solver.size))
+    _estimator = MapEstimator(model, specs, *covariances, marginal_idx)
 
 
 MARGINAL_MODES = ("tau", "tau_ddq", "all")
@@ -462,35 +458,12 @@ def _estimate_chunk(args):
     BLAS thread counts read back and the chunk's smallest pivot ratio.
     """
     indices, times, q_rows, qd_rows, y_rows = args
-    casm = _WORKER["constraints"]
-    masm = _WORKER["measurements"]
-    plan = _WORKER["plan"]
-    sigma_d = _WORKER["sigma_d"]
-    marg_idx = _WORKER["marginal_idx"]
-    all_idx = np.arange(casm.layout.size)
+    posterior = _estimator.estimate(q_rows, qd_rows, y_rows)
     # the output rows with the time in column 0, formatted as they stand
-    means = np.empty((len(indices), 1 + casm.layout.size))
-    stds = np.empty((len(indices), 1 + marg_idx.size))
-    means[:, 0] = stds[:, 0] = times
-    unobserved = np.empty(len(indices))
-    min_pivot_ratio = np.inf
-    limit_violations = check_joint_angles(casm.model, q_rows)
-    # one kinematic sweep for the chunk; the factorization runs in stacks
-    system = assemble_system(casm, masm, q_rows, qd_rows)
-    for start in range(0, len(indices), ESTIMATE_BATCH):
-        batch = slice(start, min(start + ESTIMATE_BATCH, len(indices)))
-        stack = _WORKER["stack"][: batch.stop - batch.start]
-        values, rhs = plan.terms(*(part[batch] for part in system), y_rows[batch], out=stack)
-        solver = plan.solver.factorize_blocks(values)
-        means[batch, 1:] = solver.solve(rhs)
-        # the recurrence computes the whole diagonal anyway
-        variances = solver.marginal_variances(all_idx)
-        stds[batch, 1:] = np.sqrt(variances[:, marg_idx])
-        unobserved[batch] = unobserved_dimension(variances, sigma_d)
-        min_pivot_ratio = min(min_pivot_ratio, float(solver.min_pivot_ratio.min()))
-    return (
-        indices, _csv_lines(means), _csv_lines(stds), unobserved, limit_violations, blas_threads(), min_pivot_ratio
-    )
+    means = np.column_stack([times, posterior.mean])
+    stds = np.column_stack([times, np.sqrt(posterior.variances)])
+    return (indices, _csv_lines(means), _csv_lines(stds), posterior.unobserved,
+            check_joint_angles(_estimator.model, q_rows), blas_threads(), float(posterior.pivot_ratio.min()))
 
 
 @cli.command("estimate")
@@ -504,9 +477,8 @@ def cmd_estimate(config_path, model_override, out_dir, workers):
     out = _out_dir(cfg, out_dir)
     model, model_path = load_model_from_config(cfg, model_override)
     specs = sensor_specs_from_config(model, cfg)
-    masm = MeasurementAssembler(model, specs)
     layout = DynLayout(model)
-    sigma_D, sigma_d, mu_d = covariances_from_config(cfg)
+    covariances = covariances_from_config(cfg)
     # checked before the inputs are read: the IK of a pose CSV takes long
     marginal_mode = cfg.get("marginals", "tau")
     if marginal_mode not in MARGINAL_MODES:
@@ -558,12 +530,8 @@ def cmd_estimate(config_path, model_override, out_dir, workers):
     chunks = _make_chunks(times, q_series, qd_series, y_series, n_workers)
 
     t_start = time.perf_counter()
-    init_args = (
-        model_path.read_text(),
-        cfg.get("sensors", {}),
-        (sigma_D, sigma_d, mu_d),
-        marginal_mode,
-    )
+    # the pool's parent builds no estimator: each worker builds its own
+    init_args = (model, specs, covariances, marg_idx)
     if n_workers == 1:
         # in-process: hand the caller its own BLAS thread counts back
         previous = blas_threads()
@@ -652,11 +620,7 @@ def _make_chunks(times, q_series, qd_series, y_series, n_workers):
     if n_workers > 1:
         n_chunks = max(n_chunks, min(n_workers * 4, n_samples // CHUNK_MIN))
     bounds = np.array_split(np.arange(n_samples), max(1, n_chunks))
-    return [
-        (idx, times[idx], q_series[idx], qd_series[idx], y_series[idx])
-        for idx in bounds
-        if idx.size
-    ]
+    return [(idx, times[idx], q_series[idx], qd_series[idx], y_series[idx]) for idx in bounds if idx.size]
 
 
 def _state_from_poses(model, cfg, poses_path):
@@ -736,8 +700,7 @@ def cmd_fusion(config_path, model_override, out_dir):
     fusion_cfg = cfg.get("fusion")
     if not fusion_cfg or len(fusion_cfg.get("cases", [])) < 2:
         raise InputError("fusion needs a 'fusion.cases' list with at least two cases")
-    layout = DynLayout(model)
-    sigma_D, sigma_d, mu_d = covariances_from_config(cfg)
+    covariances = covariances_from_config(cfg)
 
     traj = trajectory_from_config(model, cfg)
     _, q_series, qd_series, _ = traj.sample()
@@ -746,17 +709,19 @@ def cmd_fusion(config_path, model_override, out_dir):
     stride = -(-q_series.shape[0] // max_states)
     q_states, qd_states = q_series[::stride], qd_series[::stride]
 
-    case_specs = []
-    for case in fusion_cfg["cases"]:
-        case_specs.append((case["name"], sensor_specs_from_config(model, {"sensors": case.get("sensors", {})})))
-
-    assemblers = [MeasurementAssembler(model, specs) for _, specs in case_specs]
+    tau_idx = DynLayout(model).tau_indices()
+    names = [case["name"] for case in fusion_cfg["cases"]]
+    # one estimator per case: each case has its own layout and variances
+    cases = [
+        MapEstimator(model, sensor_specs_from_config(model, case, f"fusion.cases[{i}].sensors"), *covariances, tau_idx)
+        for i, case in enumerate(fusion_cfg["cases"])
+    ]
     # adding channels or tightening them can only shrink a variance; other
     # changes can grow it
     channels = [
-        dict(zip(channel_names(model, specs), asm.variances)) for (_, specs), asm in zip(case_specs, assemblers)
+        dict(zip(channel_names(model, case.measurements.specs), case.measurements.variances)) for case in cases
     ]
-    for (name, _), earlier, later in zip(case_specs[1:], channels, channels[1:]):
+    for name, earlier, later in zip(names[1:], channels, channels[1:]):
         if not earlier.keys() <= later.keys():
             log.warning(
                 "fusion case %r drops channels of the case before it; the monotonicity verdict is a theorem "
@@ -769,35 +734,25 @@ def cmd_fusion(config_path, model_override, out_dir):
                 "verdict is a theorem only for nested cases", name, len(loosened), min(loosened),
             )
 
-    tau_idx = layout.tau_indices()
-    per_case = np.zeros((len(case_specs), model.n_dof))
-    casm = ConstraintAssembler(model)
-    # the layouts of D and Y are fixed: one plan per case
-    plans = [PrecisionPlan(casm.pattern, asm.pattern, sigma_D, asm.variances, mu_d, sigma_d) for asm in assemblers]
+    per_case = np.zeros((len(cases), model.n_dof))
     for chunk in sample_chunks(len(q_states)):
-        # one sweep per stack of states serves the constraints and every case
+        # one sweep and one D per stack of states serve every case
         sweep = kinematic_sweep(model, q_states[chunk], qd_states[chunk])
-        values_d, b_d = casm.assemble_values(sweep)
-        for ci, asm in enumerate(assemblers):
-            values_y, b_y = asm.assemble_values(sweep)
-            y = np.zeros((len(values_y), asm.dim))
-            values, _ = plans[ci].terms(values_d, b_d, values_y, b_y, y)
-            for variances in plans[ci].solver.factorize_blocks(values).marginal_variances(tau_idx):
+        values_d, b_d = cases[0].constraints.assemble_values(sweep)
+        for ci, case in enumerate(cases):
+            values_y, b_y = case.measurements.assemble_values(sweep)
+            y = np.zeros_like(b_y)
+            for variances in case.plan.posterior(values_d, b_d, values_y, b_y, y, case.marginals).variances:
                 per_case[ci] += variances
     per_case /= len(q_states)
 
-    rows = []
-    names = [j.name for j in model.joints]
-    header = ["joint"] + [name for name, _ in case_specs] + ["monotonic_non_increasing"]
-    for j, joint_name in enumerate(names):
-        variances = per_case[:, j]
-        verdict = bool(np.all(np.diff(variances) <= 1e-12))
-        rows.append([joint_name] + [repr(float(v)) for v in variances] + [str(verdict)])
     table_path = out / "fusion_variances.csv"
     with open(table_path, "w", newline="") as fh:
         writer = csv.writer(fh)
-        writer.writerow(header)
-        writer.writerows(rows)
+        writer.writerow(["joint"] + names + ["monotonic_non_increasing"])
+        for joint, variances in zip(model.joints, per_case.T):
+            verdict = bool(np.all(np.diff(variances) <= 1e-12))
+            writer.writerow([joint.name] + [repr(float(v)) for v in variances] + [str(verdict)])
     manifest = write_manifest(out, "fusion", cfg, cfg.get("seed"), inputs=[model_path], outputs=[table_path])
     click.echo(f"fusion table -> {table_path} (manifest {manifest.name})")
 

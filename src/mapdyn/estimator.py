@@ -4,18 +4,20 @@ The posterior over the dynamic-variable vector d combines three information
 sources: the sparse Newton-Euler constraints weighted by a model-confidence
 covariance, the sensor readings weighted per channel, and a regularizing
 Gaussian prior on d (mandatory: without it the constraint-only distribution
-is degenerate). Every posterior goes through one path: ``PrecisionPlan``
-turns the values of D and Y straight into the posterior precision, in the
-block storage of ``SparseCholeskySolver``, through a precomputed product
-plan. The solver eliminates d link block by link block: the precision
-couples a link only to its parent and siblings, so a block elimination
-order without fill exists, and every step is a small dense factorization
-or product, batched over a stack of samples. A block Takahashi pass then
-writes the selected inverse over the factor, which gives all marginal
-variances. The elimination order and the plan are computed once per
-sparsity pattern and reused across time samples. The same diagonal gives,
-per sample, the number of directions of d that the constraints and readings
-leave undetermined (``unobserved_dimension``).
+is degenerate). Every posterior goes through one path,
+``PrecisionPlan.posterior``: the plan turns the values of D and Y straight
+into the posterior precision, in the block storage of
+``SparseCholeskySolver``, through a precomputed product plan, and the solver
+gives the mean and then the marginal variances. ``MapEstimator`` runs that
+path on a model's joint states and readings. The solver eliminates d link
+block by link block: the precision couples a link only to its parent and
+siblings, so a block elimination order without fill exists, and every step
+is a small dense factorization or product, batched over a stack of
+samples. A block Takahashi pass then writes the selected inverse over the
+factor, which gives all marginal variances. The elimination order and the
+plan are computed once per sparsity pattern and reused across time samples.
+The same diagonal gives, per sample, the number of directions of d that the
+constraints and readings leave undetermined (``unobserved_dimension``).
 """
 
 from __future__ import annotations
@@ -23,12 +25,13 @@ from __future__ import annotations
 import functools
 from dataclasses import dataclass, field
 from types import SimpleNamespace
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, NamedTuple
 
 import numpy as np
 
 from mapdyn.blas import cholesky_inverse
-from mapdyn.dynamics import BLOCK_COLS
+from mapdyn.dynamics import BLOCK_COLS, ConstraintAssembler
+from mapdyn.sensors import MeasurementAssembler, assemble_system
 
 if TYPE_CHECKING:
     import scipy.sparse as sp
@@ -41,6 +44,11 @@ PIVOT_REL_TOL = 1e-13
 # direction the data determine adds about sigma_post / sigma_d (near 0) to
 # it, a direction left to the prior about 1, so 0.5 splits the two
 UNOBSERVED_TOL = 0.5
+
+# samples per stacked factorization in ``PrecisionPlan.posterior``: each
+# sample's numbers do not depend on the stack, and a stack of 8 holds about
+# 4.3 MB on the 48-DoF model
+STACK = 8
 
 
 class EstimatorError(ValueError):
@@ -332,13 +340,24 @@ def _block_elimination(neighbours, widths):
 
 @dataclass
 class GaussianBelief:
-    """Posterior mean plus the factorized precision it came from."""
+    """Posterior mean plus the marginal variances of every entry."""
 
     mean: np.ndarray
-    solver: SparseCholeskySolver = field(repr=False)
+    variances: np.ndarray = field(repr=False)
 
     def marginal_variance(self, indices):
-        return self.solver.marginal_variances(indices)
+        return self.variances[indices]
+
+
+class Posterior(NamedTuple):
+    """Per sample of a stack: the mean (T, n), the requested marginal
+    variances (T, marginals), the unobserved dimension (T,) and the smallest
+    pivot ratio (T,) (``SparseCholeskySolver.min_pivot_ratio``)."""
+
+    mean: np.ndarray
+    variances: np.ndarray
+    unobserved: np.ndarray
+    pivot_ratio: np.ndarray
 
 
 def _as_diag_variances(value, dim, label):
@@ -458,9 +477,10 @@ class PrecisionPlan:
         self._nnz = (len(d_pattern.rows), len(y_pattern.rows))
         self._inv_sigma_D = 1.0 / _as_diag_variances(sigma_D, n_rows_d, "sigma_D")
         self._inv_sigma_y = 1.0 / _as_diag_variances(sigma_y, n_rows_y, "sigma_y")
-        sigma_d = _as_diag_variances(sigma_d, dim, "sigma_d")
+        self._sigma_d = sigma_d = _as_diag_variances(sigma_d, dim, "sigma_d")
         self._prior_diag = (1.0 / sigma_d)[solver.perm]
         self._prior_rhs = np.broadcast_to(np.asarray(mu_d, dtype=float), (dim,)) / sigma_d
+        self._stack = None  # the factor stack of ``posterior``, made at its first call
 
     def terms(self, values_d, b_d, values_y, b_y, y, out=None):
         """(values, rhs) of the posterior for a stack of samples.
@@ -506,6 +526,34 @@ class PrecisionPlan:
         rhs += self._prior_rhs
         return blocks, rhs
 
+    def posterior(self, values_d, b_d, values_y, b_y, y, marginals=None) -> Posterior:
+        """The ``Posterior`` of a stack of samples (the arrays ``terms`` takes).
+
+        ``STACK`` samples at a time, in one reused buffer: ``terms``, the
+        factorization, the solve for the mean, then the selected inverse,
+        which overwrites the factor. ``marginals`` are the indices of d whose
+        variances are returned, all when None; the unobserved dimension reads
+        the whole diagonal. A failing pivot raises ``NotPositiveDefiniteError``.
+        """
+        solver, n_samples = self.solver, len(y)
+        if self._stack is None:
+            self._stack = np.empty((STACK, solver.size))
+        all_idx = np.arange(solver.n)
+        marginals = all_idx if marginals is None else np.asarray(marginals)
+        out = Posterior(np.empty((n_samples, solver.n)), np.empty((n_samples, marginals.size)),
+                        np.empty(n_samples), np.empty(n_samples))
+        for start in range(0, n_samples, STACK):
+            batch = slice(start, min(start + STACK, n_samples))
+            stack = self._stack[: batch.stop - start]
+            values, rhs = self.terms(values_d[batch], b_d[batch], values_y[batch], b_y[batch], y[batch], out=stack)
+            solver.factorize_blocks(values)
+            out.mean[batch] = solver.solve(rhs)
+            variances = solver.marginal_variances(all_idx)
+            out.variances[batch] = variances[:, marginals]
+            out.unobserved[batch] = unobserved_dimension(variances, self._sigma_d)
+            out.pivot_ratio[batch] = solver.min_pivot_ratio
+        return out
+
 
 def _csc_pattern(mat):
     """The rows, columns and shape of the stored entries of a CSC matrix, in data order."""
@@ -532,21 +580,44 @@ def unobserved_dimension(variances, sigma_d):
     return float(u) if u.ndim == 0 else u
 
 
-def map_solve(problem: MapProblem) -> GaussianBelief:
-    """Posterior mean of d given y, with the factorization for its marginals.
+class MapEstimator:
+    """MAP estimates of a model's samples, through one kinematic sweep per call.
 
-    Goes through the path ``estimate`` takes, with a stack of one sample: a
-    ``PrecisionPlan`` of the problem, its precision blocks and right-hand
-    side, the block Cholesky. A non-finite reading is missing; a non-finite
-    bias raises ``EstimatorError``, a failing pivot
+    Holds the constraint and measurement assemblers of ``model`` and the
+    sensor ``specs``, and the ``PrecisionPlan`` of their fixed layouts; the
+    variances are as in ``MapProblem``, and ``marginals`` as in
+    ``PrecisionPlan.posterior``. ``estimate`` takes (T, n_dof) joint angles
+    and velocities and (T, channels) readings for any T, and a sample's
+    numbers do not depend on T.
+    """
+
+    def __init__(self, model, specs, sigma_D=1e-4, sigma_d=1e4, mu_d=0.0, marginals=None):
+        self.model = model
+        self.constraints = ConstraintAssembler(model)
+        self.measurements = MeasurementAssembler(model, specs)
+        self.plan = PrecisionPlan(
+            self.constraints.pattern, self.measurements.pattern, sigma_D, self.measurements.variances, mu_d, sigma_d
+        )
+        self.marginals = marginals
+
+    def estimate(self, q, qd, y) -> Posterior:
+        values_d, b_d, values_y, b_y = assemble_system(self.constraints, self.measurements, q, qd)
+        y = np.reshape(np.asarray(y, dtype=float), b_y.shape)
+        return self.plan.posterior(values_d, b_d, values_y, b_y, y, self.marginals)
+
+
+def map_solve(problem: MapProblem) -> GaussianBelief:
+    """Posterior mean and marginal variances of d given y.
+
+    ``PrecisionPlan.posterior`` of the problem's plan on a stack of one
+    sample, the path ``estimate`` takes. A non-finite reading is missing; a
+    non-finite bias raises ``EstimatorError``, a failing pivot
     ``NotPositiveDefiniteError``.
     """
-    plan = problem.plan()
-    values, rhs = plan.terms(
+    posterior = problem.plan().posterior(
         problem.D.data[None], problem.b_D[None], problem.Y.data[None], problem.b_Y[None], problem.y[None]
     )
-    solver = plan.solver.factorize_blocks(values[0])
-    return GaussianBelief(solver.solve(rhs[0]), solver)
+    return GaussianBelief(posterior.mean[0], posterior.variances[0])
 
 
 def shape_prior(problem: MapProblem) -> GaussianBelief:

@@ -288,8 +288,14 @@ def default_sensor_specs(
 
     ``contact_links`` name the links expected to bear external forces (the
     feet in the human setting); their wrench channels get the looser
-    ``contact_wrench_variance``.
+    ``contact_wrench_variance``. A name the model lacks, or one name not in
+    a list, is a ``MeasurementModelError``.
     """
+    if isinstance(contact_links, str):
+        raise MeasurementModelError(f"contact_links must be a list of link names, got {contact_links!r}")
+    unknown = sorted(set(contact_links) - set(model.link_index))
+    if unknown:
+        raise MeasurementModelError(f"contact_links name links the model lacks: {', '.join(map(repr, unknown))}")
     specs = []
     if include_imus:
         for s in model.sensors_of_kind("accelerometer"):
@@ -299,9 +305,8 @@ def default_sensor_specs(
     for joint in model.joints:
         specs.append(SensorSpec(DOF_ACCELERATION, joint.name, variance=ddq_variance))
     specs.append(SensorSpec(FIXED_BASE_WRENCH, model.base.name, fp_pose, base_wrench_variance))
-    contact = set(contact_links)
     for link in model.links[1:]:
-        var = contact_wrench_variance if link.name in contact else wrench_variance
+        var = contact_wrench_variance if link.name in contact_links else wrench_variance
         specs.append(SensorSpec(EXTERNAL_WRENCH, link.name, variance=var))
     return specs
 

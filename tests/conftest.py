@@ -1,7 +1,17 @@
+import os
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+import mapdyn
 from mapdyn.model import build_human_model, example_landmarks, parse_model
+
+
+def child_env():
+    """This process's environment with the tested ``mapdyn`` first on PYTHONPATH, for child interpreters."""
+    src = str(Path(mapdyn.__file__).resolve().parent.parent)
+    return dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
 
 # 2-link chain standing on a force plate with an IMU on the top link;
 # exercises the parser including the sensor extension.

@@ -8,7 +8,7 @@ import pytest
 from mapdyn.cli import main
 from mapdyn.model import parse_model
 
-from conftest import TWO_LINK_XML
+from conftest import TWO_LINK_XML, child_env
 
 
 def write_config(tmp_path, cfg, name="config.json"):
@@ -347,10 +347,19 @@ class TestEstimate:
         assert not (tmp_path / "est" / "estimates.csv").exists()
 
     @pytest.mark.parametrize(
-        "key, value", [("marginals", "al"), ("sg.window", 30), ("sg.order", "x"), ("workers", "two")]
+        "key, value",
+        [
+            ("marginals", "al"), ("sg.window", 30), ("sg.order", "x"), ("workers", "two"),
+            ("covariances.sigma_D", -1), ("covariances.sigma_D", "a"), ("covariances.sigma_d", float("inf")),
+            ("covariances.mu_d", [0, 1]), ("covariances", [1e-4]), ("sensors", "x"),
+        ],
     )
     def test_bad_config_value_exits_2_with_its_key(self, two_link_setup, capsys, key, value):
-        """A config value `estimate` reads but cannot use is an input error naming its key."""
+        """A config value `estimate` reads but cannot use is an input error naming its key.
+
+        The parent checks it before any worker starts, so one process and a
+        pool of two fail alike.
+        """
         tmp_path, cfg = two_link_setup
         config, _ = self._simulate(tmp_path, cfg)
         est_cfg = json.loads(Path(config).read_text())
@@ -359,8 +368,23 @@ class TestEstimate:
         del est_cfg["inputs"]["state"]
         block, _, name = key.rpartition(".")
         (est_cfg.setdefault(block, {}) if block else est_cfg)[name] = value
-        assert main(["estimate", "--config", write_config(tmp_path, est_cfg, "bad.json")]) == 2
-        assert f"'{key}' must be" in capsys.readouterr().err
+        bad = write_config(tmp_path, est_cfg, "bad.json")
+        for workers in ("1", "2"):
+            assert main(["estimate", "--config", bad, "--workers", workers]) == 2
+            err = capsys.readouterr().err
+            assert f"'{key}' must be" in err
+            assert "Traceback" not in err
+
+    @pytest.mark.parametrize("workers", ["1", "2"])
+    def test_unknown_contact_link_exits_2_naming_it(self, two_link_setup, capsys, workers):
+        """A misspelt contact link would leave every wrench channel at `wrench_variance`: it is an input error."""
+        tmp_path, cfg = two_link_setup
+        config, _ = self._simulate(tmp_path, cfg)
+        est_cfg = json.loads(Path(config).read_text())
+        est_cfg["sensors"] = {"contact_links": ["link2", "Nope"]}
+        assert main(["estimate", "--config", write_config(tmp_path, est_cfg, "bad.json"), "--workers", workers]) == 2
+        assert "contact_links name links the model lacks: 'Nope'" in capsys.readouterr().err
+        assert not (tmp_path / "est" / "estimates.csv").exists()
 
     def test_missing_reading_gets_zero_weight(self, two_link_setup, capsys):
         """A NaN cell drops that channel for that sample; the run counts it."""
@@ -630,11 +654,8 @@ def test_state_csv_estimate_and_sine_simulate_skip_optional_scipy_modules(two_li
     an import in any of the processes shows on its standard error; other
     tests import those modules into this process.
     """
-    import os
     import subprocess
     import sys
-
-    import mapdyn
 
     tmp_path, cfg = two_link_setup
     sim = write_config(tmp_path, cfg, "sim.json")
@@ -650,10 +671,8 @@ def test_state_csv_estimate_and_sine_simulate_skip_optional_scipy_modules(two_li
         f"assert main(['estimate', '--config', {est!r}, '--workers', '1']) == 0\n"
         f"assert main(['estimate', '--config', {est!r}, '--workers', '2', '--out', {pool_out!r}]) == 0\n"
     )
-    src = str(Path(mapdyn.__file__).resolve().parent.parent)
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
     result = subprocess.run(
-        [sys.executable, "-X", "importtime", "-c", script], capture_output=True, text=True, env=env, timeout=120
+        [sys.executable, "-X", "importtime", "-c", script], capture_output=True, text=True, env=child_env(), timeout=120
     )
     assert result.returncode == 0, result.stderr
     assert len(read_rows(Path(cfg["out"]) / "trajectory.csv")[1]) >= 8  # the pool path runs
@@ -790,6 +809,7 @@ class TestFusion:
     def test_one_precision_plan_per_case(self, two_link_setup, monkeypatch):
         """Each case plans its layout once; every state reuses the plan."""
         import mapdyn.cli
+        import mapdyn.estimator
 
         tmp_path, cfg = two_link_setup
         fus_cfg = dict(cfg)
@@ -804,7 +824,7 @@ class TestFusion:
         }
         stacks_per_plan = []
         sweeps = []
-        plan_class = mapdyn.cli.PrecisionPlan
+        plan_class = mapdyn.estimator.PrecisionPlan
         sweep = mapdyn.cli.kinematic_sweep
 
         class CountingPlan(plan_class):
@@ -813,15 +833,15 @@ class TestFusion:
                 stacks_per_plan.append([])
                 super().__init__(*args)
 
-            def terms(self, *args):
+            def terms(self, *args, **kwargs):
                 stacks_per_plan[self.index].append(len(args[0]))
-                return super().terms(*args)
+                return super().terms(*args, **kwargs)
 
         def counting_sweep(model, q, qd):
             sweeps.append(len(q))
             return sweep(model, q, qd)
 
-        monkeypatch.setattr(mapdyn.cli, "PrecisionPlan", CountingPlan)
+        monkeypatch.setattr(mapdyn.estimator, "PrecisionPlan", CountingPlan)
         monkeypatch.setattr(mapdyn.cli, "kinematic_sweep", counting_sweep)
         assert main(["fusion", "--config", write_config(tmp_path, fus_cfg, "f.json")]) == 0
         # one sweep over the four states, and one stack of them per case's plan
@@ -869,6 +889,37 @@ class TestFusion:
         warnings = [record.getMessage() for record in caplog.records if record.levelname == "WARNING"]
         assert len(warnings) == 1
         assert "'contacts' gives 6 channel(s) of the case before it a larger variance (extf_link2_fx)" in warnings[0]
+
+    @pytest.mark.parametrize(
+        "key, value, message",
+        [
+            ("covariances.sigma_D", -1, "'covariances.sigma_D' must be a positive finite number"),
+            ("covariances.sigma_D", "a", "'covariances.sigma_D' must be a positive finite number"),
+            ("covariances.mu_d", [0, 1], "'covariances.mu_d' must be a finite number"),
+            ("cases.sensors", "x", "'fusion.cases[1].sensors' must be a JSON object"),
+            ("cases.sensors", {"contact_links": ["Nope"]}, "contact_links name links the model lacks: 'Nope'"),
+            ("cases.sensors", {"contact_links": "link2"}, "contact_links must be a list of link names, got 'link2'"),
+        ],
+        ids=[
+            "sigma_D-negative", "sigma_D-text", "mu_d-list", "case-sensors-text", "case-unknown-contact-link",
+            "case-contact-links-text",
+        ],
+    )
+    def test_bad_config_value_exits_2(self, two_link_setup, capsys, key, value, message):
+        """`estimate`'s bad config values exit 2 in `fusion` too, in the config or in a case's `sensors`."""
+        tmp_path, cfg = two_link_setup
+        fus_cfg = dict(cfg, out=str(tmp_path / "fus8"))
+        fus_cfg["fusion"] = {"cases": [{"name": "case1", "sensors": {}}, {"name": "case2", "sensors": {}}]}
+        block, _, name = key.rpartition(".")
+        if block == "cases":
+            fus_cfg["fusion"]["cases"][1][name] = value
+        else:
+            fus_cfg[block] = {name: value}
+        assert main(["fusion", "--config", write_config(tmp_path, fus_cfg, "f.json")]) == 2
+        err = capsys.readouterr().err
+        assert message in err
+        assert "Traceback" not in err
+        assert not (tmp_path / "fus8" / "fusion_variances.csv").exists()
 
     @pytest.mark.parametrize("max_states", [0, -2, 2.5, "4", True])
     def test_bad_max_states_exits_2(self, two_link_setup, capsys, max_states):

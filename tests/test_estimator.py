@@ -844,3 +844,39 @@ class TestBlockSolver:
         samples, variances = human_samples(human_model_foot, rng, 1)
         plan = MapProblem(*samples[0], sigma_y=variances).plan()
         assert plan._slot.size <= 41000
+
+
+def test_map_estimator_one_sample_at_a_time_gives_the_stack_bytes():
+    """On the 48-DoF model, 64 calls of T = 1 give the bytes of one 64-sample call.
+
+    Mean, variances, unobserved dimension and pivot ratio all match. The
+    child process imports the library only: ``mapdyn.cli`` stays unloaded.
+    """
+    import subprocess
+    import sys
+
+    from conftest import child_env
+
+    script = """
+import sys
+import numpy as np
+from mapdyn.estimator import MapEstimator
+from mapdyn.model import build_human_model, example_landmarks
+from mapdyn.sensors import default_sensor_specs
+
+model = build_human_model({"mass_total": 75.9, "landmarks": example_landmarks()}, root="LeftFoot")
+estimator = MapEstimator(model, default_sensor_specs(model, contact_links=["RightFoot", "RightToe", "LeftToe"]))
+rng = np.random.default_rng(3)
+q, qd = rng.uniform(-0.2, 0.2, (64, model.n_dof)), rng.normal(0.0, 0.3, (64, model.n_dof))
+y = rng.normal(0.0, 1.0, (64, estimator.measurements.dim))
+whole = estimator.estimate(q, qd, y)
+single = [estimator.estimate(q[k], qd[k], y[k]) for k in range(64)]
+for name, stacked in zip(whole._fields, whole):
+    assert stacked.shape[0] == 64, name
+    assert stacked.tobytes() == np.concatenate([getattr(p, name) for p in single]).tobytes(), name
+assert "mapdyn.cli" not in sys.modules
+"""
+    result = subprocess.run(
+        [sys.executable, "-c", script], capture_output=True, text=True, env=child_env(), timeout=120
+    )
+    assert result.returncode == 0, result.stderr
