@@ -30,6 +30,7 @@ from mapdyn.blas import blas_threads, bundled_openblas, set_blas_threads
 from mapdyn.dynamics import SAMPLE_CHUNK, DynLayout, kinematic_sweep, sample_chunks
 from mapdyn.model.kinematics import check_joint_angles
 from mapdyn.estimator import UNOBSERVED_TOL, EstimatorError, MapEstimator, RankDeficiencyError
+from mapdyn.floatrepr import csv_lines
 from mapdyn.model import (
     ModelError,
     TemplateError,
@@ -76,13 +77,27 @@ def _setup_logging():
 
 
 def load_config(path) -> dict:
+    """The config file's JSON object; an unreadable file, bad JSON or another top level is an InputError."""
     try:
         with open(path) as fh:
-            return json.load(fh)
+            cfg = json.load(fh)
     except FileNotFoundError as exc:
         raise InputError(f"config file not found: {path}") from exc
+    except OSError as exc:
+        raise InputError(f"cannot read config file {path}: {exc.strerror or exc}") from exc
     except json.JSONDecodeError as exc:
         raise InputError(f"config is not valid JSON: {exc}") from exc
+    if not isinstance(cfg, dict):
+        raise InputError(f"config {path} must hold a JSON object, got {type(cfg).__name__}")
+    return cfg
+
+
+def _finite_number(value, key, positive=False):
+    """``value`` if it is a finite number (not a bool), positive if asked, else an InputError naming ``key``."""
+    number = not isinstance(value, bool) and isinstance(value, (int, float)) and math.isfinite(value)
+    if not number or (positive and value <= 0):
+        raise InputError(f"'{key}' must be a {'positive finite' if positive else 'finite'} number, got {value!r}")
+    return value
 
 
 def _positive_int(value, key):
@@ -129,21 +144,23 @@ def write_manifest(out_dir: Path, command: str, cfg: dict, seed, inputs=(), outp
 
 
 def _csv_lines(rows) -> str:
-    """Numeric rows as CSV lines of their shortest round-trip reprs.
+    """Numeric rows as CSV lines: each cell ``repr`` of its float64, cells joined by ``,``, lines ending ``\\r\\n``.
 
-    The block becomes Python floats in one ``tolist`` (``repr`` of a numpy
-    scalar is not its number), and each row one joined line with ``csv``'s
-    ``\\r\\n`` terminator: the bytes ``csv.writer`` would write, without its
-    per-cell overhead.
+    ``repr`` writes the shortest decimal that reads back to the same float
+    (nearest, ties to even) and ``nan``, ``inf``, ``-inf``; these are the
+    bytes ``csv.writer`` writes for ``repr``'d cells. ``floatrepr.csv_lines``
+    formats the whole block in numpy, with no Python object per value.
     """
-    return "".join(",".join(map(repr, row)) + "\r\n" for row in np.asarray(rows, dtype=float).tolist())
+    return csv_lines(np.asarray(rows, dtype=float))
 
 
 def write_csv(path, header, rows):
     """Header through ``csv.writer``; the numeric rows through ``_csv_lines``.
 
     The rows go in blocks of SAMPLE_CHUNK, so that a long series is never
-    held as one string.
+    held as one string. Every output time series (``simulate``'s files, the
+    link poses) goes through here; ``estimate``'s workers format their
+    samples through ``_csv_lines`` themselves.
     """
     with open(path, "w", newline="") as fh:
         csv.writer(fh).writerow(header)
@@ -165,6 +182,8 @@ def read_csv(path):
             lines = fh.readlines()
     except FileNotFoundError as exc:
         raise InputError(f"input CSV not found: {path}") from exc
+    except OSError as exc:
+        raise InputError(f"cannot read input CSV {path}: {exc.strerror or exc}") from exc
     if not first:
         raise InputError(f"input CSV is empty: {path}")
     header = next(csv.reader([first]))
@@ -223,24 +242,48 @@ def _config_block(cfg, key, label=None):
     return block
 
 
+# the sensors block's variances and their defaults
+SENSOR_VARIANCES = {
+    "imu_variance": 1e-3,
+    "ddq_variance": 1e-3,
+    "wrench_variance": 1e-6,
+    "contact_wrench_variance": 1e-3,
+    "base_wrench_variance": 1e-3,
+}
+
+
 def sensor_specs_from_config(model, cfg, label="sensors") -> list:
-    """The validated sensor specs of ``cfg``'s ``sensors`` block, named ``label`` in errors."""
+    """The validated sensor specs of ``cfg``'s ``sensors`` block, named ``label`` in errors.
+
+    ``fixed_base_pose`` must be an object whose ``xyz`` and ``rpy`` are three
+    finite numbers each, ``include_imus`` a JSON boolean and each variance a
+    positive finite number; otherwise an InputError names the key.
+    """
     sensors_cfg = _config_block(cfg, "sensors", label)
     fp_pose = None
     if "fixed_base_pose" in sensors_cfg:
-        pose_cfg = sensors_cfg["fixed_base_pose"]
-        fp_pose = HomTransform.from_rpy(pose_cfg.get("xyz", [0, 0, 0]), pose_cfg.get("rpy", [0, 0, 0]))
+        pose_cfg = _config_block(sensors_cfg, "fixed_base_pose", f"{label}.fixed_base_pose")
+        xyz, rpy = (_finite_triple(pose_cfg.get(key, [0, 0, 0]), f"{label}.fixed_base_pose.{key}")
+                    for key in ("xyz", "rpy"))
+        fp_pose = HomTransform.from_rpy(xyz, rpy)
+    include_imus = sensors_cfg.get("include_imus", True)
+    if not isinstance(include_imus, bool):
+        raise InputError(f"'{label}.include_imus' must be true or false, got {include_imus!r}")
+    variances = {
+        key: _finite_number(sensors_cfg.get(key, default), f"{label}.{key}", positive=True)
+        for key, default in SENSOR_VARIANCES.items()
+    }
     return validate_specs(model, default_sensor_specs(
-        model,
-        include_imus=sensors_cfg.get("include_imus", True),
-        imu_variance=sensors_cfg.get("imu_variance", 1e-3),
-        ddq_variance=sensors_cfg.get("ddq_variance", 1e-3),
-        wrench_variance=sensors_cfg.get("wrench_variance", 1e-6),
-        contact_links=sensors_cfg.get("contact_links", ()),
-        contact_wrench_variance=sensors_cfg.get("contact_wrench_variance", 1e-3),
-        base_wrench_variance=sensors_cfg.get("base_wrench_variance", 1e-3),
-        fp_pose=fp_pose,
+        model, include_imus=include_imus, contact_links=sensors_cfg.get("contact_links", ()), fp_pose=fp_pose,
+        **variances,
     ))
+
+
+def _finite_triple(value, key):
+    """``value`` if it is a list of three finite numbers, else an InputError naming ``key``."""
+    if not isinstance(value, list) or len(value) != 3:
+        raise InputError(f"'{key}' must be a list of three finite numbers, got {value!r}")
+    return [_finite_number(v, key) for v in value]
 
 
 def trajectory_from_config(model, cfg) -> TrajectorySpec:
@@ -272,15 +315,10 @@ def scenario_from_config(model, cfg) -> SyntheticScenario:
 def covariances_from_config(cfg):
     """(sigma_D, sigma_d, mu_d): finite numbers, the variances positive, else an InputError naming the key."""
     cov = _config_block(cfg, "covariances")
-    values = []
-    for key, default, kind in (("sigma_D", 1e-4, "positive finite"), ("sigma_d", 1e4, "positive finite"),
-                               ("mu_d", 0.0, "finite")):
-        value = cov.get(key, default)
-        number = not isinstance(value, bool) and isinstance(value, (int, float)) and math.isfinite(value)
-        if not number or (kind != "finite" and value <= 0):
-            raise InputError(f"'covariances.{key}' must be a {kind} number, got {value!r}")
-        values.append(value)
-    return tuple(values)
+    return tuple(
+        _finite_number(cov.get(key, default), f"covariances.{key}", positive)
+        for key, default, positive in (("sigma_D", 1e-4, True), ("sigma_d", 1e4, True), ("mu_d", 0.0, False))
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -487,7 +525,7 @@ def cmd_estimate(config_path, model_override, out_dir, workers):
     if cfg_workers is not None:
         _positive_int(cfg_workers, "workers")
 
-    inputs_cfg = cfg.get("inputs", {})
+    inputs_cfg = _config_block(cfg, "inputs")
     obs_path = inputs_cfg.get("observations")
     if not obs_path:
         raise InputError("config 'inputs.observations' is required")
@@ -750,9 +788,9 @@ def cmd_fusion(config_path, model_override, out_dir):
     with open(table_path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["joint"] + names + ["monotonic_non_increasing"])
-        for joint, variances in zip(model.joints, per_case.T):
+        for joint, variances, cells in zip(model.joints, per_case.T, _csv_lines(per_case.T).splitlines()):
             verdict = bool(np.all(np.diff(variances) <= 1e-12))
-            writer.writerow([joint.name] + [repr(float(v)) for v in variances] + [str(verdict)])
+            writer.writerow([joint.name] + cells.split(",") + [str(verdict)])
     manifest = write_manifest(out, "fusion", cfg, cfg.get("seed"), inputs=[model_path], outputs=[table_path])
     click.echo(f"fusion table -> {table_path} (manifest {manifest.name})")
 

@@ -5,9 +5,10 @@ independent of the batched recursions in ``mapdyn.dynamics`` and of the
 sparse Cholesky path in ``mapdyn.estimator``. The precision terms are the
 sparse products ``PrecisionPlan`` replaces.
 
-The one-sample helpers at the end go through the package's own path
+The one-sample helpers after them go through the package's own path
 (``kinematic_sweep``, ``assemble_values``, ``factorize_blocks``) and hand
 one sample's sparse matrices to tests that compare against them.
+``repr_csv_lines`` is the per-float reference for ``mapdyn.floatrepr``.
 """
 
 import numpy as np
@@ -259,3 +260,8 @@ def factorized(matrix):
     coo = sp.coo_matrix(matrix)
     solver = SparseCholeskySolver(coo.row, coo.col, coo.shape[0])
     return solver.factorize_blocks(block_values(solver, matrix))
+
+
+def repr_csv_lines(rows):
+    """Numeric rows as CSV text, one Python ``repr`` per float64: what ``floatrepr.csv_lines`` must write."""
+    return "".join(",".join(map(repr, row)) + "\r\n" for row in np.asarray(rows, dtype=float).tolist())

@@ -9,6 +9,7 @@ from mapdyn.cli import main
 from mapdyn.model import parse_model
 
 from conftest import TWO_LINK_XML, child_env
+from oracles import repr_csv_lines
 
 
 def write_config(tmp_path, cfg, name="config.json"):
@@ -386,6 +387,53 @@ class TestEstimate:
         assert "contact_links name links the model lacks: 'Nope'" in capsys.readouterr().err
         assert not (tmp_path / "est" / "estimates.csv").exists()
 
+    @pytest.mark.parametrize(
+        "key, value",
+        [
+            ("imu_variance", "a"), ("ddq_variance", -1), ("wrench_variance", float("nan")),
+            ("base_wrench_variance", True), ("fixed_base_pose", "x"), ("fixed_base_pose.xyz", [0, 0]),
+            ("fixed_base_pose.rpy", [0, 0, "a"]), ("include_imus", "no"), ("include_imus", 1),
+        ],
+    )
+    def test_bad_sensors_value_exits_2_with_its_key(self, two_link_setup, capsys, key, value):
+        """A bad value in the `sensors` block is an input error naming `sensors.<key>`, in one process or a pool."""
+        tmp_path, cfg = two_link_setup
+        config, _ = self._simulate(tmp_path, cfg)
+        est_cfg = json.loads(Path(config).read_text())
+        block, _, name = key.rpartition(".")
+        sensors = est_cfg.setdefault("sensors", {})
+        (sensors.setdefault(block, {}) if block else sensors)[name] = value
+        bad = write_config(tmp_path, est_cfg, "bad.json")
+        for workers in ("1", "2"):
+            assert main(["estimate", "--config", bad, "--workers", workers]) == 2
+            err = capsys.readouterr().err
+            assert f"'sensors.{key}' must be" in err
+            assert "Traceback" not in err
+        assert not (tmp_path / "est" / "estimates.csv").exists()
+
+    def test_config_that_is_not_an_object_exits_2(self, two_link_setup, capsys):
+        tmp_path, _ = two_link_setup
+        config = write_config(tmp_path, [1, 2], "list.json")
+        assert main(["estimate", "--config", config]) == 2
+        assert f"config {config} must hold a JSON object, got list" in capsys.readouterr().err
+
+    def test_inputs_that_is_not_an_object_exits_2(self, two_link_setup, capsys):
+        tmp_path, cfg = two_link_setup
+        config, _ = self._simulate(tmp_path, cfg)
+        est_cfg = dict(json.loads(Path(config).read_text()), inputs="x")
+        assert main(["estimate", "--config", write_config(tmp_path, est_cfg, "bad.json")]) == 2
+        assert "'inputs' must be a JSON object, got 'x'" in capsys.readouterr().err
+
+    def test_observations_path_that_is_a_directory_exits_2(self, two_link_setup, capsys):
+        tmp_path, cfg = two_link_setup
+        config, _ = self._simulate(tmp_path, cfg)
+        est_cfg = json.loads(Path(config).read_text())
+        est_cfg["inputs"]["observations"] = str(tmp_path)
+        assert main(["estimate", "--config", write_config(tmp_path, est_cfg, "bad.json")]) == 2
+        err = capsys.readouterr().err
+        assert f"cannot read input CSV {tmp_path}" in err
+        assert "Traceback" not in err
+
     def test_missing_reading_gets_zero_weight(self, two_link_setup, capsys):
         """A NaN cell drops that channel for that sample; the run counts it."""
         from mapdyn.cli import covariances_from_config, sensor_specs_from_config
@@ -646,6 +694,41 @@ class TestReadCsv:
         assert data.tobytes() == expected.tobytes()
 
 
+def _assert_rows_are_reprs(path):
+    """The file's rows are the repr oracle's text of the values ``read_csv`` reads back from it."""
+    from mapdyn.cli import read_csv
+
+    _, data = read_csv(path)
+    body = Path(path).read_bytes().decode().split("\r\n", 1)[1]
+    assert body == repr_csv_lines(data), path
+
+
+def test_every_csv_cell_is_the_repr_of_its_value(two_link_setup):
+    """`simulate`, `estimate` (tau and all, one process and a pool) and `fusion` write repr's bytes."""
+    tmp_path, cfg = two_link_setup
+    assert main(["simulate", "--config", write_config(tmp_path, cfg, "sim.json")]) == 0
+    sim = Path(cfg["out"])
+    for name in ("trajectory.csv", "observations.csv", "ground_truth.csv", "link_poses.csv"):
+        _assert_rows_are_reprs(sim / name)
+    for marginals in ("tau", "all"):
+        for workers in ("1", "2"):
+            out = tmp_path / f"est-{marginals}-{workers}"
+            est_cfg = dict(cfg, out=str(out), marginals=marginals, inputs={
+                "observations": str(sim / "observations.csv"), "state": str(sim / "trajectory.csv")})
+            config = write_config(tmp_path, est_cfg, "est.json")
+            assert main(["estimate", "--config", config, "--workers", workers]) == 0
+            _assert_rows_are_reprs(out / "estimates.csv")
+            _assert_rows_are_reprs(out / "marginal_std.csv")
+    sensors = {"contact_links": ["link2"]}
+    fus_cfg = dict(cfg, out=str(tmp_path / "fus"), fusion={"cases": [
+        {"name": "no_imus", "sensors": dict(sensors, include_imus=False)}, {"name": "all", "sensors": sensors}]})
+    assert main(["fusion", "--config", write_config(tmp_path, fus_cfg, "fus.json")]) == 0
+    _, rows = read_rows(tmp_path / "fus" / "fusion_variances.csv")
+    assert rows
+    for row in rows:
+        assert ",".join(row[1:-1]) + "\r\n" == repr_csv_lines([[float(cell) for cell in row[1:-1]]])
+
+
 def test_state_csv_estimate_and_sine_simulate_skip_optional_scipy_modules(two_link_setup):
     """Neither command loads scipy.sparse, scipy.linalg, scipy.signal, scipy.interpolate or scipy.stats.
 
@@ -899,10 +982,11 @@ class TestFusion:
             ("cases.sensors", "x", "'fusion.cases[1].sensors' must be a JSON object"),
             ("cases.sensors", {"contact_links": ["Nope"]}, "contact_links name links the model lacks: 'Nope'"),
             ("cases.sensors", {"contact_links": "link2"}, "contact_links must be a list of link names, got 'link2'"),
+            ("cases.sensors", {"imu_variance": 0}, "'fusion.cases[1].sensors.imu_variance' must be a positive finite"),
         ],
         ids=[
             "sigma_D-negative", "sigma_D-text", "mu_d-list", "case-sensors-text", "case-unknown-contact-link",
-            "case-contact-links-text",
+            "case-contact-links-text", "case-imu-variance-zero",
         ],
     )
     def test_bad_config_value_exits_2(self, two_link_setup, capsys, key, value, message):
