@@ -15,11 +15,12 @@ import ctypes
 import hashlib
 import json
 import logging
-import math
 import os
 import sys
 import time
+from collections import namedtuple
 from concurrent.futures import ProcessPoolExecutor
+from functools import cache
 from pathlib import Path
 
 import click
@@ -33,11 +34,11 @@ from mapdyn.estimator import UNOBSERVED_TOL, EstimatorError, MapEstimator, RankD
 from mapdyn.floatrepr import csv_lines
 from mapdyn.model import (
     ModelError,
-    TemplateError,
     generate_human_template,
     ik_frame_match,
     parse_model,
 )
+from mapdyn.model.template import load_body_tables
 from mapdyn.sensors import (
     ExcitationError,
     channel_names,
@@ -76,35 +77,25 @@ def _setup_logging():
 # config and manifest plumbing
 
 
-def load_config(path) -> dict:
-    """The config file's JSON object; an unreadable file, bad JSON or another top level is an InputError."""
+def _read(path, what, parse=None):
+    """``parse`` of the opened file, else its text; a missing or unreadable file is an InputError naming the path."""
     try:
         with open(path) as fh:
-            cfg = json.load(fh)
+            return parse(fh) if parse else fh.read()
     except FileNotFoundError as exc:
-        raise InputError(f"config file not found: {path}") from exc
+        raise InputError(f"{what} not found: {path}") from exc
     except OSError as exc:
-        raise InputError(f"cannot read config file {path}: {exc.strerror or exc}") from exc
-    except json.JSONDecodeError as exc:
-        raise InputError(f"config is not valid JSON: {exc}") from exc
+        raise InputError(f"cannot read {what} {path}: {exc.strerror or exc}") from exc
+    except ValueError as exc:  # bad JSON, or bytes that are not text
+        raise InputError(f"{what} {path} is not valid {'JSON' if parse is json.load else 'text'}: {exc}") from exc
+
+
+def load_config(path) -> dict:
+    """The config file's JSON object, as read; an unreadable file, bad JSON or another top level is an InputError."""
+    cfg = _read(path, "config file", json.load)
     if not isinstance(cfg, dict):
         raise InputError(f"config {path} must hold a JSON object, got {type(cfg).__name__}")
     return cfg
-
-
-def _finite_number(value, key, positive=False):
-    """``value`` if it is a finite number (not a bool), positive if asked, else an InputError naming ``key``."""
-    number = not isinstance(value, bool) and isinstance(value, (int, float)) and math.isfinite(value)
-    if not number or (positive and value <= 0):
-        raise InputError(f"'{key}' must be a {'positive finite' if positive else 'finite'} number, got {value!r}")
-    return value
-
-
-def _positive_int(value, key):
-    """``value`` if it is a positive integer (not a bool), else an InputError naming ``key``."""
-    if isinstance(value, bool) or not isinstance(value, int) or value < 1:
-        raise InputError(f"'{key}' must be a positive integer, got {value!r}")
-    return value
 
 
 def config_hash(cfg: dict) -> str:
@@ -176,14 +167,7 @@ def read_csv(path):
     parsed one by one as ``csv`` reads them, so that the error names the
     file and the line.
     """
-    try:
-        with open(path) as fh:
-            first = fh.readline()
-            lines = fh.readlines()
-    except FileNotFoundError as exc:
-        raise InputError(f"input CSV not found: {path}") from exc
-    except OSError as exc:
-        raise InputError(f"cannot read input CSV {path}: {exc.strerror or exc}") from exc
+    first, lines = _read(path, "input CSV", lambda fh: (fh.readline(), fh.readlines()))
     if not first:
         raise InputError(f"input CSV is empty: {path}")
     header = next(csv.reader([first]))
@@ -222,103 +206,246 @@ def _parse_rows(path, header, lines):
     return np.array(data)
 
 
-def load_model_from_config(cfg, override=None) -> tuple:
-    path = override or cfg.get("model")
-    if not path:
-        raise InputError("config lacks a 'model' path")
-    try:
-        with open(path) as fh:
-            text = fh.read()
-    except FileNotFoundError as exc:
-        raise InputError(f"model file not found: {path}") from exc
-    return parse_model(text), Path(path)
+# ---------------------------------------------------------------------------
+# the config table: every key of the config file, its type, range and default
+#
+# One file may serve every command (README's end-to-end run feeds one to
+# model-gen, simulate and estimate), so a key that no block declares is an
+# error in every command. Paths are checked for their type only: each file
+# is checked where it is opened, since an earlier command may write it.
+
+_REQUIRED = object()  # the default of a key that must be given
+
+# the kinds of entries of the table, walked by `_walk`:
+# a value that `ok` accepts, described as `what`; with a `noun`, a list of names of the model's nouns
+Leaf = namedtuple("Leaf", "ok what noun", defaults=[None])
+# a JSON object of `keys`, `name: (spec, default)` (a key whose default is null may be null); `rule` is a
+# test of the walked block and its error
+Block = namedtuple("Block", "keys rule", defaults=[None])
+# a JSON object whose `kind` (default `default`) picks the block of its other keys
+Kinds = namedtuple("Kinds", "blocks default")
+# a JSON list of `spec` values, as many as `counts` holds, described as `what`
+ListOf = namedtuple("ListOf", "spec what counts")
+# a JSON object of `spec` values under any `label`, and the `fixed` keys, `name: default`; with a `noun`,
+# the other keys name the model's nouns
+MapOf = namedtuple("MapOf", "spec label noun fixed", defaults=[None, {}])
 
 
-def _config_block(cfg, key, label=None):
-    """``cfg[key]`` (default ``{}``) if it is a JSON object, else an InputError naming ``label``."""
-    block = cfg.get(key, {})
-    if not isinstance(block, dict):
-        raise InputError(f"'{label or key}' must be a JSON object, got {block!r}")
-    return block
+def _join(path, key):
+    return f"{path}.{key}" if path else key
 
 
-# the sensors block's variances and their defaults
-SENSOR_VARIANCES = {
-    "imu_variance": 1e-3,
-    "ddq_variance": 1e-3,
-    "wrench_variance": 1e-6,
-    "contact_wrench_variance": 1e-3,
-    "base_wrench_variance": 1e-3,
-}
+def _walk(spec, value, path, names):
+    """``value`` checked against ``spec``, with the defaults filled in; appends the model names to ``names``.
 
-
-def sensor_specs_from_config(model, cfg, label="sensors") -> list:
-    """The validated sensor specs of ``cfg``'s ``sensors`` block, named ``label`` in errors.
-
-    ``fixed_base_pose`` must be an object whose ``xyz`` and ``rpy`` are three
-    finite numbers each, ``include_imus`` a JSON boolean and each variance a
-    positive finite number; otherwise an InputError names the key.
+    Each entry of ``names`` is a path, the names there and their noun.
     """
-    sensors_cfg = _config_block(cfg, "sensors", label)
-    fp_pose = None
-    if "fixed_base_pose" in sensors_cfg:
-        pose_cfg = _config_block(sensors_cfg, "fixed_base_pose", f"{label}.fixed_base_pose")
-        xyz, rpy = (_finite_triple(pose_cfg.get(key, [0, 0, 0]), f"{label}.fixed_base_pose.{key}")
-                    for key in ("xyz", "rpy"))
-        fp_pose = HomTransform.from_rpy(xyz, rpy)
-    include_imus = sensors_cfg.get("include_imus", True)
-    if not isinstance(include_imus, bool):
-        raise InputError(f"'{label}.include_imus' must be true or false, got {include_imus!r}")
-    variances = {
-        key: _finite_number(sensors_cfg.get(key, default), f"{label}.{key}", positive=True)
-        for key, default in SENSOR_VARIANCES.items()
-    }
+    if isinstance(spec, Leaf):
+        if not spec.ok(value):
+            raise InputError(f"{path if spec.noun else repr(path)} must be {spec.what}, got {value!r}")
+        if spec.noun:
+            names.append((path, value, spec.noun))
+        return value
+    if isinstance(spec, ListOf):
+        if not isinstance(value, list) or len(value) not in spec.counts:
+            raise InputError(f"'{path}' must be {spec.what}, got {value!r}")
+        return [_walk(spec.spec, item, f"{path}[{i}]", names) for i, item in enumerate(value)]
+    if not isinstance(value, dict):
+        raise InputError(f"'{path}' must be a JSON object, got {value!r}")
+    if isinstance(spec, MapOf):
+        if spec.noun:
+            names.append((f"{path} keys", [key for key in value if key not in spec.fixed], spec.noun))
+        return {key: _walk(spec.spec, item, _join(path, key), names) for key, item in {**spec.fixed, **value}.items()}
+    if isinstance(spec, Kinds):
+        kind = value.get("kind", spec.default)
+        if not isinstance(kind, str) or kind not in spec.blocks:
+            raise InputError(f"'{_join(path, 'kind')}' must be one of {', '.join(spec.blocks)}, got {kind!r}")
+        fields = {key: item for key, item in value.items() if key != "kind"}
+        for key in fields:
+            if key not in spec.blocks[kind].keys:
+                raise InputError(f"'{_join(path, key)}' is not a key of kind {kind!r} ('{_join(path, 'kind')}')")
+        return {"kind": kind, **_walk(spec.blocks[kind], fields, path, names)}
+    for key in value:
+        if key not in spec.keys:
+            raise InputError(f"'{_join(path, key)}' is not a config key")
+    checked = {}
+    for key, (item_spec, default) in spec.keys.items():
+        item = value.get(key, default)
+        if item is _REQUIRED:
+            raise InputError(f"'{_join(path, key)}' is required")
+        checked[key] = None if item is None is default else _walk(item_spec, item, _join(path, key), names)
+    if spec.rule and not spec.rule[0](checked):
+        raise InputError(spec.rule[1].format(path=path, **checked))
+    return checked
+
+
+def _integer(value):
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+# the largest magnitude of a config number: products of larger ones could overflow
+MAX_NUMBER = 1e12
+
+
+def _number(value):
+    """A JSON number (not a bool) of magnitude at most MAX_NUMBER: not NaN, not infinite."""
+    return isinstance(value, (int, float)) and not isinstance(value, bool) and abs(value) <= MAX_NUMBER
+
+
+def _knots(value):
+    pairs = isinstance(value, list) and len(value) >= 2 and all(
+        isinstance(knot, list) and len(knot) == 2 and all(map(_number, knot)) for knot in value)
+    return pairs and all(a[0] < b[0] for a, b in zip(value, value[1:]))
+
+
+@cache
+def _template_links():
+    return {spec["name"] for spec in load_body_tables()["links"]}
+
+
+FINITE = Leaf(_number, f"a finite number (at most {MAX_NUMBER:g} in magnitude)")
+POSITIVE = Leaf(lambda v: _number(v) and v > 0, f"a positive finite number (at most {MAX_NUMBER:g})")
+NON_NEGATIVE = Leaf(lambda v: _number(v) and v >= 0, f"a non-negative finite number (at most {MAX_NUMBER:g})")
+POSITIVE_INT = Leaf(lambda v: _integer(v) and v > 0, "a positive integer")
+PATH = Leaf(lambda v: isinstance(v, str) and v != "", "a path (a non-empty string)")
+TRIPLE = Leaf(lambda v: isinstance(v, list) and len(v) == 3 and all(map(_number, v)), "a list of three finite numbers")
+MAX_SAMPLES = 10**7  # of a scenario: over a day at 100 Hz
+
+WAVEFORM = Kinds({
+    "constant": Block({"value": (FINITE, 0.0)}),
+    "sine": Block({"amplitude": (FINITE, _REQUIRED), "frequency": (FINITE, _REQUIRED), "phase": (FINITE, 0.0),
+                   "offset": (FINITE, 0.0)}),
+    "spline": Block({"knots": (Leaf(
+        _knots, "a list of at least two [time, value] pairs of finite numbers, the times increasing"), _REQUIRED)}),
+}, default="constant")
+LANDMARKS = MapOf(TRIPLE, "landmark")
+SENSORS = Block({
+    "include_imus": (Leaf(lambda v: isinstance(v, bool), "true or false"), True),
+    "imu_variance": (POSITIVE, 1e-3),
+    "ddq_variance": (POSITIVE, 1e-3),
+    "wrench_variance": (POSITIVE, 1e-6),
+    "contact_wrench_variance": (POSITIVE, 1e-3),
+    "base_wrench_variance": (POSITIVE, 1e-3),
+    "contact_links": (Leaf(lambda v: isinstance(v, list) and all(isinstance(name, str) for name in v),
+                           "a list of link names", "link"), []),
+    "fixed_base_pose": (Block({"xyz": (TRIPLE, [0, 0, 0]), "rpy": (TRIPLE, [0, 0, 0])}), None),
+})
+CONFIG = Block({
+    "model": (PATH, None),
+    "out": (PATH, "."),
+    "seed": (Leaf(lambda v: v is None or _integer(v) and v >= 0, "a non-negative integer or null"), 0),
+    "root_link": (Leaf(lambda v: isinstance(v, str) and v in _template_links(), "a link of the template"), "Pelvis"),
+    "workers": (POSITIVE_INT, None),
+    "marginals": (Leaf(lambda v: v in ("tau", "tau_ddq", "all"), "one of tau, tau_ddq, all"), "tau"),
+    "subject": (Block(
+        {"mass_total": (POSITIVE, _REQUIRED), "landmarks": (LANDMARKS, None), "landmarks_file": (PATH, None)},
+        (lambda s: s["landmarks"] is not None or s["landmarks_file"] is not None,
+         "'{path}.landmarks' or '{path}.landmarks_file' is required")), None),
+    "scenario": (Block({
+        "duration": (POSITIVE, _REQUIRED),
+        "rate": (POSITIVE, _REQUIRED),
+        "trajectory": (MapOf(WAVEFORM, "joint", "joint", {"default": {"kind": "constant", "value": 0.0}}), {}),
+        "external_forces": (MapOf(ListOf(WAVEFORM, "a list of at most six waveforms", range(7)), "link",
+                                  "moving link"), {}),
+    }, (lambda s: s["duration"] * s["rate"] <= MAX_SAMPLES and round(s["duration"] * s["rate"]) >= 1,
+        f"'{{path}}.duration' times '{{path}}.rate' must give 1 to {MAX_SAMPLES} samples, got {{duration}} "
+        "and {rate}")), None),
+    "sensors": (SENSORS, {}),
+    "covariances": (Block({"sigma_D": (POSITIVE, 1e-4), "sigma_d": (POSITIVE, 1e4), "mu_d": (FINITE, 0.0)}), {}),
+    "sg": (Block({"window": (POSITIVE_INT, 57), "order": (POSITIVE_INT, 3)}, (
+        lambda sg: sg["window"] % 2 == 1 and sg["window"] > sg["order"],
+        "'{path}.window' must be odd and larger than '{path}.order' ({order}), got {window}")), {}),
+    "inputs": (Block(
+        {"observations": (PATH, _REQUIRED), "state": (PATH, None), "link_poses": (PATH, None)},
+        (lambda i: i["state"] is not None or i["link_poses"] is not None,
+         "'{path}.state' or '{path}.link_poses' is required")), None),
+    "calibration": (Block({"accelerometer_noise_std": (NON_NEGATIVE, 0.0)}), {}),
+    "fusion": (Block({
+        "cases": (ListOf(Block({"name": (Leaf(lambda v: isinstance(v, str), "a string"), _REQUIRED),
+                                "sensors": (SENSORS, {})}),
+                         "a list of at least two cases", range(2, sys.maxsize)), _REQUIRED),
+        "max_states": (POSITIVE_INT, 10),
+    }), None),
+})
+# the top-level keys each command needs, null when not given
+NEEDS = {"model-gen": ("subject",), "simulate": ("model", "scenario"), "estimate": ("model", "inputs"),
+         "fusion": ("model", "scenario", "fusion"), "sensor-pose": ("model", "scenario")}
+
+
+def check_config(cfg) -> dict:
+    """``cfg`` walked through the table, in a new dict: every key checked and every default filled in.
+
+    An unknown key, a missing one or a value outside its range is an
+    InputError naming its key path.
+    """
+    return _walk(CONFIG, cfg, "", [])
+
+
+def start_run(command, path, seed=None, model=None, out=None):
+    """The config as read (the manifest hashes it), its checked copy and the output directory, made.
+
+    ``seed`` overrides the config's in both; ``model`` and ``out``, in the checked copy.
+    """
+    cfg = load_config(path)
+    if seed is not None:
+        cfg["seed"] = seed
+    checked = check_config({**cfg, **{key: value for key, value in (("model", model), ("out", out)) if value}})
+    for key in NEEDS[command]:
+        if checked[key] is None:
+            raise InputError(f"'{key}' is required by {command}")
+    try:
+        Path(checked["out"]).mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        raise InputError(f"cannot create output directory {checked['out']}: {exc.strerror or exc}") from exc
+    return cfg, checked, Path(checked["out"])
+
+
+def load_model_from_config(cfg) -> tuple:
+    """The model the checked ``cfg`` names, and its path; an InputError at the first name of ``cfg`` it lacks."""
+    try:
+        model = parse_model(_read(cfg["model"], "model file"))
+    except ModelError as exc:
+        raise InputError(f"model file {cfg['model']}: {exc}") from exc
+    known = {"link": set(model.link_index), "moving link": {link.name for link in model.links[1:]},
+             "joint": set(model.joint_index)}
+    names = []
+    _walk(CONFIG, cfg, "", names)
+    for path, given, noun in names:
+        unknown = sorted(set(given) - known[noun])
+        if unknown:
+            raise InputError(f"{path} name {noun}s the model lacks: {', '.join(map(repr, unknown))}")
+    return model, Path(cfg["model"])
+
+
+def sensor_specs_from_config(model, cfg) -> list:
+    """The validated sensor specs of the checked ``sensors`` block of ``cfg`` (a config or a fusion case)."""
+    sensors = cfg["sensors"]
+    pose = sensors["fixed_base_pose"]
     return validate_specs(model, default_sensor_specs(
-        model, include_imus=include_imus, contact_links=sensors_cfg.get("contact_links", ()), fp_pose=fp_pose,
-        **variances,
+        model, include_imus=sensors["include_imus"], contact_links=sensors["contact_links"],
+        fp_pose=None if pose is None else HomTransform.from_rpy(pose["xyz"], pose["rpy"]),
+        **{key: sensors[key] for key in SENSORS.keys if key.endswith("_variance")},
     ))
 
 
-def _finite_triple(value, key):
-    """``value`` if it is a list of three finite numbers, else an InputError naming ``key``."""
-    if not isinstance(value, list) or len(value) != 3:
-        raise InputError(f"'{key}' must be a list of three finite numbers, got {value!r}")
-    return [_finite_number(v, key) for v in value]
-
-
 def trajectory_from_config(model, cfg) -> TrajectorySpec:
-    scen = cfg.get("scenario")
-    if not scen:
-        raise InputError("config lacks a 'scenario' block")
-    tr_cfg = scen.get("trajectory", {})
-    default = tr_cfg.get("default", {"kind": "constant", "value": 0.0})
-    waveforms = []
-    for joint in model.joints:
-        waveforms.append(waveform_from_config(tr_cfg.get(joint.name, default)))
-    return TrajectorySpec(waveforms, scen["duration"], scen["rate"])
+    scenario = cfg["scenario"]
+    trajectory = scenario["trajectory"]
+    waveforms = [waveform_from_config(trajectory.get(joint.name, trajectory["default"])) for joint in model.joints]
+    return TrajectorySpec(waveforms, scenario["duration"], scenario["rate"])
 
 
 def scenario_from_config(model, cfg) -> SyntheticScenario:
-    scen = cfg.get("scenario", {})
-    forces = {}
-    for link, channels in scen.get("external_forces", {}).items():
-        forces[link] = [waveform_from_config(c) for c in channels]
-    return SyntheticScenario(
-        model,
-        trajectory_from_config(model, cfg),
-        sensor_specs_from_config(model, cfg),
-        external_forces=forces,
-        seed=cfg.get("seed", 0),
-    )
+    forces = {link: [waveform_from_config(c) for c in channels]
+              for link, channels in cfg["scenario"]["external_forces"].items()}
+    return SyntheticScenario(model, trajectory_from_config(model, cfg), sensor_specs_from_config(model, cfg),
+                             external_forces=forces, seed=cfg["seed"])
 
 
 def covariances_from_config(cfg):
-    """(sigma_D, sigma_d, mu_d): finite numbers, the variances positive, else an InputError naming the key."""
-    cov = _config_block(cfg, "covariances")
-    return tuple(
-        _finite_number(cov.get(key, default), f"covariances.{key}", positive)
-        for key, default, positive in (("sigma_D", 1e-4, True), ("sigma_d", 1e4, True), ("mu_d", 0.0, False))
-    )
+    """(sigma_D, sigma_d, mu_d) of the checked config."""
+    cov = cfg["covariances"]
+    return cov["sigma_D"], cov["sigma_d"], cov["mu_d"]
 
 
 # ---------------------------------------------------------------------------
@@ -336,24 +463,16 @@ def cli():
 @click.option("--out", "out_dir", default=None, type=click.Path())
 def cmd_model_gen(config_path, out_dir):
     """Generate the anthropometric URDF template for a subject."""
-    cfg = load_config(config_path)
-    out = _out_dir(cfg, out_dir)
-    subject_cfg = cfg.get("subject")
-    if not subject_cfg:
-        raise InputError("config lacks a 'subject' block")
-    landmarks_path = subject_cfg.get("landmarks_file")
-    if landmarks_path:
-        try:
-            with open(landmarks_path) as fh:
-                landmarks = json.load(fh)["landmarks"]
-        except FileNotFoundError as exc:
-            raise InputError(f"landmarks file not found: {landmarks_path}") from exc
-    else:
-        landmarks = subject_cfg.get("landmarks")
-        if landmarks is None:
-            raise InputError("subject block needs 'landmarks' or 'landmarks_file'")
-    subject = {"mass_total": subject_cfg["mass_total"], "landmarks": landmarks}
-    xml = generate_human_template(subject, root=cfg.get("root_link", "Pelvis"))
+    cfg, checked, out = start_run("model-gen", config_path, out=out_dir)
+    subject = checked["subject"]
+    landmarks = subject["landmarks"]
+    if subject["landmarks_file"] is not None:
+        landmarks_doc = _read(subject["landmarks_file"], "landmarks file", json.load)
+        if not isinstance(landmarks_doc, dict) or "landmarks" not in landmarks_doc:
+            raise InputError(f"landmarks file {subject['landmarks_file']} must hold a JSON object with 'landmarks'")
+        landmarks = _walk(LANDMARKS, landmarks_doc["landmarks"], f"{subject['landmarks_file']}: landmarks", [])
+    xml = generate_human_template({"mass_total": subject["mass_total"], "landmarks": landmarks},
+                                  root=checked["root_link"])
     model = parse_model(xml)
     model_path = out / "model.xml"
     model_path.write_text(xml)
@@ -372,12 +491,9 @@ def cmd_model_gen(config_path, out_dir):
 @click.option("--seed", default=None, type=int, help="override the config seed")
 def cmd_simulate(config_path, model_override, out_dir, seed):
     """Run a synthetic scenario: trajectory, ground truth, noisy observations."""
-    cfg = load_config(config_path)
-    if seed is not None:
-        cfg["seed"] = seed
-    out = _out_dir(cfg, out_dir)
-    model, model_path = load_model_from_config(cfg, model_override)
-    scenario = scenario_from_config(model, cfg)
+    cfg, checked, out = start_run("simulate", config_path, seed, model_override, out_dir)
+    model, model_path = load_model_from_config(checked)
+    scenario = scenario_from_config(model, checked)
     truth = generate_ground_truth(scenario)
     obs = generate_observations(scenario, truth)
 
@@ -410,7 +526,7 @@ def cmd_simulate(config_path, model_override, out_dir, seed):
     _write_link_poses(poses_path, model, truth)
 
     manifest = write_manifest(
-        out, "simulate", cfg, cfg.get("seed", 0), inputs=[model_path],
+        out, "simulate", cfg, checked["seed"], inputs=[model_path],
         outputs=[traj_path, obs_path, gt_path, poses_path],
     )
     click.echo(f"simulated {truth.times.size} samples -> {out} (manifest {manifest.name})")
@@ -474,9 +590,6 @@ def _estimate_worker_init(model, specs, covariances, marginal_idx):
     _estimator = MapEstimator(model, specs, *covariances, marginal_idx)
 
 
-MARGINAL_MODES = ("tau", "tau_ddq", "all")
-
-
 def _marginal_indices(layout, mode):
     if mode == "all":
         return np.arange(layout.size)
@@ -511,25 +624,14 @@ def _estimate_chunk(args):
 @click.option("--workers", default=None, type=click.IntRange(min=1), help="worker processes (default: cores)")
 def cmd_estimate(config_path, model_override, out_dir, workers):
     """MAP estimation over an observation series (state CSV or IK from poses)."""
-    cfg = load_config(config_path)
-    out = _out_dir(cfg, out_dir)
-    model, model_path = load_model_from_config(cfg, model_override)
-    specs = sensor_specs_from_config(model, cfg)
+    cfg, checked, out = start_run("estimate", config_path, model=model_override, out=out_dir)
+    model, model_path = load_model_from_config(checked)
+    specs = sensor_specs_from_config(model, checked)
     layout = DynLayout(model)
-    covariances = covariances_from_config(cfg)
-    # checked before the inputs are read: the IK of a pose CSV takes long
-    marginal_mode = cfg.get("marginals", "tau")
-    if marginal_mode not in MARGINAL_MODES:
-        raise InputError(f"'marginals' must be one of {', '.join(MARGINAL_MODES)}, got {marginal_mode!r}")
-    cfg_workers = cfg.get("workers")
-    if cfg_workers is not None:
-        _positive_int(cfg_workers, "workers")
+    covariances = covariances_from_config(checked)
 
-    inputs_cfg = _config_block(cfg, "inputs")
-    obs_path = inputs_cfg.get("observations")
-    if not obs_path:
-        raise InputError("config 'inputs.observations' is required")
-    obs_header, obs_data = read_csv(obs_path)
+    inputs = checked["inputs"]
+    obs_header, obs_data = read_csv(inputs["observations"])
     expected = ["time"] + channel_names(model, specs)
     if obs_header != expected:
         raise InputError("observation CSV channels do not match the sensor config")
@@ -538,30 +640,28 @@ def cmd_estimate(config_path, model_override, out_dir, workers):
     # a non-finite reading is missing: the estimator gives it zero weight
     missing = int(np.count_nonzero(~np.isfinite(y_series)))
 
-    input_files = [model_path, Path(obs_path)]
-    if inputs_cfg.get("state"):
-        header, data = read_csv(inputs_cfg["state"])
+    input_files = [model_path, Path(inputs["observations"])]
+    if inputs["state"] is not None:
+        header, data = read_csv(inputs["state"])
         n = model.n_dof
         if data.shape[1] < 1 + 2 * n:
             raise InputError(
                 f"state CSV needs time plus q and qd columns ({1 + 2 * n}), found {data.shape[1]}"
             )
         # a state has no variance: unlike a reading, a non-finite one cannot be missing
-        _require_finite(inputs_cfg["state"], header, data, np.arange(1, 1 + 2 * n))
+        _require_finite(inputs["state"], header, data, np.arange(1, 1 + 2 * n))
         q_series = data[:, 1: 1 + n]
         qd_series = data[:, 1 + n: 1 + 2 * n]
-        input_files.append(Path(inputs_cfg["state"]))
+        input_files.append(Path(inputs["state"]))
         ik_unconverged = []
-    elif inputs_cfg.get("link_poses"):
-        q_series, qd_series, ik_unconverged = _state_from_poses(model, cfg, inputs_cfg["link_poses"])
-        input_files.append(Path(inputs_cfg["link_poses"]))
     else:
-        raise InputError("config 'inputs' needs 'state' or 'link_poses'")
+        q_series, qd_series, ik_unconverged = _state_from_poses(model, checked["sg"], inputs["link_poses"])
+        input_files.append(Path(inputs["link_poses"]))
     if q_series.shape[0] != times.size:
         raise InputError("state and observation sample counts disagree")
 
-    marg_idx = _marginal_indices(layout, marginal_mode)
-    n_workers = workers or cfg_workers or (os.cpu_count() or 1)
+    marg_idx = _marginal_indices(layout, checked["marginals"])
+    n_workers = workers or checked["workers"] or (os.cpu_count() or 1)
     n_samples = times.size
     if n_samples < 8:
         n_workers = 1
@@ -661,18 +761,14 @@ def _make_chunks(times, q_series, qd_series, y_series, n_workers):
     return [(idx, times[idx], q_series[idx], qd_series[idx], y_series[idx]) for idx in bounds if idx.size]
 
 
-def _state_from_poses(model, cfg, poses_path):
-    """IK + smoothing differentiation from a per-link world-pose series.
+def _state_from_poses(model, sg, poses_path):
+    """IK + smoothing differentiation (the checked ``sg`` block) from a per-link world-pose series.
 
     Returns q, qd and the indices of the frames whose IK did not converge.
     """
     header, data = read_csv(poses_path)
     times = data[:, 0]
-    sg_cfg = cfg.get("sg", {})
-    window = _positive_int(sg_cfg.get("window", 57), "sg.window")
-    order = _positive_int(sg_cfg.get("order", 3), "sg.order")
-    if window % 2 == 0 or window <= order:
-        raise InputError(f"'sg.window' must be odd and larger than 'sg.order' ({order}), got {window}")
+    window, order = sg["window"], sg["order"]
     min_window = order + 1 + order % 2  # the smallest odd window above the order
     if times.size < min_window:
         raise InputError(
@@ -732,27 +828,22 @@ def _real_link_pairs(model):
 @click.option("--out", "out_dir", default=None, type=click.Path())
 def cmd_fusion(config_path, model_override, out_dir):
     """Per-joint torque variance for each measurement case."""
-    cfg = load_config(config_path)
-    out = _out_dir(cfg, out_dir)
-    model, model_path = load_model_from_config(cfg, model_override)
-    fusion_cfg = cfg.get("fusion")
-    if not fusion_cfg or len(fusion_cfg.get("cases", [])) < 2:
-        raise InputError("fusion needs a 'fusion.cases' list with at least two cases")
-    covariances = covariances_from_config(cfg)
+    cfg, checked, out = start_run("fusion", config_path, model=model_override, out=out_dir)
+    model, model_path = load_model_from_config(checked)
+    fusion_cfg = checked["fusion"]
+    covariances = covariances_from_config(checked)
 
-    traj = trajectory_from_config(model, cfg)
-    _, q_series, qd_series, _ = traj.sample()
-    max_states = _positive_int(fusion_cfg.get("max_states", 10), "fusion.max_states")
+    _, q_series, qd_series, _ = trajectory_from_config(model, checked).sample()
     # evenly spaced, and at most max_states of them
-    stride = -(-q_series.shape[0] // max_states)
+    stride = -(-q_series.shape[0] // fusion_cfg["max_states"])
     q_states, qd_states = q_series[::stride], qd_series[::stride]
 
     tau_idx = DynLayout(model).tau_indices()
     names = [case["name"] for case in fusion_cfg["cases"]]
     # one estimator per case: each case has its own layout and variances
     cases = [
-        MapEstimator(model, sensor_specs_from_config(model, case, f"fusion.cases[{i}].sensors"), *covariances, tau_idx)
-        for i, case in enumerate(fusion_cfg["cases"])
+        MapEstimator(model, sensor_specs_from_config(model, case), *covariances, tau_idx)
+        for case in fusion_cfg["cases"]
     ]
     # adding channels or tightening them can only shrink a variance; other
     # changes can grow it
@@ -803,15 +894,11 @@ def cmd_fusion(config_path, model_override, out_dir):
 @click.option("--patch-model/--no-patch-model", default=False)
 def cmd_sensor_pose(config_path, model_override, out_dir, seed, patch_model):
     """Calibrate accelerometer poses from synthetic excitation streams."""
-    cfg = load_config(config_path)
-    if seed is not None:
-        cfg["seed"] = seed
-    out = _out_dir(cfg, out_dir)
-    model, model_path = load_model_from_config(cfg, model_override)
-    traj = trajectory_from_config(model, cfg)
-    calib_cfg = cfg.get("calibration", {})
-    noise_std = calib_cfg.get("accelerometer_noise_std", 0.0)
-    seed = cfg.get("seed", 0)
+    cfg, checked, out = start_run("sensor-pose", config_path, seed, model_override, out_dir)
+    model, model_path = load_model_from_config(checked)
+    traj = trajectory_from_config(model, checked)
+    noise_std = checked["calibration"]["accelerometer_noise_std"]
+    seed = checked["seed"]
 
     results = {}
     accelerometers = model.sensors_of_kind("accelerometer")
@@ -820,7 +907,7 @@ def cmd_sensor_pose(config_path, model_override, out_dir, seed, patch_model):
             results[sensor.name] = {"ok": False, "error": "sensor sits on the fixed base"}
             continue
         streams = synthesize_sensor_streams(
-            model, traj, sensor, noise_std=noise_std, rng=np.random.default_rng(seed + s_idx)
+            model, traj, sensor, noise_std=noise_std, rng=None if seed is None else np.random.default_rng(seed + s_idx)
         )
         try:
             est = estimate_sensor_pose(*streams)
@@ -868,12 +955,6 @@ def _patch_model_sensors(model, results):
     return emit_model(patched)
 
 
-def _out_dir(cfg, override) -> Path:
-    out = Path(override or cfg.get("out", "."))
-    out.mkdir(parents=True, exist_ok=True)
-    return out
-
-
 def main(argv=None):
     """Entry point mapping failures to the documented exit codes."""
     try:
@@ -887,7 +968,7 @@ def main(argv=None):
         return EXIT_USAGE
     except click.exceptions.Abort:
         return EXIT_USAGE
-    except (InputError, ModelError, TemplateError, FileNotFoundError) as exc:
+    except (InputError, ModelError, FileNotFoundError) as exc:
         click.echo(f"input error: {exc}", err=True)
         return EXIT_INPUT
     except (RankDeficiencyError, EstimatorError, np.linalg.LinAlgError) as exc:

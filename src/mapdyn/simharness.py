@@ -64,15 +64,18 @@ class Spline:
         return spline(t), spline(t, 1), spline(t, 2)
 
 
+WAVEFORMS = {"constant": Constant, "sine": Sine, "spline": Spline}
+
+
 def waveform_from_config(cfg) -> object:
-    kind = cfg.get("kind", "constant")
-    if kind == "constant":
-        return Constant(cfg.get("value", 0.0))
-    if kind == "sine":
-        return Sine(cfg["amplitude"], cfg["frequency"], cfg.get("phase", 0.0), cfg.get("offset", 0.0))
+    """The waveform class that ``kind`` names (default constant), its fields the config's other keys."""
+    fields = dict(cfg)
+    kind = fields.pop("kind", "constant")
+    if kind not in WAVEFORMS:
+        raise ModelError(f"unknown waveform kind {kind!r}")
     if kind == "spline":
-        return Spline(tuple((float(a), float(b)) for a, b in cfg["knots"]))
-    raise ModelError(f"unknown waveform kind {kind!r}")
+        fields["knots"] = tuple((float(a), float(b)) for a, b in fields["knots"])
+    return WAVEFORMS[kind](**fields)
 
 
 @dataclass

@@ -1,5 +1,8 @@
+import copy
 import csv
 import json
+import random
+import re
 from pathlib import Path
 
 import numpy as np
@@ -106,6 +109,26 @@ class TestModelGen:
 
     def test_usage_error_exits_1(self):
         assert main(["model-gen"]) == 1
+
+    @pytest.mark.parametrize(
+        "key, value, message",
+        [
+            ("subject.landmarks_file", 7, "'subject.landmarks_file' must be a path"),
+            ("subject.landmarks_file", ".", "cannot read landmarks file .: Is a directory"),
+            ("subject.mass_total", "x", "'subject.mass_total' must be a positive finite number"),
+            ("subject.height", 1.8, "'subject.height' is not a config key"),
+            ("root_link", "Nope", "'root_link' must be a link of the template, got 'Nope'"),
+            ("out", str(Path(__file__)), f"cannot create output directory {Path(__file__)}: File exists"),
+        ],
+    )
+    def test_bad_config_value_exits_2(self, tmp_path, capsys, key, value, message):
+        cfg = {"subject": {"mass_total": 60.0, "landmarks_file": str(tmp_path / "lm.json")}, "out": str(tmp_path)}
+        block, _, name = key.rpartition(".")
+        (cfg[block] if block else cfg)[name] = value
+        assert main(["model-gen", "--config", write_config(tmp_path, cfg)]) == 2
+        err = capsys.readouterr().err
+        assert message in err
+        assert "Traceback" not in err
 
 
 class TestSimulate:
@@ -353,6 +376,8 @@ class TestEstimate:
             ("marginals", "al"), ("sg.window", 30), ("sg.order", "x"), ("workers", "two"),
             ("covariances.sigma_D", -1), ("covariances.sigma_D", "a"), ("covariances.sigma_d", float("inf")),
             ("covariances.mu_d", [0, 1]), ("covariances", [1e-4]), ("sensors", "x"),
+            ("inputs.state", 7), ("inputs.link_poses", ""), ("inputs.observations", ["a"]), ("model", 7),
+            ("out", None),
         ],
     )
     def test_bad_config_value_exits_2_with_its_key(self, two_link_setup, capsys, key, value):
@@ -424,6 +449,22 @@ class TestEstimate:
         assert main(["estimate", "--config", write_config(tmp_path, est_cfg, "bad.json")]) == 2
         assert "'inputs' must be a JSON object, got 'x'" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("key", ["model", "out", "inputs.state"])
+    def test_unusable_path_exits_2_naming_it(self, two_link_setup, capsys, key):
+        """A directory where a file is read, or a file where the output directory goes, is an input error."""
+        tmp_path, cfg = two_link_setup
+        config, _ = self._simulate(tmp_path, cfg)
+        est_cfg = json.loads(Path(config).read_text())
+        path = str(Path(cfg["model"]) if key == "out" else tmp_path)
+        block, _, name = key.rpartition(".")
+        (est_cfg[block] if block else est_cfg)[name] = path
+        bad = write_config(tmp_path, est_cfg, "bad.json")
+        for workers in ("1", "2"):
+            assert main(["estimate", "--config", bad, "--workers", workers]) == 2
+            err = capsys.readouterr().err
+            assert f"{path}: " in err
+            assert "Traceback" not in err
+
     def test_observations_path_that_is_a_directory_exits_2(self, two_link_setup, capsys):
         tmp_path, cfg = two_link_setup
         config, _ = self._simulate(tmp_path, cfg)
@@ -436,7 +477,7 @@ class TestEstimate:
 
     def test_missing_reading_gets_zero_weight(self, two_link_setup, capsys):
         """A NaN cell drops that channel for that sample; the run counts it."""
-        from mapdyn.cli import covariances_from_config, sensor_specs_from_config
+        from mapdyn.cli import check_config, covariances_from_config, sensor_specs_from_config
         from mapdyn.dynamics import ConstraintAssembler
         from mapdyn.estimator import MapProblem, map_solve
         from mapdyn.sensors import MeasurementAssembler, assemble_system
@@ -462,6 +503,7 @@ class TestEstimate:
         assert np.isfinite(row).all()
 
         model = parse_model(TWO_LINK_XML)
+        cfg = check_config(cfg)
         casm, masm = ConstraintAssembler(model), MeasurementAssembler(model, sensor_specs_from_config(model, cfg))
         _, traj = read_rows(Path(cfg["out"]) / "trajectory.csv")
         state = np.array(traj[sample], dtype=float)
@@ -952,7 +994,8 @@ class TestFusion:
 
         monkeypatch.setattr(mapdyn.cli, "kinematic_sweep", counting_sweep)
         assert main(["fusion", "--config", write_config(tmp_path, fus_cfg, "f.json")]) == 0
-        _, q, _, _ = mapdyn.cli.trajectory_from_config(parse_model(TWO_LINK_XML), fus_cfg).sample()
+        checked = mapdyn.cli.check_config(fus_cfg)
+        _, q, _, _ = mapdyn.cli.trajectory_from_config(parse_model(TWO_LINK_XML), checked).sample()
         assert q.shape[0] == 30
         picked = [int(np.flatnonzero((q == state).all(axis=1))[0]) for state in states]
         assert len(picked) == expected <= max_states
@@ -1070,3 +1113,93 @@ class TestSensorPose:
         results = json.loads((tmp_path / "cal" / "sensor_poses.json").read_text())
         assert results["link2_accelerometer"]["ok"]
         assert not results["link1_accelerometer"]["ok"]
+
+
+def _config_sites(node, path=""):
+    """Every (key path, container, key, value) of a JSON config, depth first."""
+    items = node.items() if isinstance(node, dict) else enumerate(node) if isinstance(node, list) else ()
+    for key, item in items:
+        site = f"{path}[{key}]" if isinstance(node, list) else f"{path}.{key}" if path else key
+        yield site, node, key, item
+        yield from _config_sites(item, site)
+
+
+def test_seeded_config_mutations_exit_0_or_2(tmp_path, capsys, monkeypatch):
+    """300 seeded mutations of one two-link config that every command accepts.
+
+    Each run returns 0 or 2 and raises nothing. A wrong type, a NaN, a huge
+    number and an unknown key (in a command that loads the model, also an
+    unknown name) are invalid and exit 2. A dropped key, a negative number
+    or a directory for a file may be valid; when such a run exits 2, the
+    error names the key path (or the path of the list that holds it), or
+    the directory.
+    """
+    from mapdyn.model import example_landmarks
+
+    monkeypatch.chdir(tmp_path)  # a dropped `out` writes to the working directory
+    (tmp_path / "model.xml").write_text(TWO_LINK_XML)
+    landmarks = tmp_path / "landmarks.json"
+    landmarks.write_text(json.dumps({"landmarks": {k: list(v) for k, v in example_landmarks().items()}}))
+    directory = tmp_path / "a_directory"
+    directory.mkdir()
+    base = {
+        "model": str(tmp_path / "model.xml"), "out": str(tmp_path / "runs"), "seed": 3, "root_link": "Pelvis",
+        "workers": 1, "marginals": "tau", "subject": {"mass_total": 75.9, "landmarks_file": str(landmarks)},
+        "scenario": {"duration": 0.2, "rate": 60.0, "trajectory": {
+            "default": {"kind": "sine", "amplitude": 0.3, "frequency": 0.7, "phase": 0.1, "offset": 0.05},
+            "joint2": {"kind": "spline", "knots": [[0.0, 0.1], [1.0, 0.3]]},
+        }, "external_forces": {"link2": [{"kind": "constant", "value": 1.0}]}},
+        "sensors": {"contact_links": ["link2"], "include_imus": True, "imu_variance": 1e-3,
+                    "fixed_base_pose": {"xyz": [0.0, 0.0, 0.0], "rpy": [0.0, 0.0, 0.0]}},
+        "covariances": {"sigma_D": 1e-4, "sigma_d": 1e4, "mu_d": 0.0},
+        "sg": {"window": 5, "order": 3},
+        "calibration": {"accelerometer_noise_std": 0.01},
+        "fusion": {"cases": [{"name": "a", "sensors": {}}, {"name": "b", "sensors": {"contact_links": ["link2"]}}],
+                   "max_states": 3},
+    }
+    commands = ["model-gen", "simulate", "estimate", "fusion", "sensor-pose"]
+    config = write_config(tmp_path, base)
+    assert main(["simulate", "--config", config, "--out", str(tmp_path / "sim")]) == 0
+    base["inputs"] = {"observations": str(tmp_path / "sim" / "observations.csv"),
+                      "state": str(tmp_path / "sim" / "trajectory.csv")}
+    config = write_config(tmp_path, base)
+    for command in commands:
+        assert main([command, "--config", config]) == 0, capsys.readouterr().err
+
+    rng = random.Random(2301)
+    exits = {0: 0, 2: 0}
+    for _ in range(300):
+        cfg = copy.deepcopy(base)
+        path, container, key, value = rng.choice(list(_config_sites(cfg)))
+        number = isinstance(value, (int, float)) and not isinstance(value, bool)
+        kinds = ["type"] + ["nan", "negative", "huge"] * number + ["drop"] * isinstance(container, dict)
+        kinds += ["unknown"] * isinstance(value, dict) + ["name"] * (path.endswith("contact_links"))
+        kinds += ["directory"] * (isinstance(value, str) and path not in ("marginals", "root_link"))
+        kind = rng.choice(kinds)
+        command = rng.choice(commands)
+        expected = [path, re.sub(r"(\[\d+\])+$", "", path)]
+        if kind == "type":
+            container[key] = (7 if isinstance(value, str) else 1 if isinstance(value, bool) else "x" if number
+                              else {"a": 1} if isinstance(value, list) else [1])
+        elif kind in ("nan", "negative", "huge"):
+            container[key] = {"nan": float("nan"), "negative": -abs(value) - 1, "huge": 1e300}[kind]
+        elif kind == "drop":
+            del container[key]
+        elif kind == "unknown":
+            value["bogus_key"] = 1
+            expected = ["bogus_key"]
+        elif kind == "name":
+            value.append("bogus_link")
+        else:
+            container[key] = str(directory)
+            expected = [str(directory)]
+        invalid = kind in ("type", "nan", "huge") or kind in ("unknown", "name") and command != "model-gen"
+        rc = main([command, "--config", write_config(tmp_path, cfg, "mutated.json")])
+        err = capsys.readouterr().err
+        context = f"{command}, {kind} at {path}: exit {rc}, {err!r}"
+        assert rc == 2 if invalid else rc in (0, 2), context
+        assert "Traceback" not in err, context
+        if rc == 2:
+            assert any(name in err for name in expected), context
+        exits[rc] += 1
+    assert exits[0] > 30 and exits[2] > 150
