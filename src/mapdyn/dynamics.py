@@ -381,9 +381,9 @@ class BlockPattern:
         stored = slots >= 0
         return slots[stored], sources[stored]
 
-    def stack(self, n_samples, dtype=float):
-        """A (T, nnz) value array holding the constant entries, ready for the state ones."""
-        values = np.empty((n_samples, self.nnz), dtype=dtype)
+    def stack(self, like):
+        """A (T, nnz) value array holding the constant entries, of the T and dtype of ``like`` (T, ...)."""
+        values = np.empty((like.shape[0], self.nnz), dtype=like.dtype)
         values[:] = self.constant
         return values
 
@@ -450,17 +450,17 @@ class ConstraintAssembler:
         """D as a CSC matrix from one sample's values (CSC data order)."""
         return self.pattern.csc(values)
 
-    def assemble_values(self, sweep, dtype=float):
+    def assemble_values(self, sweep):
         """(values, b_D) of a stack of samples from their kinematic sweep.
 
         ``values`` is (T, nnz) in the CSC data order of ``matrix``, and
-        ``b_D`` is (T, rows).
+        ``b_D`` is (T, rows), both of the sweep's dtype.
         """
         n_samples = sweep.v.shape[0]
-        values = self.pattern.stack(n_samples, dtype)
+        values = self.pattern.stack(sweep.v)
         values[:, self._motion_slots] = sweep.x_from_parent.reshape(n_samples, -1)[:, self._motion_sources]
         values[:, self._force_slots] = -sweep.x0_force.reshape(n_samples, -1)[:, self._force_sources]
-        b = np.zeros((n_samples, self.model.n_moving, BLOCK_ROWS), dtype=dtype)
+        b = np.zeros((n_samples, self.model.n_moving, BLOCK_ROWS), dtype=sweep.v.dtype)
         b[..., :6] = sweep.c[:, 1:]
         # the base's children carry the base acceleration (the gravity trick)
         roots = self._base_children

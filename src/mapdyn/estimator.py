@@ -23,7 +23,7 @@ constraints and readings leave undetermined (``unobserved_dimension``).
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from types import SimpleNamespace
 from typing import TYPE_CHECKING, NamedTuple
 
@@ -87,15 +87,16 @@ class SparseCholeskySolver:
     sample's values are the panels one after the other (``size`` entries),
     and a stack of samples is an array of shape (samples, size).
 
-    The numeric phase works on the stack in place: per block a LAPACK
-    Cholesky and triangular inverse for each sample (``blas.cholesky_inverse``),
-    then batched products for the panel and the Schur updates. A panel's
-    diagonal block keeps the inverse of its Cholesky factor, so ``solve`` is
-    products only. All marginal variances come from the block Takahashi
-    recurrence from the root to the leaves, which writes the selected
-    inverse over the factor.
-    Symbolic state is read-only after construction and shareable across
-    workers; numeric state is per instance.
+    The numeric phase works in place on a stack the caller holds, a
+    C-contiguous float64 array: ``factorize_blocks`` runs, per block, a
+    LAPACK Cholesky and triangular inverse for each sample
+    (``blas.cholesky_inverse``), then batched products for the panel and the
+    Schur updates. A panel's diagonal block keeps the inverse of its
+    Cholesky factor, so ``solve`` is products only. ``selected_inverse``
+    gives all marginal variances by the block Takahashi recurrence from the
+    root to the leaves, which writes the selected inverse over the factor.
+    The solver holds only the symbolic state, read-only after construction:
+    one solver serves any number of stacks, and workers may share it.
     """
 
     def __init__(self, rows, cols, n):
@@ -139,11 +140,6 @@ class SparseCholeskySolver:
             idx = np.flatnonzero(np.isin(self._block_of, below[p]))
             self._below_index.append(idx)
             self._covariance_gather.append(self.slots(np.maximum.outer(idx, idx), np.minimum.outer(idx, idx)))
-        self._stack = None
-        self._inverted = False
-        self._variances = None
-        self._single = False
-        self.min_pivot_ratio = None
 
     def slots(self, rows, cols):
         """Flat positions in a sample's values of entries (rows, cols) of the
@@ -159,22 +155,25 @@ class SparseCholeskySolver:
         width = self.widths[p]
         return stack[:, self._offsets[p]: self._offsets[p + 1]].reshape(stack.shape[0], -1, width)
 
-    def factorize_blocks(self, values):
-        """Numeric factorization of a stack of matrices in the block storage.
+    def _check(self, stack):
+        """Raise unless ``stack`` is a stack the numeric phase can work on in place."""
+        if not (isinstance(stack, np.ndarray) and stack.dtype == np.float64 and stack.ndim == 2
+                and stack.shape[1] == self.size and stack.flags.c_contiguous):
+            raise EstimatorError(f"the stack must be a C-contiguous float64 (samples, {self.size}) array")
 
-        ``values`` is one sample's (``size``,) vector or a (samples, size)
-        stack of the lower triangle, at the ``slots``; the upper triangle of
-        the diagonal blocks, which no slot names, holds zeros. It is
-        factorized in place. Each sample is factorized on its own: a stack
-        gives the same numbers as its samples one by one.
-        Reported pivot indices refer to the caller's (unpermuted) ordering;
-        ``min_pivot_ratio`` is, per sample, the smallest squared pivot over
-        the largest diagonal entry. A non-finite pivot (a NaN or infinite
-        value, say from a non-finite state) fails as a small one does.
+    def factorize_blocks(self, stack):
+        """Numeric factorization, in place, of a stack of matrices in the block storage.
+
+        ``stack`` is a C-contiguous float64 (samples, ``size``) array of the
+        lower triangles, at the ``slots``; the upper triangle of the diagonal
+        blocks, which no slot names, holds zeros. Each sample is factorized
+        on its own: a stack gives the same numbers as its samples one by one.
+        Returns, per sample, the pivot ratio: the smallest squared pivot over
+        the largest diagonal entry. Reported pivot indices refer to the
+        caller's (unpermuted) ordering. A non-finite pivot (a NaN or
+        infinite value, say from a non-finite state) fails as a small one does.
         """
-        if values.shape[-1] != self.size or values.ndim > 2:
-            raise EstimatorError("values do not match the block storage of the symbolic pattern")
-        stack = np.ascontiguousarray(values, dtype=float).reshape(-1, self.size)
+        self._check(stack)
         max_diag = np.take(stack, self.diag_slots, axis=1).max(axis=1, initial=0.0)
         cholesky = cholesky_inverse()
         for p, width in enumerate(self.widths):
@@ -194,13 +193,7 @@ class SparseCholeskySolver:
         if np.any(failing):
             k, i = np.argwhere(failing)[0]
             raise self._failure(i, k, len(stack))
-        ratio = pivots.min(axis=1, initial=np.inf) / max_diag
-        self._stack = stack
-        self._inverted = False
-        self._variances = None
-        self._single = values.ndim == 1
-        self.min_pivot_ratio = float(ratio[0]) if self._single else ratio
-        return self
+        return pivots.min(axis=1, initial=np.inf) / max_diag
 
     def _failure(self, i, sample, n_samples):
         """The error for a failing pivot at permuted index i, in the caller's column."""
@@ -224,18 +217,15 @@ class SparseCholeskySolver:
                     update *= _lower_ones(widths[q])
                 target[:, first_row[q, r]: first_row[q, r] + widths[r]] -= update
 
-    def solve(self, rhs):
-        """Solve with the factor: one right-hand side per sample of the stack.
+    def solve(self, stack, rhs):
+        """Solve with the factor ``factorize_blocks`` left in ``stack``.
 
-        ``rhs`` is (n,) after a one-sample factorization, else (samples, n).
-        Forward and backward substitution over the blocks, each a product
-        with the inverted diagonal block and the panel below it.
+        ``rhs`` and the result are (samples, n), one right-hand side per
+        sample, in the caller's ordering. Forward and backward substitution
+        over the blocks, each a product with the inverted diagonal block and
+        the panel below it.
         """
-        if self._stack is None:
-            raise EstimatorError("factorize_blocks() must run before solve()")
-        if self._inverted:
-            raise EstimatorError("the factor was overwritten by marginal_variances(); factorize again to solve")
-        stack = self._stack
+        self._check(stack)
         # np.take keeps every array C-ordered whatever the stack size, so each
         # sample's products see the same strides and round alike
         x = np.take(np.asarray(rhs, dtype=float).reshape(len(stack), self.n), self.perm, axis=1)
@@ -253,11 +243,10 @@ class SparseCholeskySolver:
                 below = np.take(x, self._below_index[p], axis=1)
                 x[:, seg] -= (panel[:, width:].transpose(0, 2, 1) @ below[..., None])[..., 0]
             x[:, seg] = (panel[:, :width].transpose(0, 2, 1) @ x[:, seg, None])[..., 0]
-        x = np.take(x, self.iperm, axis=1)
-        return x[0] if self._single else x
+        return np.take(x, self.iperm, axis=1)
 
-    def marginal_variances(self, indices):
-        """Diagonal entries of the inverse for the requested indices.
+    def selected_inverse(self, stack):
+        """All (samples, n) marginal variances from the factor in ``stack``.
 
         Block Takahashi recurrence (Takahashi, Fagan & Chen, 1973; Lin et
         al., *SelInv*, 2011) from the last block to the first. With ``W`` the
@@ -265,19 +254,10 @@ class SparseCholeskySolver:
         diagonal and ``S`` the covariance over the blocks below it (already
         computed there), ``S[below, k] = -S L W`` and
         ``S[k, k] = W^T (W - L^T S[below, k])``. Both overwrite the panel,
-        so the first call computes every variance of the stack and later
-        calls read them; ``solve`` is no longer possible afterwards.
+        so ``stack`` then holds the selected inverse (the covariance at
+        every slot), not the factor.
         """
-        if self._stack is None:
-            raise EstimatorError("factorize_blocks() must run before marginal_variances()")
-        if self._variances is None:
-            self._variances = self._selected_inverse()
-        variances = np.take(self._variances, np.atleast_1d(np.asarray(indices, dtype=int)), axis=1)
-        return variances[0] if self._single else variances
-
-    def _selected_inverse(self):
-        stack = self._stack
-        self._inverted = True
+        self._check(stack)
         variances = np.empty((len(stack), self.n))
         for p in reversed(range(len(self.widths))):
             width = self.widths[p]
@@ -335,24 +315,14 @@ def _block_elimination(neighbours, widths):
 
 
 # ---------------------------------------------------------------------------
-# beliefs and problems
-
-
-@dataclass
-class GaussianBelief:
-    """Posterior mean plus the marginal variances of every entry."""
-
-    mean: np.ndarray
-    variances: np.ndarray = field(repr=False)
-
-    def marginal_variance(self, indices):
-        return self.variances[indices]
+# posteriors and problems
 
 
 class Posterior(NamedTuple):
     """Per sample of a stack: the mean (T, n), the requested marginal
-    variances (T, marginals), the unobserved dimension (T,) and the smallest
-    pivot ratio (T,) (``SparseCholeskySolver.min_pivot_ratio``)."""
+    variances (T, marginals), the unobserved dimension (T,) and the pivot
+    ratio (T,) (what ``SparseCholeskySolver.factorize_blocks`` returns).
+    ``map_solve`` returns one sample's row: each field without the T axis."""
 
     mean: np.ndarray
     variances: np.ndarray
@@ -538,20 +508,18 @@ class PrecisionPlan:
         solver, n_samples = self.solver, len(y)
         if self._stack is None:
             self._stack = np.empty((STACK, solver.size))
-        all_idx = np.arange(solver.n)
-        marginals = all_idx if marginals is None else np.asarray(marginals)
+        marginals = np.arange(solver.n) if marginals is None else np.asarray(marginals)
         out = Posterior(np.empty((n_samples, solver.n)), np.empty((n_samples, marginals.size)),
                         np.empty(n_samples), np.empty(n_samples))
         for start in range(0, n_samples, STACK):
             batch = slice(start, min(start + STACK, n_samples))
             stack = self._stack[: batch.stop - start]
-            values, rhs = self.terms(values_d[batch], b_d[batch], values_y[batch], b_y[batch], y[batch], out=stack)
-            solver.factorize_blocks(values)
-            out.mean[batch] = solver.solve(rhs)
-            variances = solver.marginal_variances(all_idx)
+            _, rhs = self.terms(values_d[batch], b_d[batch], values_y[batch], b_y[batch], y[batch], out=stack)
+            out.pivot_ratio[batch] = solver.factorize_blocks(stack)
+            out.mean[batch] = solver.solve(stack, rhs)
+            variances = solver.selected_inverse(stack)
             out.variances[batch] = variances[:, marginals]
             out.unobserved[batch] = unobserved_dimension(variances, self._sigma_d)
-            out.pivot_ratio[batch] = solver.min_pivot_ratio
         return out
 
 
@@ -606,8 +574,8 @@ class MapEstimator:
         return self.plan.posterior(values_d, b_d, values_y, b_y, y, self.marginals)
 
 
-def map_solve(problem: MapProblem) -> GaussianBelief:
-    """Posterior mean and marginal variances of d given y.
+def map_solve(problem: MapProblem) -> Posterior:
+    """The ``Posterior`` row of d given y: mean and all marginal variances.
 
     ``PrecisionPlan.posterior`` of the problem's plan on a stack of one
     sample, the path ``estimate`` takes. A non-finite reading is missing; a
@@ -617,10 +585,10 @@ def map_solve(problem: MapProblem) -> GaussianBelief:
     posterior = problem.plan().posterior(
         problem.D.data[None], problem.b_D[None], problem.Y.data[None], problem.b_Y[None], problem.y[None]
     )
-    return GaussianBelief(posterior.mean[0], posterior.variances[0])
+    return Posterior(*(field[0] for field in posterior))
 
 
-def shape_prior(problem: MapProblem) -> GaussianBelief:
+def shape_prior(problem: MapProblem) -> Posterior:
     """Constraint-shaped prior over d: ``map_solve`` with no measurement rows."""
     import scipy.sparse as sp
 
@@ -637,7 +605,7 @@ def shape_prior(problem: MapProblem) -> GaussianBelief:
 
 @dataclass
 class AugmentedResult:
-    belief: GaussianBelief
+    belief: Posterior  # the ``map_solve`` row over (d, x)
     dim_d: int
     dim_x: int
 
@@ -650,9 +618,7 @@ class AugmentedResult:
         return self.belief.mean[self.dim_d:]
 
 
-def map_solve_augmented(
-    problem: MapProblem, mu_x, sigma_x, x_bar, d_bar, jacobians, validate=None
-):
+def map_solve_augmented(problem: MapProblem, mu_x, sigma_x, x_bar, d_bar, jacobians):
     """Joint MAP over (d, x) after first-order expansion around (d_bar, x_bar).
 
     ``jacobians`` is a callable returning (dbY, dbD): the derivatives w.r.t.
@@ -663,20 +629,10 @@ def map_solve_augmented(
 
     This performs a single linearized solve. Outer re-linearization loops
     belong to the caller; the recommended default is 5 iterations or a
-    relative step below 1e-8. Passing ``validate=build_system`` (the same
-    callable handed to the jacobian implementation) cross-checks the
-    supplied jacobians against central finite differences and raises on
-    relative disagreement above 1e-5.
+    relative step below 1e-8. ``finite_difference_bias_jacobians`` is an
+    oracle to check the supplied jacobians against.
     """
     dby, dbd = jacobians(d_bar, x_bar)
-    if validate is not None:
-        fd_y, fd_d = finite_difference_bias_jacobians(validate, x_bar, d_bar)
-        gap_y = np.abs(np.asarray(dby) - fd_y).max() / (1.0 + np.abs(fd_y).max())
-        gap_d = np.abs(np.asarray(dbd) - fd_d).max() / (1.0 + np.abs(fd_d).max())
-        if max(gap_y, gap_d) > 1e-5:
-            raise EstimatorError(
-                f"jacobian callbacks disagree with finite differences ({max(gap_y, gap_d):.2e})"
-            )
     dby = np.asarray(dby, dtype=float)
     dbd = np.asarray(dbd, dtype=float)
     dim_d = problem.dim_d
@@ -700,8 +656,7 @@ def map_solve_augmented(
             [problem.sigma_d, _as_diag_variances(sigma_x, dim_x, "sigma_x")]
         ),
     )
-    belief = map_solve(aug)
-    return AugmentedResult(belief, dim_d, dim_x)
+    return AugmentedResult(map_solve(aug), dim_d, dim_x)
 
 
 def complex_step_bias_jacobians(build_system, x_bar, d_bar, step=1e-20):

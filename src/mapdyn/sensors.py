@@ -16,7 +16,8 @@ the fused channels use linear accelerations.
 Assembly works on a stack of samples: ``assemble_system`` takes one
 kinematic sweep over a chunk of (T, n_dof) states and fills the values of
 ``D`` and ``Y`` as (T, nnz) arrays in CSC data order, with (T, rows) biases,
-ready for ``PrecisionPlan.terms``.
+ready for ``PrecisionPlan.terms``; all of the sweep's dtype, so complex for
+a complex-step state.
 """
 
 from __future__ import annotations
@@ -213,26 +214,26 @@ class MeasurementAssembler:
         """Y as a CSC matrix from one sample's values (CSC data order)."""
         return self.pattern.csc(values)
 
-    def assemble_values(self, sweep, dtype=float):
+    def assemble_values(self, sweep):
         """(values, b_Y) of a stack of samples from their kinematic sweep.
 
         ``values`` is (T, nnz) in the CSC data order of ``matrix``, and
-        ``b_Y`` is (T, dim).
+        ``b_Y`` is (T, dim), both of the sweep's dtype.
         """
         n_samples = sweep.v.shape[0]
-        values = self.pattern.stack(n_samples, dtype)
+        values = self.pattern.stack(sweep.v)
         # plate <- base <- child: the base <- child force adjoint is the
         # transpose of the child's motion adjoint from the parent
         plate = self._plate @ sweep.x_from_parent[:, self._base_children].swapaxes(-1, -2)
         values[:, self._base_slots] = plate.reshape(n_samples, -1)[:, self._base_sources]
-        b = np.empty((n_samples, self.dim), dtype=dtype)
+        b = np.empty((n_samples, self.dim), dtype=sweep.v.dtype)
         b[:] = self._const_bias
         v_s = (self._imu_adjoints @ sweep.v[:, self._imu_links, :, None])[..., 0]
         b[:, self._imu_rows] = np.cross(v_s[..., 3:], v_s[..., :3])
         return values, b
 
 
-def assemble_system(constraints, measurements, q, qd, dtype=float):
+def assemble_system(constraints, measurements, q, qd):
     """(D values, b_D, Y values, b_Y) of a stack of states from one kinematic sweep.
 
     ``q`` and ``qd`` are (T, n_dof) stacks, or (n_dof,) vectors for one
@@ -246,8 +247,8 @@ def assemble_system(constraints, measurements, q, qd, dtype=float):
     """
     with np.errstate(invalid="ignore"):
         sweep = kinematic_sweep(constraints.model, q, qd)
-        values_d, b_d = constraints.assemble_values(sweep, dtype)
-        values_y, b_y = measurements.assemble_values(sweep, dtype)
+        values_d, b_d = constraints.assemble_values(sweep)
+        values_y, b_y = measurements.assemble_values(sweep)
     return values_d, b_d, values_y, b_y
 
 

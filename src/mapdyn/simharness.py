@@ -105,14 +105,6 @@ class TrajectorySpec:
             q[:, j], qd[:, j], qdd[:, j] = wf.evaluate(t)
         return t, q, qd, qdd
 
-    def check_limits(self, model: KinematicTreeModel):
-        lo, hi = model.limits()
-        _, q, _, _ = self.sample()
-        bad = np.where((q < lo - 1e-9).any(axis=0) | (q > hi + 1e-9).any(axis=0))[0]
-        if bad.size:
-            names = [model.joints[i].name for i in bad[:5]]
-            raise ModelError(f"trajectory exceeds joint limits at {names}")
-
 
 @dataclass
 class SyntheticScenario:
@@ -150,10 +142,15 @@ class GroundTruth:
 def generate_ground_truth(scenario: SyntheticScenario) -> GroundTruth:
     """Analytic state series and the consistent stacked dynamics at each sample.
 
-    The scripted trajectory must respect the model's joint limits.
+    The scripted trajectory must respect the model's joint limits: a
+    ``ModelError`` names the first joints it leaves them at.
     """
-    scenario.trajectory.check_limits(scenario.model)
     t, q, qd, qdd = scenario.trajectory.sample()
+    lo, hi = scenario.model.limits()
+    bad = np.flatnonzero((q < lo - 1e-9).any(axis=0) | (q > hi + 1e-9).any(axis=0))
+    if bad.size:
+        names = ", ".join(repr(scenario.model.joints[i].name) for i in bad[:5])
+        raise ModelError(f"scenario.trajectory leaves the joint limits at joints {names}")
     fx = scenario.force_series(t)
     layout = DynLayout(scenario.model)
     d = np.zeros((t.size, layout.size))

@@ -226,15 +226,15 @@ def max_constraint_residual(scenario, truth) -> float:
 # one-sample helpers over the package's path
 
 
-def one_state(assembler, q, qd, dtype=float):
+def one_state(assembler, q, qd):
     """(matrix, bias) of one assembler at one state, from its own kinematic sweep."""
-    values, b = assembler.assemble_values(kinematic_sweep(assembler.model, q, qd), dtype)
+    values, b = assembler.assemble_values(kinematic_sweep(assembler.model, q, qd))
     return assembler.matrix(values[0]), b[0]
 
 
-def one_state_system(casm, masm, q, qd, dtype=float):
+def one_state_system(casm, masm, q, qd):
     """(D, b_D, Y, b_Y) at one state, from ``assemble_system``'s stack of one sample."""
-    values_d, b_d, values_y, b_y = assemble_system(casm, masm, q, qd, dtype)
+    values_d, b_d, values_y, b_y = assemble_system(casm, masm, q, qd)
     return casm.matrix(values_d[0]), b_d[0], masm.matrix(values_y[0]), b_y[0]
 
 
@@ -242,7 +242,8 @@ def block_values(solver, matrix):
     """A sparse symmetric matrix in the solver's block storage, by a plain scatter.
 
     The entries of the permuted lower triangle go to their ``solver.slots``;
-    the result is one sample's values for ``solver.factorize_blocks``.
+    the result is one sample's values: ``[None]`` makes it a stack for
+    ``solver.factorize_blocks``.
     """
     coo = sp.coo_matrix(matrix)
     rows, cols = solver.iperm[coo.row], solver.iperm[coo.col]
@@ -256,10 +257,13 @@ def block_values(solver, matrix):
 
 
 def factorized(matrix):
-    """A solver built on the pattern of a sparse SPD matrix, factorized on its values."""
+    """A solver built on the pattern of a sparse SPD matrix, and the factor of
+    its values: (solver, stack), the stack holding one sample."""
     coo = sp.coo_matrix(matrix)
     solver = SparseCholeskySolver(coo.row, coo.col, coo.shape[0])
-    return solver.factorize_blocks(block_values(solver, matrix))
+    stack = block_values(solver, matrix)[None]
+    solver.factorize_blocks(stack)
+    return solver, stack
 
 
 def repr_csv_lines(rows):

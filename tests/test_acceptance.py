@@ -182,7 +182,8 @@ def test_04_estimator_identities(two_link_problem, human48, human48_truth, human
     big = MapProblem(casm.matrix(values_d[0]), b_d[0], masm.matrix(values_y[0]), b_y[0], y0[0], sigma_y=masm.variances)
     plan = big.plan()
     values, rhs = plan.terms(values_d, b_d, values_y, b_y, y0)
-    x_sparse = plan.solver.factorize_blocks(values[0]).solve(rhs[0])
+    plan.solver.factorize_blocks(values)
+    x_sparse = plan.solver.solve(values, rhs)[0]
     precision, rhs_oracle = posterior_precision_terms(big)
     x_dense = np.linalg.solve(precision.toarray(), rhs_oracle)
     gap_chol = np.abs(x_sparse - x_dense).max() / (1 + np.abs(x_dense).max())
@@ -227,7 +228,8 @@ def test_05_end_to_end_recovery(human48, human48_scenario, human48_truth):
     ).plan()
     every = slice(0, truth.times.size, 2)
     values, rhs = plan.terms(values_d[every], b_d[every], values_y[every], b_y[every], clean[every])
-    means = plan.solver.factorize_blocks(values).solve(rhs)
+    plan.solver.factorize_blocks(values)
+    means = plan.solver.solve(values, rhs)
     worst = np.abs(means - truth.d[every]).max()
 
     # noisy run at the default tuning: measured channels beat their noise.
@@ -242,12 +244,14 @@ def test_05_end_to_end_recovery(human48, human48_scenario, human48_truth):
     mats_y = [masm.matrix(row) for row in values_y]
     plan = MapProblem(mat_d, b_d[0], mat_y, b_y[0], clean[0], sigma_y=masm.variances).plan()
     values, rhs_clean = plan.terms(values_d, b_d, values_y, b_y, clean)
+    solver = plan.solver
     for k in range(truth.times.size):
-        solver = plan.solver.factorize_blocks(values[k])
+        factor = values[k: k + 1]
+        solver.factorize_blocks(factor)
         weighted = mats_y[k].T @ sp.diags(1.0 / masm.variances)
         for _ in range(10):
             noise = rng.normal(0.0, sigma)
-            d_hat = solver.solve(rhs_clean[k] + weighted @ noise)
+            d_hat = solver.solve(factor, (rhs_clean[k] + weighted @ noise)[None])[0]
             err2 += np.asarray(mats_y[k] @ (d_hat - truth.d[k])) ** 2
             count += 1
     rmse = np.sqrt(err2 / count)
@@ -286,8 +290,8 @@ def test_06_information_monotonicity(human48, human48_truth):
     case1 = MapProblem(mat_d, b_d, mat1, bias1, np.zeros(asm1.dim), sigma_y=asm1.variances)
     case2 = MapProblem(mat_d, b_d, mat2, bias2, np.zeros(asm2.dim), sigma_y=asm2.variances)
     tau_idx = layout.tau_indices()
-    v1 = map_solve(case1).marginal_variance(tau_idx)
-    v2 = map_solve(case2).marginal_variance(tau_idx)
+    v1 = map_solve(case1).variances[tau_idx]
+    v2 = map_solve(case2).variances[tau_idx]
     monotone = bool(np.all(v2 <= v1 + 1e-12))
 
     cov1 = np.linalg.inv(posterior_precision_terms(case1)[0].toarray())
@@ -408,8 +412,7 @@ def test_09_augmented_linearized_solve(two_link_model, rng):
     x_bar = np.concatenate([q, qd])
 
     def build(x):
-        dtype = x.dtype
-        mat_d, b_d, mat_y, b_y = one_state_system(casm, masm, x[:n], x[n:], dtype=dtype)
+        mat_d, b_d, mat_y, b_y = one_state_system(casm, masm, x[:n], x[n:])
         return mat_y, b_y, mat_d, b_d
 
     dby_cs, dbd_cs = complex_step_bias_jacobians(build, x_bar, d_star)
@@ -449,7 +452,8 @@ def test_10_performance(human48, human48_scenario, human48_truth, tmp_path):
     for _ in range(15):
         t0 = time.perf_counter()
         values, rhs = plan.terms(values_d, b_d, values_y, b_y, y)
-        plan.solver.factorize_blocks(values).solve(rhs)
+        plan.solver.factorize_blocks(values)
+        plan.solver.solve(values, rhs)
         times.append(time.perf_counter() - t0)
     solve_ms = float(np.median(times) * 1e3)
 

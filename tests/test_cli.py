@@ -164,6 +164,14 @@ class TestSimulate:
         assert "mapdyn" in manifest["versions"]
         assert any(k.endswith("model.xml") for k in manifest["inputs"])
 
+    def test_trajectory_outside_the_joint_limits_exits_2_naming_key_and_joints(self, two_link_setup, capsys):
+        tmp_path, cfg = two_link_setup
+        cfg["scenario"]["trajectory"]["joint2"] = {"kind": "constant", "value": 3.0}
+        assert main(["simulate", "--config", write_config(tmp_path, cfg)]) == 2
+        err = capsys.readouterr().err
+        assert "scenario.trajectory" in err and "'joint2'" in err and "'joint1'" not in err
+        assert not (tmp_path / "sim" / "trajectory.csv").exists()
+
 
 class TestEstimate:
     def _simulate_then_estimate(self, tmp_path, cfg, zero_noise=True, state_source="state"):

@@ -133,7 +133,7 @@ class TestConstraintAssembly:
         state = pattern.add(2, 0, 6, 6, zero=MOTION_ADJOINT_ZERO)
         pattern.freeze((8, 6))
         slots, sources = pattern.state_slots([(state, np.arange(36))])
-        values = pattern.stack(1)
+        values = pattern.stack(np.zeros(1))
         values[:, slots] = np.arange(1.0, 37.0)[sources]
         mat = pattern.csc(values[0])
         # the constant blocks' two nonzeros, the state block but its zero quadrant

@@ -59,12 +59,14 @@ def random_spd(rng, n, density=0.2):
 class TestSparseCholesky:
     def test_identity(self, rng):
         rhs = rng.normal(0, 1, 12)
-        assert np.allclose(factorized(sp.identity(12, format="csc")).solve(rhs), rhs)
+        solver, stack = factorized(sp.identity(12, format="csc"))
+        assert np.allclose(solver.solve(stack, rhs[None])[0], rhs)
 
     def test_matches_dense(self, rng):
         mat = random_spd(rng, 50)
         rhs = rng.normal(0, 1, 50)
-        x = factorized(mat).solve(rhs)
+        solver, stack = factorized(mat)
+        x = solver.solve(stack, rhs[None])[0]
         xd = np.linalg.solve(mat.toarray(), rhs)
         assert np.abs(x - xd).max() < 1e-10 * (1 + np.abs(xd).max())
 
@@ -105,8 +107,10 @@ class TestSparseCholesky:
         # the reversed matrix puts other columns into each block and orders the blocks otherwise
         rev = np.arange(80)[::-1]
         mat_rev = sp.csc_matrix(mat.toarray()[np.ix_(rev, rev)])
-        x_perm = factorized(mat).solve(rhs)
-        x_nat = factorized(mat_rev).solve(rhs[rev])[np.argsort(rev)]
+        solver, stack = factorized(mat)
+        x_perm = solver.solve(stack, rhs[None])[0]
+        solver, stack = factorized(mat_rev)
+        x_nat = solver.solve(stack, rhs[rev][None])[0][np.argsort(rev)]
         r_perm = np.linalg.norm(mat @ x_perm - rhs)
         r_nat = np.linalg.norm(mat @ x_nat - rhs)
         assert abs(r_perm - r_nat) <= 1e-12 * (1 + max(r_perm, r_nat))
@@ -133,10 +137,10 @@ class TestSparseCholesky:
 
     def test_marginal_variances_match_dense_inverse(self, rng):
         mat = random_spd(rng, 40)
-        solver = factorized(mat)
+        solver, stack = factorized(mat)
         dense = np.linalg.inv(mat.toarray())
         idx = np.array([0, 7, 13, 39])
-        assert np.allclose(solver.marginal_variances(idx), np.diag(dense)[idx], rtol=1e-10)
+        assert np.allclose(solver.selected_inverse(stack)[0][idx], np.diag(dense)[idx], rtol=1e-10)
 
 
 def random_band_spd(rng, n, bandwidth):
@@ -177,28 +181,29 @@ class TestSelectedInversion:
     )
     def test_matches_dense_inverse_on_band_matrices(self, rng, n, bandwidth):
         mat = random_band_spd(rng, n, bandwidth)
-        solver = factorized(mat)
+        solver, stack = factorized(mat)
         assert sorted(solver.widths) == sorted([26] * (n // 26) + ([n % 26] if n % 26 else []))
         expected = np.diag(np.linalg.inv(mat.toarray()))
-        np.testing.assert_allclose(solver.marginal_variances(np.arange(n)), expected, rtol=1e-10)
+        variances = solver.selected_inverse(stack)[0]
+        np.testing.assert_allclose(variances, expected, rtol=1e-10)
         idx = np.array([n - 1, 0, n // 2])
-        np.testing.assert_allclose(solver.marginal_variances(idx), expected[idx], rtol=1e-10)
+        np.testing.assert_allclose(variances[idx], expected[idx], rtol=1e-10)
 
     def test_48dof_posterior_matches_dense_inverse(self, human_model_foot, rng):
         precision, _ = posterior_precision_terms(human_posterior(human_model_foot, rng))
-        solver = factorized(precision)
+        solver, stack = factorized(precision)
         expected = np.diag(np.linalg.inv(precision.toarray()))
-        np.testing.assert_allclose(solver.marginal_variances(np.arange(solver.n)), expected, rtol=1e-10)
+        np.testing.assert_allclose(solver.selected_inverse(stack)[0], expected, rtol=1e-10)
 
     def test_all_marginals_of_48dof_posterior_allocate_under_4mb(self, human_model_foot, rng):
         import tracemalloc
 
         precision, _ = posterior_precision_terms(human_posterior(human_model_foot, rng))
-        solver = factorized(precision)
+        solver, stack = factorized(precision)
         assert solver.n == 1248
         tracemalloc.start()
         try:
-            solver.marginal_variances(np.arange(1248))
+            solver.selected_inverse(stack)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
@@ -262,7 +267,9 @@ class TestPrecisionPlan:
         plan = problem.plan()
         band, rhs = one_sample_terms(plan, problem, y)
         assert np.isfinite(band).all() and np.isfinite(rhs).all()
-        mean = plan.solver.factorize_blocks(band).solve(rhs)
+        stack = band[None]
+        plan.solver.factorize_blocks(stack)
+        mean = plan.solver.solve(stack, rhs[None])[0]
         keep = np.arange(problem.Y.shape[0]) != 2
         expected = map_solve(MapProblem(
             problem.D, problem.b_D, problem.Y[keep], problem.b_Y[keep], problem.y[keep],
@@ -271,7 +278,7 @@ class TestPrecisionPlan:
         assert np.abs(mean - expected.mean).max() <= 1e-10 * np.abs(expected.mean).max()
         idx = np.arange(problem.dim_d)
         np.testing.assert_allclose(
-            plan.solver.marginal_variances(idx), expected.marginal_variance(idx), rtol=1e-10
+            plan.solver.selected_inverse(stack)[0][idx], expected.variances[idx], rtol=1e-10
         )
 
     def test_non_finite_bias_names_its_sample(self, two_link_problem):
@@ -342,7 +349,7 @@ class TestShapePrior:
         precision, _ = prior_precision_terms(problem)
         cov = np.linalg.inv(precision.toarray())
         assert np.allclose(cov, np.diag([2.5] * dim), atol=1e-10)
-        assert np.allclose(belief.marginal_variance(np.arange(dim)), np.diag(cov), atol=1e-10)
+        assert np.allclose(belief.variances[np.arange(dim)], np.diag(cov), atol=1e-10)
 
     def test_against_dense_inverse_oracle(self, two_link_problem):
         # comparison against an explicit 52x52 inversion needs a moderately
@@ -363,7 +370,7 @@ class TestShapePrior:
         assert precision.shape == (52, 52)
         assert np.abs(belief.mean - mean).max() < 1e-9 * (1 + np.abs(mean).max())
         cov = np.linalg.inv(precision)
-        assert np.abs(belief.marginal_variance(np.arange(52)) - np.diag(cov)).max() < 1e-9
+        assert np.abs(belief.variances[np.arange(52)] - np.diag(cov)).max() < 1e-9
         # at the default spread the solve is still backward stable: the
         # residual matches the dense solve's
         belief_default = shape_prior(problem)
@@ -419,7 +426,7 @@ class TestMapSolve:
         assert np.linalg.norm(gap) / denom < 1e-10
         dense = np.linalg.inv(prior_precision.toarray() + info)
         idx = np.array([18, 44])  # torque slots of both links
-        assert np.allclose(map_solve(problem).marginal_variance(idx), np.diag(dense)[idx], rtol=1e-9)
+        assert np.allclose(map_solve(problem).variances[idx], np.diag(dense)[idx], rtol=1e-9)
 
     def test_rank_deficiency_reports_dimension(self):
         dim = 6
@@ -430,7 +437,7 @@ class TestMapSolve:
             sigma_y=1.0, sigma_d=1e4,
         )
         assert stacked_rank_deficiency(problem) == 2
-        u = unobserved_dimension(map_solve(problem).marginal_variance(np.arange(dim)), problem.sigma_d)
+        u = unobserved_dimension(map_solve(problem).variances[np.arange(dim)], problem.sigma_d)
         assert round(u) == 2
         assert abs(u - 2) < 1e-3
 
@@ -439,14 +446,16 @@ class TestMapSolve:
         belief = map_solve(problem)
         dense = np.linalg.inv(posterior_precision_terms(problem)[0].toarray())
         idx = np.array([18, 44])  # torque slots of both links
-        assert np.allclose(belief.marginal_variance(idx), np.diag(dense)[idx], rtol=1e-9)
+        assert np.allclose(belief.variances[idx], np.diag(dense)[idx], rtol=1e-9)
 
 
 def masked_variances(plan, problem, dropped):
     """All posterior variances with the ``dropped`` readings missing (NaN)."""
     y = np.where(dropped, np.nan, problem.y)
     band, _ = one_sample_terms(plan, problem, y)
-    return plan.solver.factorize_blocks(band).marginal_variances(np.arange(problem.dim_d))
+    stack = band[None]
+    plan.solver.factorize_blocks(stack)
+    return plan.solver.selected_inverse(stack)[0]
 
 
 def random_model_problems(make_model, rng, count=6):
@@ -584,7 +593,7 @@ class TestIncrementalFusion:
             sigma_D=problem.sigma_D, sigma_y=np.inf, mu_d=problem.mu_d, sigma_d=problem.sigma_d,
         )
         np.testing.assert_allclose(
-            map_solve(silent).marginal_variance(idx), shape_prior(problem).marginal_variance(idx), rtol=1e-12
+            map_solve(silent).variances[idx], shape_prior(problem).variances[idx], rtol=1e-12
         )
 
     def test_information_monotone(self, two_link_problem):
@@ -602,7 +611,7 @@ class TestIncrementalFusion:
             sigma_D=problem.sigma_D, sigma_y=problem.sigma_y[:half], sigma_d=problem.sigma_d,
         )
         stages = [shape_prior(problem), map_solve(first_half), map_solve(problem)]
-        variances = [belief.marginal_variance(idx) for belief in stages]
+        variances = [belief.variances[idx] for belief in stages]
         precisions = [prior_precision_terms(problem)[0]] + [
             posterior_precision_terms(p)[0] for p in (first_half, problem)
         ]
@@ -641,8 +650,7 @@ class TestAugmentedSolve:
         x_bar = np.concatenate([q, qd])
 
         def build(x):
-            dtype = x.dtype
-            mat_d, b_d, mat_y, b_y = one_state_system(casm, masm, x[:n], x[n:], dtype=dtype)
+            mat_d, b_d, mat_y, b_y = one_state_system(casm, masm, x[:n], x[n:])
             return mat_y, b_y, mat_d, b_d
 
         dby_cs, dbd_cs = complex_step_bias_jacobians(build, x_bar, d_bar)
@@ -666,8 +674,7 @@ class TestAugmentedSolve:
         problem = MapProblem(mat_d, b_d, mat_y, b_y, y, sigma_y=masm.variances)
 
         def build(x):
-            dtype = x.dtype
-            dmat, bd, ymat, by = one_state_system(casm, masm, x[:n], x[n:], dtype=dtype)
+            dmat, bd, ymat, by = one_state_system(casm, masm, x[:n], x[n:])
             return ymat, by, dmat, bd
 
         def jac(d_bar, xb):
@@ -710,9 +717,9 @@ class TestAugmentedSolve:
 def solve_stack(plan, samples):
     """Means and all variances of a stack of (D, b_D, Y, b_Y, y) samples, as ``estimate`` runs a batch."""
     solver = plan.solver
-    values, rhs = stack_terms(plan, samples)
-    solver.factorize_blocks(values)
-    return solver.solve(rhs), solver.marginal_variances(np.arange(solver.n))
+    stack, rhs = stack_terms(plan, samples)
+    solver.factorize_blocks(stack)
+    return solver.solve(stack, rhs), solver.selected_inverse(stack)
 
 
 def human_samples(model, rng, count):
@@ -766,13 +773,13 @@ class TestBlockSolver:
             dense[26 * k: 26 * k + 26, 26 * nxt: 26 * nxt + 26] = rng.normal(0.0, 0.1, (26, 26))
         dense += dense.T + np.diag(np.abs(dense).sum(axis=1) + 1.0)
         mat = sp.csc_matrix(dense)
-        solver = factorized(mat)
+        solver, stack = factorized(mat)
         assert sum(len(below) for below in solver.below) == 5  # the ring's 4 couplings and 1 fill
         rhs = rng.normal(0.0, 1.0, 104)
         expected = np.linalg.solve(dense, rhs)
-        assert np.abs(solver.solve(rhs) - expected).max() <= 1e-12 * (1 + np.abs(expected).max())
+        assert np.abs(solver.solve(stack, rhs[None])[0] - expected).max() <= 1e-12 * (1 + np.abs(expected).max())
         expected = np.diag(np.linalg.inv(dense))
-        np.testing.assert_allclose(solver.marginal_variances(np.arange(104)), expected, rtol=1e-10)
+        np.testing.assert_allclose(solver.selected_inverse(stack)[0], expected, rtol=1e-10)
 
     def test_stack_position_does_not_change_a_sample(self, human_model_foot, rng):
         samples, variances = human_samples(human_model_foot, rng, 8)
@@ -784,6 +791,46 @@ class TestBlockSolver:
             for position, k in enumerate(order):
                 assert means[position].tobytes() == alone[k][0][0].tobytes()
                 assert marginals[position].tobytes() == alone[k][1][0].tobytes()
+
+    def test_two_stacks_in_flight_each_get_their_own_bytes(self, human_model_foot, rng):
+        """The solver holds no numbers: factorize stack A, factorize stack B,
+        then solve and invert both, and each gives the bytes it gets alone."""
+        samples, variances = human_samples(human_model_foot, rng, 6)
+        plan = MapProblem(*samples[0], sigma_y=variances).plan()
+        solver = plan.solver
+
+        def alone(part):
+            stack, rhs = stack_terms(plan, part)
+            ratio = solver.factorize_blocks(stack)
+            return ratio, solver.solve(stack, rhs), solver.selected_inverse(stack)
+
+        expected = [alone(samples[:4]), alone(samples[4:])]
+        (stack_a, rhs_a), (stack_b, rhs_b) = stack_terms(plan, samples[:4]), stack_terms(plan, samples[4:])
+        ratio_a = solver.factorize_blocks(stack_a)
+        ratio_b = solver.factorize_blocks(stack_b)
+        mean_a, mean_b = solver.solve(stack_a, rhs_a), solver.solve(stack_b, rhs_b)
+        variances_b, variances_a = solver.selected_inverse(stack_b), solver.selected_inverse(stack_a)
+        for got, ref in zip([(ratio_a, mean_a, variances_a), (ratio_b, mean_b, variances_b)], expected):
+            for part, reference in zip(got, ref):
+                assert part.tobytes() == reference.tobytes()
+
+    @pytest.mark.parametrize("kind", ["one-dimensional", "not C-contiguous", "float32"])
+    def test_stack_that_would_be_copied_is_an_error(self, rng, kind):
+        """The numeric phase works in place: a stack it would have to copy raises."""
+        mat = random_spd(rng, 30)
+        coo = sp.coo_matrix(mat)
+        solver = SparseCholeskySolver(coo.row, coo.col, 30)
+        values = block_values(solver, mat)
+        stack = {
+            "one-dimensional": values,
+            "not C-contiguous": np.asfortranarray(np.stack([values, values])),
+            "float32": values[None].astype(np.float32),
+        }[kind]
+        before = stack.copy()
+        for call in (solver.factorize_blocks, solver.selected_inverse, lambda s: solver.solve(s, np.ones((2, 30)))):
+            with pytest.raises(EstimatorError, match="C-contiguous float64"):
+                call(stack)
+        assert stack.tobytes() == before.tobytes()
 
     def test_failing_sample_of_a_stack_names_the_callers_column(self, human_model_foot, rng):
         samples, variances = human_samples(human_model_foot, rng, 4)

@@ -64,9 +64,9 @@ class TestMeasurementAssembly:
             if dtype is complex:  # complex-step states, as the bias Jacobians use
                 q = q + 1e-3j * rng.normal(0.0, 1.0, n)
                 qd = qd + 1e-3j * rng.normal(0.0, 1.0, n)
-            values_d, b_d, values_y, b_y = assemble_system(casm, masm, q, qd, dtype=dtype)
+            values_d, b_d, values_y, b_y = assemble_system(casm, masm, q, qd)
             mat_d, mat_y = casm.matrix(values_d[0]), masm.matrix(values_y[0])
-            separate = one_state(casm, q, qd, dtype=dtype) + one_state(masm, q, qd, dtype=dtype)
+            separate = one_state(casm, q, qd) + one_state(masm, q, qd)
             for got, ref in zip((mat_d, b_d[0], mat_y, b_y[0]), separate):
                 assert got.dtype == np.dtype(dtype)
                 if isinstance(got, np.ndarray):
@@ -76,9 +76,22 @@ class TestMeasurementAssembly:
                     assert np.array_equal(got.indptr, ref.indptr)
                     assert got.data.tobytes() == ref.data.tobytes()
             # Y stores the same entries, zeros included, at any state
-            at_rest, _ = one_state(masm, np.zeros(n), np.zeros(n), dtype=dtype)
+            at_rest, _ = one_state(masm, np.zeros(n, dtype), np.zeros(n, dtype))
             assert np.array_equal(at_rest.indices, mat_y.indices)
             assert np.array_equal(at_rest.indptr, mat_y.indptr)
+
+    def test_complex_state_assembles_in_its_own_dtype(self, rng):
+        """A complex-step state needs no dtype argument: every part follows the
+        sweep's dtype, and its real part is the real state's."""
+        model = random_chain_model(3, rng)
+        casm = ConstraintAssembler(model)
+        masm = MeasurementAssembler(model, default_sensor_specs(model, contact_links=["link1"]))
+        q, qd, _ = random_state(model, rng)
+        real = assemble_system(casm, masm, q, qd)
+        stepped = assemble_system(casm, masm, q + 1e-20j * rng.normal(0.0, 1.0, 3), qd)
+        for got, ref in zip(stepped, real):
+            assert got.dtype == np.complex128
+            np.testing.assert_allclose(got.real, ref, rtol=1e-12, atol=1e-12)
 
     def test_illustrative_dimensions(self, two_link_model, rng):
         specs = two_link_specs(two_link_model)
@@ -205,11 +218,11 @@ class TestSampleAxis:
         if dtype is complex:  # complex-step states, as the bias Jacobians use
             q = q + 1e-3j * np.cos(np.arange(q.size)).reshape(q.shape)
             qd = qd + 1e-3j * np.sin(np.arange(qd.size)).reshape(qd.shape)
-        alone = [assemble_system(casm, masm, q[k], qd[k], dtype=dtype) for k in range(len(q))]
+        alone = [assemble_system(casm, masm, q[k], qd[k]) for k in range(len(q))]
         assert all(part.shape[0] == 1 and part.dtype == np.dtype(dtype) for part in alone[0])
 
         def check(order):
-            stacked = assemble_system(casm, masm, q[order], qd[order], dtype=dtype)
+            stacked = assemble_system(casm, masm, q[order], qd[order])
             for position, k in enumerate(order):
                 for got, ref in zip(stacked, alone[k]):
                     assert got[position].tobytes() == ref[0].tobytes()
