@@ -28,7 +28,7 @@ import numpy as np
 
 import mapdyn
 from mapdyn.blas import blas_threads, bundled_openblas, set_blas_threads
-from mapdyn.dynamics import SAMPLE_CHUNK, DynLayout, kinematic_sweep, sample_chunks
+from mapdyn.dynamics import SAMPLE_CHUNK, DynLayout, sample_chunks
 from mapdyn.model.kinematics import check_joint_angles
 from mapdyn.estimator import UNOBSERVED_TOL, EstimatorError, MapEstimator, RankDeficiencyError
 from mapdyn.floatrepr import csv_lines
@@ -52,10 +52,12 @@ from mapdyn.simharness import (
     TrajectorySpec,
     generate_ground_truth,
     generate_observations,
+    link_motion,
+    sample_trajectory,
     synthesize_sensor_streams,
     waveform_from_config,
 )
-from mapdyn.spatial import HomTransform, matrix_to_rpy
+from mapdyn.spatial import HomTransform
 
 log = logging.getLogger("mapdyn")
 
@@ -210,9 +212,9 @@ def _parse_rows(path, header, lines):
 # the config table: every key of the config file, its type, range and default
 #
 # One file may serve every command (README's end-to-end run feeds one to
-# model-gen, simulate and estimate), so a key that no block declares is an
-# error in every command. Paths are checked for their type only: each file
-# is checked where it is opened, since an earlier command may write it.
+# all five), so a key that no block declares is an error in every command.
+# Paths are checked for their type only: each file is checked where it is
+# opened, since an earlier command may write it.
 
 _REQUIRED = object()  # the default of a key that must be given
 
@@ -534,15 +536,8 @@ def cmd_simulate(config_path, model_override, out_dir, seed):
 
 def _write_link_poses(path, model, truth):
     real = [i for i, link in enumerate(model.links) if not link.is_dummy]
-    header = ["time"]
-    for i in real:
-        header += [f"{model.links[i].name}_{c}" for c in ("x", "y", "z", "roll", "pitch", "yaw")]
-    rows = np.empty((truth.times.size, 6 * len(real)))
-    for chunk in sample_chunks(truth.times.size):
-        sweep = kinematic_sweep(model, truth.q[chunk], truth.qd[chunk])
-        poses = np.concatenate([sweep.position[:, real], matrix_to_rpy(sweep.rotation[:, real])], axis=-1)
-        rows[chunk] = poses.reshape(len(poses), -1)
-    write_csv(path, header, np.column_stack([truth.times, rows]))
+    header = ["time"] + [f"{model.links[i].name}_{c}" for i in real for c in ("x", "y", "z", "roll", "pitch", "yaw")]
+    write_csv(path, header, np.column_stack([truth.times, truth.link_poses[:, real].reshape(truth.times.size, -1)]))
 
 
 # the estimator of this process's `estimate` samples, a pool worker's or the caller's
@@ -666,6 +661,8 @@ def cmd_estimate(config_path, model_override, out_dir, workers):
     if n_samples < 8:
         n_workers = 1
     chunks = _make_chunks(times, q_series, qd_series, y_series, n_workers)
+    # a fork pool starts all its workers at the first task: one per chunk at most
+    n_workers = min(n_workers, len(chunks))
 
     t_start = time.perf_counter()
     # the pool's parent builds no estimator: each worker builds its own
@@ -833,7 +830,7 @@ def cmd_fusion(config_path, model_override, out_dir):
     fusion_cfg = checked["fusion"]
     covariances = covariances_from_config(checked)
 
-    _, q_series, qd_series, _ = trajectory_from_config(model, checked).sample()
+    _, q_series, qd_series, _ = sample_trajectory(model, trajectory_from_config(model, checked))
     # evenly spaced, and at most max_states of them
     stride = -(-q_series.shape[0] // fusion_cfg["max_states"])
     q_states, qd_states = q_series[::stride], qd_series[::stride]
@@ -865,13 +862,10 @@ def cmd_fusion(config_path, model_override, out_dir):
 
     per_case = np.zeros((len(cases), model.n_dof))
     for chunk in sample_chunks(len(q_states)):
-        # one sweep and one D per stack of states serve every case
-        sweep = kinematic_sweep(model, q_states[chunk], qd_states[chunk])
-        values_d, b_d = cases[0].constraints.assemble_values(sweep)
+        q, qd = q_states[chunk], qd_states[chunk]
         for ci, case in enumerate(cases):
-            values_y, b_y = case.measurements.assemble_values(sweep)
-            y = np.zeros_like(b_y)
-            for variances in case.plan.posterior(values_d, b_d, values_y, b_y, y, case.marginals).variances:
+            # the variances do not depend on the readings
+            for variances in case.estimate(q, qd, np.zeros((len(q), case.measurements.dim))).variances:
                 per_case[ci] += variances
     per_case /= len(q_states)
 
@@ -896,7 +890,7 @@ def cmd_sensor_pose(config_path, model_override, out_dir, seed, patch_model):
     """Calibrate accelerometer poses from synthetic excitation streams."""
     cfg, checked, out = start_run("sensor-pose", config_path, seed, model_override, out_dir)
     model, model_path = load_model_from_config(checked)
-    traj = trajectory_from_config(model, checked)
+    motion = link_motion(model, trajectory_from_config(model, checked))
     noise_std = checked["calibration"]["accelerometer_noise_std"]
     seed = checked["seed"]
 
@@ -906,9 +900,8 @@ def cmd_sensor_pose(config_path, model_override, out_dir, seed, patch_model):
         if model.link_index[sensor.parent_link] == 0:
             results[sensor.name] = {"ok": False, "error": "sensor sits on the fixed base"}
             continue
-        streams = synthesize_sensor_streams(
-            model, traj, sensor, noise_std=noise_std, rng=None if seed is None else np.random.default_rng(seed + s_idx)
-        )
+        rng = None if seed is None else np.random.default_rng(seed + s_idx)
+        streams = synthesize_sensor_streams(model, motion, sensor, noise_std=noise_std, rng=rng)
         try:
             est = estimate_sensor_pose(*streams)
         except ExcitationError as exc:

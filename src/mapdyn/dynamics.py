@@ -31,7 +31,6 @@ from mapdyn.spatial import (
     GRAVITY_SPATIAL,
     HomTransform,
     adjoint_force,
-    body_equation_of_motion,
     cross_force,
     cross_motion,
     skew,
@@ -251,33 +250,20 @@ def link_accelerations(model, sweep, qdd, a0):
     return a
 
 
-def rnea(model, q, qd, qdd, fx_base=None, base_acc=None):
-    """Two-pass inverse dynamics filling every slot of d.
+def inverse_dynamics(model, sweep, qdd, fx_base=None, base_acc=None):
+    """The two passes of inverse dynamics on a stack's kinematic sweep: every slot of d, (T, 26 * n_moving).
 
-    ``q``, ``qd`` and ``qdd`` are (T, n_dof) stacks, and the result is
-    (T, 26 * n_moving); (n_dof,) vectors are one sample and give one d.
-    fx_base: optional external force per link in base coordinates,
-    (T, n_moving, 6), or (n_moving, 6) for one sample. base_acc defaults to
-    -gravity (gravity on); pass zeros to switch gravity off.
+    ``qdd`` is the sweep's (T, n_dof) stack, and ``fx_base`` an optional
+    external force per link in base coordinates, (T, n_moving, 6). base_acc
+    defaults to -gravity (gravity on); pass zeros to switch gravity off.
     """
     n = model.n_moving
-    single = np.ndim(q) == 1
-    q, qd, qdd = (_stack(model, x, label, float) for x, label in ((q, "q"), (qd, "qd"), (qdd, "qdd")))
-    if not q.shape == qd.shape == qdd.shape:
-        raise ModelError(f"q, qd and qdd must have one shape, got {q.shape}, {qd.shape}, {qdd.shape}")
-    n_samples = q.shape[0]
-    if fx_base is None:
-        fx_base = np.zeros((n_samples, n, 6))
-    else:
-        fx_base = np.asarray(fx_base, dtype=float)
-        expected = (n, 6) if single else (n_samples, n, 6)
-        if fx_base.shape != expected:
-            raise ModelError(f"fx_base must be {expected}, got {fx_base.shape}")
-        fx_base = fx_base.reshape(n_samples, n, 6)
+    qdd = _stack(model, qdd, "qdd", float)
+    n_samples = qdd.shape[0]
+    fx_base = np.zeros((n_samples, n, 6)) if fx_base is None else np.asarray(fx_base, dtype=float)
     a0 = -GRAVITY_SPATIAL if base_acc is None else np.asarray(base_acc, dtype=float)
 
     tree = _tree_arrays(model)
-    sweep = kinematic_sweep(model, q, qd)
     a = link_accelerations(model, sweep, qdd, a0)[:, 1:]
     v = sweep.v[:, 1:]
     inertia = tree.inertia[1:]
@@ -297,7 +283,28 @@ def rnea(model, q, qd, qdd, fx_base=None, base_acc=None):
     d[..., OFF_TAU] = (f[..., 3:] * tree.axis[1:]).sum(axis=-1)
     d[..., OFF_FX: OFF_FX + 6] = fx_base
     d[..., OFF_DDQ] = qdd
-    d = d.reshape(n_samples, -1)
+    return d.reshape(n_samples, -1)
+
+
+def rnea(model, q, qd, qdd, fx_base=None, base_acc=None):
+    """Inverse dynamics of joint states: their kinematic sweep, then ``inverse_dynamics``.
+
+    ``q``, ``qd`` and ``qdd`` are (T, n_dof) stacks, and the result is
+    (T, 26 * n_moving); (n_dof,) vectors are one sample and give one d, and
+    fx_base is then (n_moving, 6).
+    """
+    n = model.n_moving
+    single = np.ndim(q) == 1
+    q, qd, qdd = (_stack(model, x, label, float) for x, label in ((q, "q"), (qd, "qd"), (qdd, "qdd")))
+    if not q.shape == qd.shape == qdd.shape:
+        raise ModelError(f"q, qd and qdd must have one shape, got {q.shape}, {qd.shape}, {qdd.shape}")
+    if fx_base is not None:
+        fx_base = np.asarray(fx_base, dtype=float)
+        expected = (n, 6) if single else (q.shape[0], n, 6)
+        if fx_base.shape != expected:
+            raise ModelError(f"fx_base must be {expected}, got {fx_base.shape}")
+        fx_base = fx_base.reshape(q.shape[0], n, 6)
+    d = inverse_dynamics(model, kinematic_sweep(model, q, qd), qdd, fx_base, base_acc)
     return d[0] if single else d
 
 
@@ -546,13 +553,11 @@ def _require_chain(model):
 
 
 def _chain_data(model, q, qd, qdd):
-    """The motion adjoints and net link forces of one sample, indexed by link."""
+    """The motion adjoints, net link forces and joint forces of one sample, indexed by link (row 0 the base)."""
     sweep = kinematic_sweep(model, q, qd)
-    a = link_accelerations(model, sweep, qdd, -GRAVITY_SPATIAL)
-    fb = [np.zeros(6)] + [
-        body_equation_of_motion(model.inertia_of(i), sweep.v[0, i], a[0, i]) for i in range(1, model.n_moving + 1)
-    ]
-    return sweep.x_from_parent[0], fb
+    d = inverse_dynamics(model, sweep, qdd).reshape(model.n_moving, BLOCK_COLS)
+    fb, f = (np.concatenate([np.zeros((1, 6)), d[:, start: start + 6]]) for start in (OFF_FB, OFF_F))
+    return sweep.x_from_parent[0], fb, f
 
 
 def _boundary_force_into_link1(model, xs, f_fp, fp_pose):
@@ -570,7 +575,7 @@ def _boundary_force_into_link1(model, xs, f_fp, fp_pose):
 
 
 def id_topdown(model, q, qd, qdd, f_fp, fp_pose=None) -> InconsistencyReport:
-    """Leaf-to-base recursion plus the boundary route for the first link.
+    """Leaf-to-base recursion (``inverse_dynamics``) plus the boundary route for the first link.
 
     The overdeterminacy introduced by the measured base contact wrench shows
     up at link 1, where the recursion value and the boundary value of the
@@ -579,17 +584,10 @@ def id_topdown(model, q, qd, qdd, f_fp, fp_pose=None) -> InconsistencyReport:
     """
     _require_chain(model)
     fp_pose = fp_pose if fp_pose is not None else HomTransform.identity()
-    xs, fb = _chain_data(model, q, qd, qdd)
-    n = model.n_moving
-    f = {}
-    f_val = [np.zeros(6)] * (n + 1)
-    for i in range(n, 0, -1):
-        f_val[i] = fb[i].copy()
-        for c in model.children[i]:
-            f_val[i] += xs[c].T @ f_val[c]
-        f[model.links[i].name] = f_val[i]
+    xs, _, f = _chain_data(model, q, qd, qdd)
+    forces = {model.links[i].name: f[i] for i in range(1, model.n_moving + 1)}
     boundary = _boundary_force_into_link1(model, xs, f_fp, fp_pose)
-    return InconsistencyReport(f, f_val[1], boundary, model.links[1].name)
+    return InconsistencyReport(forces, f[1], boundary, model.links[1].name)
 
 
 def id_bottomup(model, q, qd, qdd, f_fp, fp_pose=None) -> InconsistencyReport:
@@ -600,7 +598,7 @@ def id_bottomup(model, q, qd, qdd, f_fp, fp_pose=None) -> InconsistencyReport:
     """
     _require_chain(model)
     fp_pose = fp_pose if fp_pose is not None else HomTransform.identity()
-    xs, fb = _chain_data(model, q, qd, qdd)
+    xs, fb, _ = _chain_data(model, q, qd, qdd)
     n = model.n_moving
     f = {}
     f_prev = _boundary_force_into_link1(model, xs, f_fp, fp_pose)

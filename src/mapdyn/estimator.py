@@ -629,8 +629,7 @@ def map_solve_augmented(problem: MapProblem, mu_x, sigma_x, x_bar, d_bar, jacobi
 
     This performs a single linearized solve. Outer re-linearization loops
     belong to the caller; the recommended default is 5 iterations or a
-    relative step below 1e-8. ``finite_difference_bias_jacobians`` is an
-    oracle to check the supplied jacobians against.
+    relative step below 1e-8.
     """
     dby, dbd = jacobians(d_bar, x_bar)
     dby = np.asarray(dby, dtype=float)
@@ -677,21 +676,4 @@ def complex_step_bias_jacobians(build_system, x_bar, d_bar, step=1e-20):
         ymat, by, dmat, bd = build_system(x)
         cols_y.append(np.imag(ymat @ d_bar + by) / step)
         cols_d.append(np.imag(dmat @ d_bar + bd) / step)
-    return np.column_stack(cols_y), np.column_stack(cols_d)
-
-
-def finite_difference_bias_jacobians(build_system, x_bar, d_bar, step=1e-6):
-    """Central finite differences of the stacked biases (validation oracle)."""
-    x_bar = np.asarray(x_bar, dtype=float)
-    d_bar = np.asarray(d_bar, dtype=float)
-    cols_y, cols_d = [], []
-    for k in range(x_bar.size):
-        xp = x_bar.copy()
-        xm = x_bar.copy()
-        xp[k] += step
-        xm[k] -= step
-        yp, byp, dp, bdp = build_system(xp)
-        ym, bym, dm, bdm = build_system(xm)
-        cols_y.append(((yp @ d_bar + byp) - (ym @ d_bar + bym)) / (2 * step))
-        cols_d.append(((dp @ d_bar + bdp) - (dm @ d_bar + bdm)) / (2 * step))
     return np.column_stack(cols_y), np.column_stack(cols_d)

@@ -252,25 +252,17 @@ def assemble_system(constraints, measurements, q, qd):
     return values_d, b_d, values_y, b_y
 
 
-def simulate_readings(model, specs, q, qd, d, rng=None):
-    """Synthetic readings y = Y d + b_Y + noise for a consistent d.
+def simulate_readings(assembler, sweep, d):
+    """Noiseless readings y = Y d + b_Y of a stack of consistent d, from the stack's kinematic sweep.
 
-    ``q`` and ``qd`` are (T, n_dof) stacks and ``d`` is (T, n_d), or one
-    sample's vectors. ``rng`` may be a seed or a numpy Generator; None means
-    noiseless. Fixed seeds reproduce readings exactly: the noise is drawn
-    sample by sample, in one call.
+    ``d`` is (T, n_d) for the sweep's T samples (or one sample's vector), and
+    the readings are (T, channels).
     """
-    assembler = specs if isinstance(specs, MeasurementAssembler) else MeasurementAssembler(model, specs)
-    single = np.ndim(q) == 1
-    values, b = assembler.assemble_values(kinematic_sweep(model, q, qd))
-    d = np.asarray(d).reshape(len(values), -1)
+    values, b = assembler.assemble_values(sweep)
+    d = np.reshape(d, (len(values), -1))
     rows, cols = assembler.pattern.rows, assembler.pattern.cols
     # Y d per sample, summed in the CSC order a sparse product takes
-    y = np.array([np.bincount(rows, row * d_k[cols], minlength=assembler.dim) for row, d_k in zip(values, d)]) + b
-    if rng is not None:
-        rng = np.random.default_rng(rng) if not isinstance(rng, np.random.Generator) else rng
-        y = y + rng.normal(0.0, np.sqrt(assembler.variances), size=y.shape)
-    return y[0] if single else y
+    return np.array([np.bincount(rows, row * d_k[cols], minlength=assembler.dim) for row, d_k in zip(values, d)]) + b
 
 
 def default_sensor_specs(

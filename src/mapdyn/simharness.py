@@ -12,9 +12,10 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from mapdyn.dynamics import DynLayout, kinematic_sweep, link_accelerations, rnea, sample_chunks
+from mapdyn.dynamics import DynLayout, inverse_dynamics, kinematic_sweep, link_accelerations, sample_chunks
 from mapdyn.model.tree import KinematicTreeModel, ModelError
-from mapdyn.sensors import MeasurementAssembler, simulate_readings
+from mapdyn.sensors import MeasurementAssembler, canonical_order, simulate_readings
+from mapdyn.spatial import GRAVITY_SPATIAL, adjoint_motion, matrix_to_rpy
 
 
 # ---------------------------------------------------------------------------
@@ -130,86 +131,101 @@ class SyntheticScenario:
         return fx
 
 
+def sample_trajectory(model, trajectory: TrajectorySpec):
+    """(times, q, qd, qdd) of the scripted trajectory, sampled once and checked against the joint limits.
+
+    A ``ModelError`` names ``scenario.trajectory`` and the first joints
+    whose positions leave the model's limits.
+    """
+    t, q, qd, qdd = trajectory.sample()
+    lo, hi = model.limits()
+    bad = np.flatnonzero((q < lo - 1e-9).any(axis=0) | (q > hi + 1e-9).any(axis=0))
+    if bad.size:
+        names = ", ".join(repr(model.joints[i].name) for i in bad[:5])
+        raise ModelError(f"scenario.trajectory leaves the joint limits at joints {names}")
+    return t, q, qd, qdd
+
+
 @dataclass
 class GroundTruth:
     times: np.ndarray
     q: np.ndarray
     qd: np.ndarray
     qdd: np.ndarray
-    d: np.ndarray  # (samples, 26 * n_moving)
+    d: np.ndarray           # (samples, 26 * n_moving)
+    readings: np.ndarray    # (samples, channels): the noiseless readings Y d + b_Y
+    link_poses: np.ndarray  # (samples, n_moving + 1, 6): each link's origin and roll-pitch-yaw, base coordinates
 
 
 def generate_ground_truth(scenario: SyntheticScenario) -> GroundTruth:
-    """Analytic state series and the consistent stacked dynamics at each sample.
+    """Analytic state series, and the consistent dynamics, noiseless readings and link poses at each sample.
 
-    The scripted trajectory must respect the model's joint limits: a
-    ``ModelError`` names the first joints it leaves them at.
+    The trajectory is sampled and checked once (``sample_trajectory``), and
+    each chunk of samples takes one kinematic sweep, which feeds all three.
     """
-    t, q, qd, qdd = scenario.trajectory.sample()
-    lo, hi = scenario.model.limits()
-    bad = np.flatnonzero((q < lo - 1e-9).any(axis=0) | (q > hi + 1e-9).any(axis=0))
-    if bad.size:
-        names = ", ".join(repr(scenario.model.joints[i].name) for i in bad[:5])
-        raise ModelError(f"scenario.trajectory leaves the joint limits at joints {names}")
+    model = scenario.model
+    t, q, qd, qdd = sample_trajectory(model, scenario.trajectory)
     fx = scenario.force_series(t)
-    layout = DynLayout(scenario.model)
-    d = np.zeros((t.size, layout.size))
+    assembler = MeasurementAssembler(model, scenario.sensor_specs)
+    d = np.empty((t.size, DynLayout(model).size))
+    readings = np.empty((t.size, assembler.dim))
+    poses = np.empty((t.size, model.n_moving + 1, 6))
     for chunk in sample_chunks(t.size):
-        d[chunk] = rnea(scenario.model, q[chunk], qd[chunk], qdd[chunk], fx_base=fx[chunk])
-    return GroundTruth(t, q, qd, qdd, d)
+        sweep = kinematic_sweep(model, q[chunk], qd[chunk])
+        d[chunk] = inverse_dynamics(model, sweep, qdd[chunk], fx[chunk])
+        readings[chunk] = simulate_readings(assembler, sweep, d[chunk])
+        poses[chunk] = np.concatenate([sweep.position, matrix_to_rpy(sweep.rotation)], axis=-1)
+    return GroundTruth(t, q, qd, qdd, d, readings, poses)
 
 
 def generate_observations(scenario: SyntheticScenario, truth: GroundTruth, noiseless=False):
-    """Stacked readings per sample via the measurement map plus channel noise.
+    """The truth's readings plus channel noise of the scenario's sensor variances.
 
-    The noise is drawn sample by sample from one seeded stream, so the
-    readings do not depend on how the series is cut into stacks.
+    The noise is drawn sample by sample, in one call from the stream the
+    scenario's seed starts, so a sample's readings do not depend on the
+    length of the series.
     """
-    assembler = MeasurementAssembler(scenario.model, scenario.sensor_specs)
-    rng = None if (noiseless or scenario.seed is None) else np.random.default_rng(scenario.seed)
-    out = np.zeros((truth.times.size, assembler.dim))
-    for chunk in sample_chunks(truth.times.size):
-        out[chunk] = simulate_readings(
-            scenario.model, assembler, truth.q[chunk], truth.qd[chunk], truth.d[chunk], rng=rng
-        )
-    return out
+    if noiseless or scenario.seed is None:
+        return truth.readings.copy()
+    variances = np.concatenate([spec.variance for spec in canonical_order(scenario.sensor_specs)])
+    return truth.readings + np.random.default_rng(scenario.seed).normal(0.0, np.sqrt(variances), truth.readings.shape)
 
 
 # ---------------------------------------------------------------------------
 # sensor-stream synthesis for pose calibration
 
 
-def link_motion(model, q, qd, qdd):
-    """Orientation, spatial velocity and true spatial acceleration per link.
+def link_motion(model, trajectory: TrajectorySpec):
+    """Orientation, spatial velocity and true spatial acceleration of every link along the trajectory.
 
-    For (T, n_dof) stacks (or one sample's vectors, T = 1) the arrays are
-    (T, n+1, 3, 3), (T, n+1, 6) and (T, n+1, 6). Velocities and
-    accelerations are in body coordinates; the acceleration is the true one
-    (no gravity offset).
+    One sampling and check (``sample_trajectory``), then one kinematic sweep
+    per chunk. The arrays are (T, n+1, 3, 3), (T, n+1, 6) and (T, n+1, 6), in
+    body coordinates; the acceleration is the true one (no gravity offset).
     """
-    sweep = kinematic_sweep(model, q, qd)
-    return sweep.rotation, sweep.v, link_accelerations(model, sweep, qdd, np.zeros(6))
+    _, q, qd, qdd = sample_trajectory(model, trajectory)
+    rotation = np.empty((len(q), model.n_moving + 1, 3, 3))
+    v, a = np.empty((2, len(q), model.n_moving + 1, 6))
+    for chunk in sample_chunks(len(q)):
+        sweep = kinematic_sweep(model, q[chunk], qd[chunk])
+        rotation[chunk], v[chunk] = sweep.rotation, sweep.v
+        a[chunk] = link_accelerations(model, sweep, qdd[chunk], np.zeros(6))
+    return rotation, v, a
 
 
-def synthesize_sensor_streams(model, trajectory: TrajectorySpec, sensor, noise_std=0.0, rng=None):
-    """Motion streams for one attached accelerometer, ready for calibration.
+def synthesize_sensor_streams(model, motion, sensor, noise_std=0.0, rng=None):
+    """Motion streams for one attached accelerometer from ``link_motion``'s arrays, ready for calibration.
 
     Returns the six arrays consumed by the pose estimator: link orientation
     and true linear acceleration (inertial frame), angular velocity and
     acceleration (inertial frame), sensor orientation (inertial frame) and
     proper acceleration (sensor frame, optionally noisy).
     """
-    from mapdyn.spatial import GRAVITY_SPATIAL, adjoint_motion
-
     li = model.link_index[sensor.parent_link]
     if li == 0:
         raise ModelError("cannot synthesize streams for a sensor on the fixed base")
     x_sensor = adjoint_motion(sensor.pose.inverse())
     gravity = GRAVITY_SPATIAL[:3]
-
-    t, q, qd, qdd = trajectory.sample()
-    motion = [link_motion(model, q[chunk], qd[chunk], qdd[chunk]) for chunk in sample_chunks(t.size)]
-    r_b, v, a = (np.concatenate([m[part][:, li] for m in motion]) for part in range(3))
+    r_b, v, a = (part[:, li] for part in motion)
 
     def rotate(rotations, vectors):
         return (rotations @ vectors[..., None])[..., 0]

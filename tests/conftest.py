@@ -148,7 +148,7 @@ def two_link_problem(two_link_model, rng):
 
     Returns (problem, ground-truth d, (q, qd)).
     """
-    from mapdyn.dynamics import ConstraintAssembler, rnea
+    from mapdyn.dynamics import ConstraintAssembler, kinematic_sweep, rnea
     from mapdyn.sensors import MeasurementAssembler, default_sensor_specs, simulate_readings
     from mapdyn.estimator import MapProblem
     from oracles import one_state_system
@@ -162,6 +162,7 @@ def two_link_problem(two_link_model, rng):
     specs = default_sensor_specs(two_link_model, contact_links=("link2",))
     assembler = MeasurementAssembler(two_link_model, specs)
     mat_d, b_d, mat_y, b_y = one_state_system(ConstraintAssembler(two_link_model), assembler, q, qd)
-    y = simulate_readings(two_link_model, assembler, q, qd, d_star, rng=7)
+    noise = np.random.default_rng(7).normal(0.0, np.sqrt(assembler.variances))
+    y = simulate_readings(assembler, kinematic_sweep(two_link_model, q, qd), d_star)[0] + noise
     problem = MapProblem(mat_d, b_d, mat_y, b_y, y, sigma_y=assembler.variances)
     return problem, d_star, (q, qd)

@@ -210,6 +210,23 @@ def lmmse_forms_check(c, sigma_x, sigma_e, mu_x, y):
     return (mean1, cov1), (mean2, cov2)
 
 
+def finite_difference_bias_jacobians(build_system, x_bar, d_bar, step=1e-6):
+    """Central finite differences of the stacked biases, to check ``complex_step_bias_jacobians`` against."""
+    x_bar = np.asarray(x_bar, dtype=float)
+    d_bar = np.asarray(d_bar, dtype=float)
+    cols_y, cols_d = [], []
+    for k in range(x_bar.size):
+        xp = x_bar.copy()
+        xm = x_bar.copy()
+        xp[k] += step
+        xm[k] -= step
+        yp, byp, dp, bdp = build_system(xp)
+        ym, bym, dm, bdm = build_system(xm)
+        cols_y.append(((yp @ d_bar + byp) - (ym @ d_bar + bym)) / (2 * step))
+        cols_d.append(((dp @ d_bar + bdp) - (dm @ d_bar + bdm)) / (2 * step))
+    return np.column_stack(cols_y), np.column_stack(cols_d)
+
+
 def max_constraint_residual(scenario, truth) -> float:
     """Worst relative constraint residual ``|D d + b_D|`` across a ground-truth series."""
     assembler = ConstraintAssembler(scenario.model)

@@ -24,7 +24,6 @@ from mapdyn.dynamics import (
 from mapdyn.estimator import (
     MapProblem,
     complex_step_bias_jacobians,
-    finite_difference_bias_jacobians,
     map_solve,
     map_solve_augmented,
 )
@@ -41,12 +40,20 @@ from mapdyn.simharness import (
     TrajectorySpec,
     generate_ground_truth,
     generate_observations,
+    link_motion,
     synthesize_sensor_streams,
 )
 from mapdyn.spatial import matrix_to_rpy
 
 from conftest import TWO_LINK_XML
-from oracles import lmmse_forms_check, map_as_gls, one_state, one_state_system, posterior_precision_terms
+from oracles import (
+    finite_difference_bias_jacobians,
+    lmmse_forms_check,
+    map_as_gls,
+    one_state,
+    one_state_system,
+    posterior_precision_terms,
+)
 from random_models import random_chain_model, random_state, random_tree_model
 
 CONTACT_LINKS = ("RightFoot", "RightToe", "LeftToe")
@@ -336,10 +343,11 @@ def test_07_sensor_pose_calibration(human48):
     worst_pos = 0.0
     worst_rpy = 0.0
     calibrated = 0
+    motion = link_motion(human48, traj)
     for sensor in human48.sensors_of_kind("accelerometer"):
         if human48.link_index[sensor.parent_link] == 0:
             continue  # the base carries no estimable dynamics
-        streams = synthesize_sensor_streams(human48, traj, sensor)
+        streams = synthesize_sensor_streams(human48, motion, sensor)
         est = estimate_sensor_pose(*streams)
         worst_pos = max(worst_pos, np.abs(est.position - sensor.pose.translation).max())
         worst_rpy = max(worst_rpy, np.abs(est.rpy - matrix_to_rpy(sensor.pose.rotation)).max())
@@ -349,7 +357,9 @@ def test_07_sensor_pose_calibration(human48):
     two_link = parse_model(TWO_LINK_XML)
     traj2 = TrajectorySpec([Sine(0.5, 0.7, phase=0.2), Sine(0.4, 1.1, phase=-0.5)], 1024 / 60.0, 60.0)
     sensor = two_link.sensors_of_kind("accelerometer")[0]
-    body_rot, body_acc, w, wd, sensor_rot, sensor_acc = synthesize_sensor_streams(two_link, traj2, sensor)
+    body_rot, body_acc, w, wd, sensor_rot, sensor_acc = synthesize_sensor_streams(
+        two_link, link_motion(two_link, traj2), sensor
+    )
     rng = np.random.default_rng(5)
     sizes = [16, 64, 256, 1024]
     total = sensor_acc.shape[0]

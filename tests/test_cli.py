@@ -28,6 +28,25 @@ def read_rows(path):
         return header, list(reader)
 
 
+def count_sweeps(monkeypatch, chunk):
+    """The joint angles of every kinematic sweep from here on, one (T, n_dof) array per call, in chunks of ``chunk``."""
+    import mapdyn.dynamics
+    import mapdyn.sensors
+    import mapdyn.simharness
+
+    calls = []
+    sweep = mapdyn.dynamics.kinematic_sweep
+
+    def counting_sweep(model, q, qd):
+        calls.append(np.atleast_2d(q))
+        return sweep(model, q, qd)
+
+    for module in (mapdyn.dynamics, mapdyn.sensors, mapdyn.simharness):
+        monkeypatch.setattr(module, "kinematic_sweep", counting_sweep)
+    monkeypatch.setattr(mapdyn.dynamics, "SAMPLE_CHUNK", chunk)
+    return calls
+
+
 @pytest.fixture
 def two_link_setup(tmp_path):
     """Model file + simulate config for the 2-link fixture."""
@@ -171,6 +190,29 @@ class TestSimulate:
         err = capsys.readouterr().err
         assert "scenario.trajectory" in err and "'joint2'" in err and "'joint1'" not in err
         assert not (tmp_path / "sim" / "trajectory.csv").exists()
+
+    def test_one_kinematic_sweep_per_chunk(self, two_link_setup, monkeypatch):
+        """Each chunk of SAMPLE_CHUNK samples is swept once, for its dynamics, readings and link poses alike."""
+        tmp_path, cfg = two_link_setup
+        calls = count_sweeps(monkeypatch, chunk=8)
+        assert main(["simulate", "--config", write_config(tmp_path, cfg)]) == 0
+        assert [len(q) for q in calls] == [8, 8, 8, 6]
+        _, traj = read_rows(tmp_path / "sim" / "trajectory.csv")
+        np.testing.assert_array_equal(np.concatenate(calls), np.array(traj, dtype=float)[:, 1:3])
+
+
+@pytest.mark.parametrize("command", ["fusion", "sensor-pose"])
+def test_trajectory_outside_the_joint_limits_exits_2_naming_key_and_joints(two_link_setup, capsys, command):
+    """fusion and sensor-pose check the trajectory as simulate does, before any output."""
+    tmp_path, cfg = two_link_setup
+    cfg["scenario"]["trajectory"]["joint2"] = {"kind": "constant", "value": 3.0}
+    cfg["out"] = str(tmp_path / command)
+    sensors = {"contact_links": ["link2"]}
+    cfg["fusion"] = {"cases": [{"name": "case1", "sensors": sensors}, {"name": "case2", "sensors": sensors}]}
+    assert main([command, "--config", write_config(tmp_path, cfg)]) == 2
+    err = capsys.readouterr().err
+    assert "scenario.trajectory" in err and "'joint2'" in err and "'joint1'" not in err
+    assert list((tmp_path / command).iterdir()) == []
 
 
 class TestEstimate:
@@ -531,27 +573,38 @@ class TestEstimate:
     def test_one_kinematic_sweep_per_chunk(self, two_link_setup, monkeypatch):
         """A serial run sweeps once per chunk, every sample exactly once, and nowhere else."""
         import mapdyn.cli
-        import mapdyn.dynamics
-        import mapdyn.sensors
 
         tmp_path, cfg = two_link_setup
         config, n_samples = self._simulate(tmp_path, cfg)
         _, traj = read_rows(Path(cfg["out"]) / "trajectory.csv")
         q_series = np.array(traj, dtype=float)[:, 1:3]
-        calls = []
-        sweep = mapdyn.dynamics.kinematic_sweep
-
-        def counting_sweep(model, q, qd):
-            calls.append(np.atleast_2d(q))
-            return sweep(model, q, qd)
-
-        monkeypatch.setattr(mapdyn.dynamics, "kinematic_sweep", counting_sweep)
-        monkeypatch.setattr(mapdyn.sensors, "kinematic_sweep", counting_sweep)
+        calls = count_sweeps(monkeypatch, chunk=8)
         monkeypatch.setattr(mapdyn.cli, "SAMPLE_CHUNK", 8)
         assert main(["estimate", "--config", config, "--workers", "1"]) == 0
         assert [len(q) for q in calls] == [8, 8, 7, 7]
         np.testing.assert_array_equal(np.concatenate(calls), q_series)
         assert n_samples == 30
+
+    def test_pool_is_capped_at_the_chunk_count(self, two_link_setup, monkeypatch):
+        """--workers 5000 on 30 samples asks the pool for one worker per chunk, seven, and starts no process."""
+        import mapdyn.cli
+
+        tmp_path, cfg = two_link_setup
+        config, n_samples = self._simulate(tmp_path, cfg)
+        asked = []
+
+        class PoolAsked(Exception):
+            pass
+
+        def recording_pool(max_workers, **kwargs):
+            asked.append(max_workers)
+            raise PoolAsked
+
+        monkeypatch.setattr(mapdyn.cli, "ProcessPoolExecutor", recording_pool)
+        with pytest.raises(PoolAsked):
+            main(["estimate", "--config", config, "--workers", "5000"])
+        # 30 // CHUNK_MIN chunks of at least CHUNK_MIN samples
+        assert n_samples == 30 and asked == [7]
 
     def test_joint_limit_violations_are_counted(self, two_link_setup, capsys):
         """One state row outside the limits counts as one sample; the clean run counts none."""
@@ -941,8 +994,8 @@ class TestFusion:
 
     def test_one_precision_plan_per_case(self, two_link_setup, monkeypatch):
         """Each case plans its layout once; every state reuses the plan."""
-        import mapdyn.cli
         import mapdyn.estimator
+        import mapdyn.sensors
 
         tmp_path, cfg = two_link_setup
         fus_cfg = dict(cfg)
@@ -958,7 +1011,7 @@ class TestFusion:
         stacks_per_plan = []
         sweeps = []
         plan_class = mapdyn.estimator.PrecisionPlan
-        sweep = mapdyn.cli.kinematic_sweep
+        sweep = mapdyn.sensors.kinematic_sweep
 
         class CountingPlan(plan_class):
             def __init__(self, *args):
@@ -975,16 +1028,17 @@ class TestFusion:
             return sweep(model, q, qd)
 
         monkeypatch.setattr(mapdyn.estimator, "PrecisionPlan", CountingPlan)
-        monkeypatch.setattr(mapdyn.cli, "kinematic_sweep", counting_sweep)
+        monkeypatch.setattr(mapdyn.sensors, "kinematic_sweep", counting_sweep)
         assert main(["fusion", "--config", write_config(tmp_path, fus_cfg, "f.json")]) == 0
-        # one sweep over the four states, and one stack of them per case's plan
-        assert sweeps == [4]
+        # each case's estimator sweeps the four states once, and its plan takes one stack of them
+        assert sweeps == [4] * 3
         assert stacks_per_plan == [[4]] * 3
 
     @pytest.mark.parametrize("max_states, expected", [(4, 4), (7, 6)])
     def test_max_states_caps_the_states(self, two_link_setup, monkeypatch, max_states, expected):
         """30 trajectory samples give at most max_states evenly spaced states."""
         import mapdyn.cli
+        import mapdyn.sensors
 
         tmp_path, cfg = two_link_setup
         fus_cfg = dict(cfg, out=str(tmp_path / "fus6"))
@@ -994,14 +1048,18 @@ class TestFusion:
             "max_states": max_states,
         }
         states = []
-        sweep = mapdyn.cli.kinematic_sweep
+        sweep = mapdyn.sensors.kinematic_sweep
 
         def counting_sweep(model, q, qd):
             states.extend(q)
             return sweep(model, q, qd)
 
-        monkeypatch.setattr(mapdyn.cli, "kinematic_sweep", counting_sweep)
+        monkeypatch.setattr(mapdyn.sensors, "kinematic_sweep", counting_sweep)
         assert main(["fusion", "--config", write_config(tmp_path, fus_cfg, "f.json")]) == 0
+        # both cases sweep the same states, one case after the other
+        half = len(states) // 2
+        np.testing.assert_array_equal(states[:half], states[half:])
+        states = states[:half]
         checked = mapdyn.cli.check_config(fus_cfg)
         _, q, _, _ = mapdyn.cli.trajectory_from_config(parse_model(TWO_LINK_XML), checked).sample()
         assert q.shape[0] == 30
@@ -1121,6 +1179,29 @@ class TestSensorPose:
         results = json.loads((tmp_path / "cal" / "sensor_poses.json").read_text())
         assert results["link2_accelerometer"]["ok"]
         assert not results["link1_accelerometer"]["ok"]
+
+    def test_one_kinematic_sweep_per_chunk(self, tmp_path, monkeypatch):
+        """The trajectory is swept once per chunk, not once per accelerometer: four calibrate from one sweep."""
+        sensors = "".join(
+            f'<sensor name="link2_{k}_accelerometer" type="accelerometer"><parent link="link2"/>'
+            f'<origin xyz="0.0{k} 0.01 0.05" rpy="0 0.{k} 0"/></sensor>' for k in range(3)
+        )
+        model_path = tmp_path / "model.xml"
+        model_path.write_text(TWO_LINK_XML.replace("</robot>", sensors + "</robot>"))
+        cfg = {
+            "model": str(model_path),
+            "out": str(tmp_path / "cal"),
+            "scenario": {
+                "duration": 2.0,
+                "rate": 60.0,
+                "trajectory": {"default": {"kind": "sine", "amplitude": 0.5, "frequency": 0.9}},
+            },
+        }
+        calls = count_sweeps(monkeypatch, chunk=32)
+        assert main(["sensor-pose", "--config", write_config(tmp_path, cfg, "sp.json")]) == 0
+        assert [len(q) for q in calls] == [32, 32, 32, 24]
+        results = json.loads((tmp_path / "cal" / "sensor_poses.json").read_text())
+        assert len(results) == 4 and all(entry["ok"] for entry in results.values())
 
 
 def _config_sites(node, path=""):

@@ -11,7 +11,6 @@ from mapdyn.estimator import (
     RankDeficiencyError,
     SparseCholeskySolver,
     complex_step_bias_jacobians,
-    finite_difference_bias_jacobians,
     map_solve,
     map_solve_augmented,
     shape_prior,
@@ -21,6 +20,7 @@ from mapdyn.sensors import MeasurementAssembler
 
 from oracles import (
     block_values,
+    finite_difference_bias_jacobians,
     factorized,
     gls_solve,
     lmmse_forms_check,

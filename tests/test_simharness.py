@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from mapdyn.dynamics import ConstraintAssembler, DynLayout
+from mapdyn.dynamics import SAMPLE_CHUNK, ConstraintAssembler, DynLayout
 from mapdyn.estimator import MapProblem, map_solve
 from mapdyn.model import ModelError
 from mapdyn.sensors import MeasurementAssembler, default_sensor_specs, savitzky_golay_derivatives
@@ -149,6 +149,33 @@ class TestObservations:
         obs1 = generate_observations(scenario, truth)
         obs2 = generate_observations(scenario, truth)
         assert np.array_equal(obs1, obs2)
+
+    def test_stacked_noise_equals_per_sample_draws(self, two_link_model):
+        """Each sample's noise is drawn as a call per sample would draw it, in order, so a short run's readings
+        are the first rows of a long one's."""
+        short, long = (scenario_for(two_link_model, duration=duration, seed=8) for duration in (0.3, 1.5))
+        truth = generate_ground_truth(short)
+        obs = generate_observations(short, truth)
+        variances = MeasurementAssembler(two_link_model, short.sensor_specs).variances
+        one_by_one = np.random.default_rng(8)
+        for k in range(truth.times.size):
+            assert obs[k].tobytes() == (truth.readings[k] + one_by_one.normal(0.0, np.sqrt(variances))).tobytes()
+        longer = generate_observations(long, generate_ground_truth(long))
+        assert len(longer) == 150 > SAMPLE_CHUNK
+        assert longer[: len(obs)].tobytes() == obs.tobytes()
+
+    def test_empirical_channel_variance(self, two_link_model):
+        scenario = SyntheticScenario(
+            two_link_model,
+            TrajectorySpec([Constant(0.3), Constant(-0.4)], 100.0, 100.0),
+            default_sensor_specs(two_link_model, contact_links=("link2",)),
+            seed=99,
+        )
+        truth = generate_ground_truth(scenario)
+        draws = generate_observations(scenario, truth) - truth.readings
+        assert draws.shape[0] == 10_000
+        variances = MeasurementAssembler(two_link_model, scenario.sensor_specs).variances
+        assert np.all(np.abs(draws.var(axis=0) / variances - 1.0) < 0.05)
 
     def test_noise_scaling(self, two_link_model):
         base = scenario_for(two_link_model, duration=6.0, rate=100.0)
