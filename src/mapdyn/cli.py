@@ -136,29 +136,18 @@ def write_manifest(out_dir: Path, command: str, cfg: dict, seed, inputs=(), outp
     return path
 
 
-def _csv_lines(rows) -> str:
-    """Numeric rows as CSV lines: each cell ``repr`` of its float64, cells joined by ``,``, lines ending ``\\r\\n``.
-
-    ``repr`` writes the shortest decimal that reads back to the same float
-    (nearest, ties to even) and ``nan``, ``inf``, ``-inf``; these are the
-    bytes ``csv.writer`` writes for ``repr``'d cells. ``floatrepr.csv_lines``
-    formats the whole block in numpy, with no Python object per value.
-    """
-    return csv_lines(np.asarray(rows, dtype=float))
-
-
 def write_csv(path, header, rows):
-    """Header through ``csv.writer``; the numeric rows through ``_csv_lines``.
+    """Header through ``csv.writer``; the numeric rows through ``floatrepr.csv_lines``, the bytes of ``repr``.
 
     The rows go in blocks of SAMPLE_CHUNK, so that a long series is never
     held as one string. Every output time series (``simulate``'s files, the
     link poses) goes through here; ``estimate``'s workers format their
-    samples through ``_csv_lines`` themselves.
+    samples through ``csv_lines`` themselves.
     """
     with open(path, "w", newline="") as fh:
         csv.writer(fh).writerow(header)
         for block in sample_chunks(len(rows)):
-            fh.write(_csv_lines(rows[block]))
+            fh.write(csv_lines(rows[block]))
 
 
 def read_csv(path):
@@ -184,17 +173,6 @@ def read_csv(path):
     return header, _parse_rows(path, header, lines)
 
 
-def _require_finite(path, header, data, columns):
-    """Raise InputError at the first non-finite cell of ``data[:, columns]``, by line and column."""
-    bad = np.argwhere(~np.isfinite(data[:, columns]))
-    if bad.size:
-        row, col = bad[0]
-        column = columns[col]
-        raise InputError(
-            f"{path}, line {row + 2}, column {header[column]!r}: {float(data[row, column])!r} is not a finite number"
-        )
-
-
 def _parse_rows(path, header, lines):
     """The data rows cell by cell through ``float``; raises at the first bad line."""
     data = []
@@ -206,6 +184,37 @@ def _parse_rows(path, header, lines):
         except ValueError as exc:
             raise InputError(f"{path}, line {line}: {exc}") from exc
     return np.array(data)
+
+
+def read_series(path, columns, finite=True, exact=False):
+    """The ``time`` column and the ``columns`` (a (T, len(columns)) array) of the CSV at ``path``, found by name.
+
+    A column that is missing or named twice is an InputError naming the file
+    and the column; with ``exact``, so is a column besides ``time`` and
+    ``columns``. So is a cell of magnitude above MAX_NUMBER, named by line
+    and column, and a non-finite one: in ``time`` always, in ``columns``
+    with ``finite`` (a reading may be missing, a state may not).
+    """
+    header, data = read_csv(path)
+    names = ["time", *columns]
+    index = {name: i for i, name in enumerate(header)}  # a name's last column
+    twice = [name for i, name in enumerate(header) if index[name] != i]
+    missing = [name for name in names if name not in index]
+    extra = sorted(index.keys() - set(names), key=index.get) if exact else []
+    for found, what in ((twice, "column {!r} appears twice"), (missing, "no column {!r}"),
+                        (extra, "unexpected column {!r}")):
+        if found:
+            raise InputError(f"{path}: {what.format(found[0])}")
+    values = data[:, [index[name] for name in names]]
+    # a NaN fails the comparison: this finds the non-finite cells too
+    bad = ~(np.abs(values) <= MAX_NUMBER)
+    if not finite:
+        bad[:, 1:] &= np.isfinite(values[:, 1:])
+    if bad.any():
+        row, col = np.argwhere(bad)[0]
+        raise InputError(f"{path}, line {row + 2}, column {names[col]!r}: {float(values[row, col])!r} is not a finite "
+                         f"number (at most {MAX_NUMBER:g} in magnitude)")
+    return values[:, 0], values[:, 1:]
 
 
 # ---------------------------------------------------------------------------
@@ -312,6 +321,7 @@ POSITIVE_INT = Leaf(lambda v: _integer(v) and v > 0, "a positive integer")
 PATH = Leaf(lambda v: isinstance(v, str) and v != "", "a path (a non-empty string)")
 TRIPLE = Leaf(lambda v: isinstance(v, list) and len(v) == 3 and all(map(_number, v)), "a list of three finite numbers")
 MAX_SAMPLES = 10**7  # of a scenario: over a day at 100 Hz
+MAX_PLATE_OFFSET = 1e3  # m, per coordinate: a 48-DoF posterior fails to factorize with the plate 1e6 m off
 
 WAVEFORM = Kinds({
     "constant": Block({"value": (FINITE, 0.0)}),
@@ -330,7 +340,9 @@ SENSORS = Block({
     "base_wrench_variance": (POSITIVE, 1e-3),
     "contact_links": (Leaf(lambda v: isinstance(v, list) and all(isinstance(name, str) for name in v),
                            "a list of link names", "link"), []),
-    "fixed_base_pose": (Block({"xyz": (TRIPLE, [0, 0, 0]), "rpy": (TRIPLE, [0, 0, 0])}), None),
+    "fixed_base_pose": (Block({"xyz": (Leaf(lambda v: TRIPLE.ok(v) and all(abs(x) <= MAX_PLATE_OFFSET for x in v),
+                                            f"a list of three numbers of magnitude at most {MAX_PLATE_OFFSET:g}"),
+                                       [0, 0, 0]), "rpy": (TRIPLE, [0, 0, 0])}), None),
 })
 CONFIG = Block({
     "model": (PATH, None),
@@ -499,19 +511,9 @@ def cmd_simulate(config_path, model_override, out_dir, seed):
     truth = generate_ground_truth(scenario)
     obs = generate_observations(scenario, truth)
 
-    joint_names = [j.name for j in model.joints]
     traj_path = out / "trajectory.csv"
-    header = (
-        ["time"]
-        + [f"q_{n}" for n in joint_names]
-        + [f"qd_{n}" for n in joint_names]
-        + [f"qdd_{n}" for n in joint_names]
-    )
-    write_csv(
-        traj_path,
-        header,
-        np.column_stack([truth.times, truth.q, truth.qd, truth.qdd]),
-    )
+    write_csv(traj_path, ["time"] + joint_columns(model, "q", "qd", "qdd"),
+              np.column_stack([truth.times, truth.q, truth.qd, truth.qdd]))
 
     obs_path = out / "observations.csv"
     names = channel_names(model, scenario.sensor_specs)
@@ -519,9 +521,7 @@ def cmd_simulate(config_path, model_override, out_dir, seed):
 
     layout = DynLayout(model)
     gt_path = out / "ground_truth.csv"
-    gt_header = (
-        ["time"] + [f"q_{n}" for n in joint_names] + [f"qd_{n}" for n in joint_names] + layout.column_names()
-    )
+    gt_header = ["time"] + joint_columns(model, "q", "qd") + layout.column_names()
     write_csv(gt_path, gt_header, np.column_stack([truth.times, truth.q, truth.qd, truth.d]))
 
     poses_path = out / "link_poses.csv"
@@ -534,10 +534,21 @@ def cmd_simulate(config_path, model_override, out_dir, seed):
     click.echo(f"simulated {truth.times.size} samples -> {out} (manifest {manifest.name})")
 
 
+def joint_columns(model, *quantities):
+    """The columns of per-joint ``quantities`` (``q``, ``qd``, ``qdd``) in ``trajectory.csv``, quantity by quantity."""
+    return [f"{quantity}_{joint.name}" for quantity in quantities for joint in model.joints]
+
+
+def pose_columns(model):
+    """The columns of ``link_poses.csv``: each real (not dummy) link's origin and roll-pitch-yaw, in link order."""
+    return [f"{link.name}_{c}" for link in model.links if not link.is_dummy
+            for c in ("x", "y", "z", "roll", "pitch", "yaw")]
+
+
 def _write_link_poses(path, model, truth):
     real = [i for i, link in enumerate(model.links) if not link.is_dummy]
-    header = ["time"] + [f"{model.links[i].name}_{c}" for i in real for c in ("x", "y", "z", "roll", "pitch", "yaw")]
-    write_csv(path, header, np.column_stack([truth.times, truth.link_poses[:, real].reshape(truth.times.size, -1)]))
+    write_csv(path, ["time"] + pose_columns(model),
+              np.column_stack([truth.times, truth.link_poses[:, real].reshape(truth.times.size, -1)]))
 
 
 # the estimator of this process's `estimate` samples, a pool worker's or the caller's
@@ -597,7 +608,7 @@ def _estimate_chunk(args):
     """One chunk of samples, estimated and formatted where it runs.
 
     Returns the chunk's lines of ``estimates.csv`` and ``marginal_std.csv``,
-    time column first, formatted by ``_csv_lines``: a pool's workers format
+    time column first, formatted by ``csv_lines``: a pool's workers format
     their own samples, and the parent only writes the text. The serial
     path runs this same function in-process. Also returns the
     per-sample unobserved dimensions and joint-limit violation counts, the
@@ -608,7 +619,7 @@ def _estimate_chunk(args):
     # the output rows with the time in column 0, formatted as they stand
     means = np.column_stack([times, posterior.mean])
     stds = np.column_stack([times, np.sqrt(posterior.variances)])
-    return (indices, _csv_lines(means), _csv_lines(stds), posterior.unobserved,
+    return (indices, csv_lines(means), csv_lines(stds), posterior.unobserved,
             check_joint_angles(_estimator.model, q_rows), blas_threads(), float(posterior.pivot_ratio.min()))
 
 
@@ -626,40 +637,29 @@ def cmd_estimate(config_path, model_override, out_dir, workers):
     covariances = covariances_from_config(checked)
 
     inputs = checked["inputs"]
-    obs_header, obs_data = read_csv(inputs["observations"])
-    expected = ["time"] + channel_names(model, specs)
-    if obs_header != expected:
-        raise InputError("observation CSV channels do not match the sensor config")
-    times = obs_data[:, 0]
-    y_series = obs_data[:, 1:]
-    # a non-finite reading is missing: the estimator gives it zero weight
+    # the configured channels, in any order; a non-finite reading is missing: the estimator gives it zero weight
+    times, y_series = read_series(inputs["observations"], channel_names(model, specs), finite=False, exact=True)
     missing = int(np.count_nonzero(~np.isfinite(y_series)))
 
-    input_files = [model_path, Path(inputs["observations"])]
+    # a state has no variance: unlike a reading, a non-finite one cannot be missing
+    state_path = inputs["state"] or inputs["link_poses"]
     if inputs["state"] is not None:
-        header, data = read_csv(inputs["state"])
-        n = model.n_dof
-        if data.shape[1] < 1 + 2 * n:
-            raise InputError(
-                f"state CSV needs time plus q and qd columns ({1 + 2 * n}), found {data.shape[1]}"
-            )
-        # a state has no variance: unlike a reading, a non-finite one cannot be missing
-        _require_finite(inputs["state"], header, data, np.arange(1, 1 + 2 * n))
-        q_series = data[:, 1: 1 + n]
-        qd_series = data[:, 1 + n: 1 + 2 * n]
-        input_files.append(Path(inputs["state"]))
-        ik_unconverged = []
+        _, state = read_series(state_path, joint_columns(model, "q", "qd"))
     else:
-        q_series, qd_series, ik_unconverged = _state_from_poses(model, checked["sg"], inputs["link_poses"])
-        input_files.append(Path(inputs["link_poses"]))
-    if q_series.shape[0] != times.size:
-        raise InputError("state and observation sample counts disagree")
+        pose_times, state = read_series(state_path, pose_columns(model))
+        _check_pose_times(checked["sg"], state_path, pose_times)
+    # checked before the IK runs
+    if len(state) != times.size:
+        raise InputError(f"{state_path} holds {len(state)} samples, {inputs['observations']} {times.size}")
+    if inputs["state"] is not None:
+        (q_series, qd_series), ik_unconverged = np.hsplit(state, 2), []
+    else:
+        q_series, qd_series, ik_unconverged = _state_from_poses(model, checked["sg"], pose_times, state)
+    input_files = [model_path, Path(inputs["observations"]), Path(state_path)]
 
     marg_idx = _marginal_indices(layout, checked["marginals"])
     n_workers = workers or checked["workers"] or (os.cpu_count() or 1)
     n_samples = times.size
-    if n_samples < 8:
-        n_workers = 1
     chunks = _make_chunks(times, q_series, qd_series, y_series, n_workers)
     # a fork pool starts all its workers at the first task: one per chunk at most
     n_workers = min(n_workers, len(chunks))
@@ -758,51 +758,43 @@ def _make_chunks(times, q_series, qd_series, y_series, n_workers):
     return [(idx, times[idx], q_series[idx], qd_series[idx], y_series[idx]) for idx in bounds if idx.size]
 
 
-def _state_from_poses(model, sg, poses_path):
-    """IK + smoothing differentiation (the checked ``sg`` block) from a per-link world-pose series.
-
-    Returns q, qd and the indices of the frames whose IK did not converge.
-    """
-    header, data = read_csv(poses_path)
-    times = data[:, 0]
-    window, order = sg["window"], sg["order"]
+def _check_pose_times(sg, poses_path, times):
+    """Enough pose ``times`` for the smoothing order of the checked ``sg`` block, increasing; else an InputError."""
+    order = sg["order"]
     min_window = order + 1 + order % 2  # the smallest odd window above the order
     if times.size < min_window:
         raise InputError(
             f"{poses_path}: smoothing order {order} needs at least {min_window} pose samples, got {times.size}"
         )
-    col = {name: i for i, name in enumerate(header)}
-    real = [l.name for l in model.links if not l.is_dummy]
-    for name in real:
-        if f"{name}_x" not in col:
-            raise InputError(f"pose CSV lacks columns for link {name!r}")
-    _require_finite(poses_path, header, data, np.concatenate([col[f"{name}_x"] + np.arange(6) for name in real]))
+    late = np.flatnonzero(~(np.diff(times) > 0))
+    if late.size:
+        raise InputError(f"{poses_path}, line {late[0] + 3}: time {float(times[late[0] + 1])!r} does not increase")
 
-    pairs = _real_link_pairs(model)
-    n = model.n_dof
-    q_series = np.zeros((times.size, n))
-    q_prev = None
-    unconverged = []
-    for k in range(times.size):
-        poses = {}
-        for name in real:
-            i0 = col[f"{name}_x"]
-            xyz = data[k, i0: i0 + 3]
-            rpy = data[k, i0 + 3: i0 + 6]
-            poses[name] = HomTransform.from_rpy(xyz, rpy)
-        targets = {}
-        for parent, child in pairs:
-            targets[(parent, child)] = poses[parent].inverse() @ poses[child]
-        result = ik_frame_match(model, targets, q_init=q_prev)
-        q_series[k] = result.q
-        q_prev = result.q
-        if not result.converged:
-            unconverged.append(k)
 
+def _state_from_poses(model, sg, times, poses):
+    """IK + smoothing differentiation (the checked ``sg`` block) from a per-link world-pose series.
+
+    Each row of ``poses`` holds the ``pose_columns``. Returns q, qd and the
+    indices of the frames whose IK did not converge.
+    """
+    window, order = sg["window"], sg["order"]
     if times.size < window:
         window = times.size - (1 - times.size % 2)  # the largest odd window that fits
         log.warning("short series: smoothing window reduced to %d", window)
-    dt = float(np.median(np.diff(times))) if times.size > 1 else 1.0
+    real = [link.name for link in model.links if not link.is_dummy]
+    pairs = _real_link_pairs(model)
+    q_series = np.zeros((times.size, model.n_dof))
+    unconverged = []
+    for k, frame in enumerate(poses.reshape(times.size, len(real), 6)):
+        world = {name: HomTransform.from_rpy(pose[:3], pose[3:]) for name, pose in zip(real, frame)}
+        targets = {(parent, child): world[parent].inverse() @ world[child] for parent, child in pairs}
+        # each frame starts from the one before
+        result = ik_frame_match(model, targets, q_init=q_series[k - 1] if k else None)
+        q_series[k] = result.q
+        if not result.converged:
+            unconverged.append(k)
+
+    dt = float(np.median(np.diff(times)))
     qd_series, _ = savitzky_golay_derivatives(q_series, dt, window=window, order=order)
     return q_series, qd_series, unconverged
 
@@ -810,12 +802,11 @@ def _state_from_poses(model, sg, poses_path):
 def _real_link_pairs(model):
     pairs = []
     for i in range(1, model.n_moving + 1):
-        if model.links[i].is_dummy:
-            continue
         k = model.parent[i]
         while k != 0 and model.links[k].is_dummy:
             k = model.parent[k]
-        pairs.append((model.links[k].name, model.links[i].name))
+        if not model.links[i].is_dummy:
+            pairs.append((model.links[k].name, model.links[i].name))
     return pairs
 
 
@@ -873,7 +864,7 @@ def cmd_fusion(config_path, model_override, out_dir):
     with open(table_path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["joint"] + names + ["monotonic_non_increasing"])
-        for joint, variances, cells in zip(model.joints, per_case.T, _csv_lines(per_case.T).splitlines()):
+        for joint, variances, cells in zip(model.joints, per_case.T, csv_lines(per_case.T).splitlines()):
             verdict = bool(np.all(np.diff(variances) <= 1e-12))
             writer.writerow([joint.name] + cells.split(",") + [str(verdict)])
     manifest = write_manifest(out, "fusion", cfg, cfg.get("seed"), inputs=[model_path], outputs=[table_path])

@@ -11,8 +11,18 @@ from mapdyn.spatial import HomTransform, se3_log
 from mapdyn.model.tree import KinematicTreeModel, ModelError
 
 
+# how far an angle may pass its joint's limit and still count as inside: rounding, not a posture
+LIMIT_TOL = 1e-9
+
+
+def outside_limits(model: KinematicTreeModel, q):
+    """Whether each angle of ``q`` ((n_dof,) or (T, n_dof)) lies more than LIMIT_TOL outside its joint's limits."""
+    lo, hi = model.limits()
+    return (q < lo - LIMIT_TOL) | (q > hi + LIMIT_TOL)
+
+
 def check_joint_angles(model: KinematicTreeModel, q):
-    """Number of joints outside their limits, per sample of ``q``.
+    """Number of joints outside their limits (``outside_limits``), per sample of ``q``.
 
     ``q`` is (n_dof,) for one sample (the count is then an int) or a
     (T, n_dof) stack (an array of T counts). Violations never fail:
@@ -24,8 +34,7 @@ def check_joint_angles(model: KinematicTreeModel, q):
         raise ModelError(f"expected q of length {model.n_dof}, got shape {q.shape}")
     if np.iscomplexobj(q):
         return np.zeros(q.shape[:-1], dtype=int)[()]
-    lo, hi = model.limits()
-    return np.count_nonzero((q < lo - 1e-12) | (q > hi + 1e-12), axis=-1)
+    return np.count_nonzero(outside_limits(model, q), axis=-1)
 
 
 def forward_kinematics(model: KinematicTreeModel, q) -> list:

@@ -13,6 +13,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from mapdyn.dynamics import DynLayout, inverse_dynamics, kinematic_sweep, link_accelerations, sample_chunks
+from mapdyn.model.kinematics import outside_limits
 from mapdyn.model.tree import KinematicTreeModel, ModelError
 from mapdyn.sensors import MeasurementAssembler, canonical_order, simulate_readings
 from mapdyn.spatial import GRAVITY_SPATIAL, adjoint_motion, matrix_to_rpy
@@ -138,8 +139,7 @@ def sample_trajectory(model, trajectory: TrajectorySpec):
     whose positions leave the model's limits.
     """
     t, q, qd, qdd = trajectory.sample()
-    lo, hi = model.limits()
-    bad = np.flatnonzero((q < lo - 1e-9).any(axis=0) | (q > hi + 1e-9).any(axis=0))
+    bad = np.flatnonzero(outside_limits(model, q).any(axis=0))
     if bad.size:
         names = ", ".join(repr(model.joints[i].name) for i in bad[:5])
         raise ModelError(f"scenario.trajectory leaves the joint limits at joints {names}")
@@ -178,14 +178,14 @@ def generate_ground_truth(scenario: SyntheticScenario) -> GroundTruth:
     return GroundTruth(t, q, qd, qdd, d, readings, poses)
 
 
-def generate_observations(scenario: SyntheticScenario, truth: GroundTruth, noiseless=False):
-    """The truth's readings plus channel noise of the scenario's sensor variances.
+def generate_observations(scenario: SyntheticScenario, truth: GroundTruth):
+    """The truth's readings plus channel noise of the scenario's sensor variances; none if the seed is None.
 
     The noise is drawn sample by sample, in one call from the stream the
     scenario's seed starts, so a sample's readings do not depend on the
     length of the series.
     """
-    if noiseless or scenario.seed is None:
+    if scenario.seed is None:
         return truth.readings.copy()
     variances = np.concatenate([spec.variance for spec in canonical_order(scenario.sensor_specs)])
     return truth.readings + np.random.default_rng(scenario.seed).normal(0.0, np.sqrt(variances), truth.readings.shape)

@@ -39,7 +39,6 @@ from mapdyn.simharness import (
     SyntheticScenario,
     TrajectorySpec,
     generate_ground_truth,
-    generate_observations,
     link_motion,
     synthesize_sensor_streams,
 )
@@ -229,7 +228,7 @@ def test_05_end_to_end_recovery(human48, human48_scenario, human48_truth):
     mat_d, mat_y = casm.matrix(values_d[0]), masm.matrix(values_y[0])
 
     # zero noise, exact-confidence settings: per-channel recovery of d*
-    clean = generate_observations(human48_scenario, truth, noiseless=True)
+    clean = truth.readings
     plan = MapProblem(
         mat_d, b_d[0], mat_y, b_y[0], clean[0], sigma_D=1e-10, sigma_y=1e-12, sigma_d=1e8,
     ).plan()

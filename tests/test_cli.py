@@ -624,6 +624,110 @@ class TestEstimate:
         assert "1 samples outside joint limits" in capsys.readouterr().out
         assert json.loads((tmp_path / "est" / "manifest.json").read_text())["joint_limit_samples"] == 1
 
+    def _pose_config(self, tmp_path, config, poses):
+        est_cfg = json.loads(Path(config).read_text())
+        est_cfg["inputs"]["link_poses"] = str(poses)
+        del est_cfg["inputs"]["state"]
+        est_cfg["sg"] = {"window": 11, "order": 3}
+        return write_config(tmp_path, est_cfg, "poses.json")
+
+    @pytest.mark.parametrize("source", ["state", "link_poses"])
+    def test_permuted_columns_write_the_same_bytes(self, two_link_setup, source):
+        """Columns are found by name: a state or pose file with its columns shuffled gives the same outputs."""
+        tmp_path, cfg = two_link_setup
+        config, _ = self._simulate(tmp_path, cfg)
+        path = Path(cfg["out"]) / ("trajectory.csv" if source == "state" else "link_poses.csv")
+        if source == "link_poses":
+            config = self._pose_config(tmp_path, config, path)
+        outputs = []
+        for shuffle in (False, True):
+            if shuffle:
+                header, rows = read_rows(path)
+                order = list(range(len(header)))
+                random.Random(5).shuffle(order)
+                assert order[0] != 0
+                with open(path, "w", newline="") as fh:
+                    csv.writer(fh).writerows([[row[i] for i in order] for row in [header] + rows])
+            assert main(["estimate", "--config", config, "--workers", "1"]) == 0
+            outputs.append([(tmp_path / "est" / name).read_bytes() for name in ("estimates.csv", "marginal_std.csv")])
+        assert outputs[0] == outputs[1]
+
+    @pytest.mark.parametrize("case, message", [
+        ("missing q", "trajectory.csv: no column 'q_joint2'"),
+        ("duplicated", "trajectory.csv: column 'qd_joint1' appears twice"),
+        ("extra channel", "observations.csv: unexpected column 'extra'"),
+        ("missing channel", "observations.csv: no column 'ddq_joint1'"),
+        ("missing pose", "link_poses.csv: no column 'link2_yaw'"),
+        ("fewer states", "trajectory.csv holds 29 samples, {obs} 30"),
+        ("repeated pose time", "link_poses.csv, line 5: time 0.03333333333333333 does not increase"),
+    ])
+    def test_bad_series_exits_2_with_its_message(self, two_link_setup, capsys, case, message):
+        tmp_path, cfg = two_link_setup
+        config, _ = self._simulate(tmp_path, cfg)
+        sim = Path(cfg["out"])
+        name = {"extra channel": "observations.csv", "missing channel": "observations.csv",
+                "missing pose": "link_poses.csv", "repeated pose time": "link_poses.csv"}.get(case, "trajectory.csv")
+        header, rows = read_rows(sim / name)
+        if case == "fewer states":
+            rows = rows[:-1]
+        elif case == "repeated pose time":
+            rows[3][0] = rows[2][0]
+        elif case == "extra channel":
+            header, rows = header + ["extra"], [row + ["0.0"] for row in rows]
+        else:
+            column = header.index({"missing q": "q_joint2", "duplicated": "qd_joint2", "missing channel": "ddq_joint1",
+                                   "missing pose": "link2_yaw"}[case])
+            header[column] = "qd_joint1" if case == "duplicated" else "unused"
+        with open(sim / name, "w", newline="") as fh:
+            csv.writer(fh).writerows([header] + rows)
+        if name == "link_poses.csv":
+            config = self._pose_config(tmp_path, config, sim / name)
+        assert main(["estimate", "--config", config, "--workers", "1"]) == 2
+        err = capsys.readouterr().err
+        assert message.format(obs=sim / "observations.csv") in err and len(err.splitlines()) == 1
+
+    @pytest.mark.parametrize("name, column, value", [
+        ("observations.csv", "imu_link2_x", "1e300"), ("trajectory.csv", "qd_joint2", "1e200"),
+        ("trajectory.csv", "q_joint1", "-1000000000000.1"), ("observations.csv", "time", "nan"),
+    ])
+    @pytest.mark.filterwarnings("error")
+    def test_cell_beyond_the_number_bound_exits_2_naming_it(self, two_link_setup, capsys, name, column, value):
+        """A cell above MAX_NUMBER in magnitude exits 2 where it is read, by file, line and column, and warns nothing."""
+        tmp_path, cfg = two_link_setup
+        config, _ = self._simulate(tmp_path, cfg)
+        path = Path(cfg["out"]) / name
+        header, rows = read_rows(path)
+        rows[6][header.index(column)] = value
+        with open(path, "w", newline="") as fh:
+            csv.writer(fh).writerows([header] + rows)
+        assert main(["estimate", "--config", config, "--workers", "1"]) == 2
+        err = capsys.readouterr().err
+        assert err == (f"input error: {path}, line 8, column {column!r}: {float(value)!r} is not a finite number "
+                       "(at most 1e+12 in magnitude)\n")
+
+    def test_tau_ddq_marginals_are_the_tau_then_the_ddq_columns(self, two_link_setup):
+        tmp_path, cfg = two_link_setup
+        config, n_samples = self._simulate(tmp_path, cfg)
+        est_cfg = dict(json.loads(Path(config).read_text()), marginals="tau_ddq")
+        assert main(["estimate", "--config", write_config(tmp_path, est_cfg, "tau_ddq.json"), "--workers", "1"]) == 0
+        header, rows = read_rows(tmp_path / "est" / "marginal_std.csv")
+        assert header == ["time", "tau_joint1", "tau_joint2", "ddq_joint1", "ddq_joint2"]
+        assert len(rows) == n_samples
+        est_header, est_rows = read_rows(tmp_path / "est" / "estimates.csv")
+        assert [row[0] for row in rows] == [row[0] for row in est_rows]
+
+    @pytest.mark.parametrize("offset, rc", [(1e3, 0), (-1e3, 0), (1000.5, 2), (-2e3, 2)])
+    def test_force_plate_offset_is_bounded(self, two_link_setup, capsys, offset, rc):
+        """Each coordinate of `sensors.fixed_base_pose.xyz` is at most MAX_PLATE_OFFSET (1e3 m) in magnitude."""
+        tmp_path, cfg = two_link_setup
+        config, _ = self._simulate(tmp_path, cfg)
+        est_cfg = json.loads(Path(config).read_text())
+        est_cfg["sensors"]["fixed_base_pose"] = {"xyz": [offset, 0.0, offset]}
+        assert main(["estimate", "--config", write_config(tmp_path, est_cfg, "plate.json"), "--workers", "1"]) == rc
+        if rc:
+            assert "'sensors.fixed_base_pose.xyz' must be a list of three numbers of magnitude at most 1000" in (
+                capsys.readouterr().err)
+
 
 # five wrench channels whose loss leaves two directions of d unobserved on
 # the LeftFoot-rooted 48-DoF model with these contact links
@@ -777,7 +881,8 @@ class TestWriteCsv:
 
 class TestReadCsv:
     def test_values_bit_identical_to_float(self, tmp_path):
-        from mapdyn.cli import _csv_lines, read_csv, write_csv
+        from mapdyn.cli import read_csv, write_csv
+        from mapdyn.floatrepr import csv_lines
 
         rng = np.random.default_rng(8)
         special = [float("nan"), float("inf"), -float("inf"), -0.0, 0.0, 5e-324, -5e-324, 2.2250738585072014e-308,
@@ -790,7 +895,7 @@ class TestReadCsv:
         lines = path.read_text().splitlines()[1:]
         # the one formatter of every output writes what float's repr writes
         assert lines[0].startswith("nan,inf,-inf,-0.0,0.0,5e-324,-5e-324,")
-        assert _csv_lines([special]) == ",".join(map(repr, special)) + "\r\n"
+        assert csv_lines([special]) == ",".join(map(repr, special)) + "\r\n"
         expected = np.array([[float(cell) for cell in line.split(",")] for line in lines])
         assert header == [f"c{i}" for i in range(len(special))]
         assert data.shape == expected.shape
@@ -1292,3 +1397,77 @@ def test_seeded_config_mutations_exit_0_or_2(tmp_path, capsys, monkeypatch):
             assert any(name in err for name in expected), context
         exits[rc] += 1
     assert exits[0] > 30 and exits[2] > 150
+
+
+MUTATIONS = ["truncate", "ragged", "non-numeric", "huge", "non-finite", "duplicate", "swap", "shuffle"]
+
+
+def _mutate_csv(text, kind, rng):
+    """``text``, a CSV, with one ``kind`` of damage at a seeded place: its header's names or one of its rows."""
+    if kind == "truncate":
+        return text[:rng.randrange(len(text))]
+    lines = text.splitlines()
+    header, row = lines[0].split(","), rng.randrange(1, len(lines))
+    cells, col, other = lines[row].split(","), rng.randrange(len(header)), rng.randrange(len(header) - 1)
+    other += other >= col  # a column besides col
+    if kind == "ragged":
+        cells = cells[:-1] if rng.random() < 0.5 else cells + ["0.5"]
+    elif kind in ("non-numeric", "huge", "non-finite"):
+        cells[col] = rng.choice({"non-numeric": ["abc", "", "1.2.3", "1e"], "huge": ["1e300", "-2e12", "1e12", "-1e12"],
+                                 "non-finite": ["nan", "inf", "-inf"]}[kind])
+    elif kind == "duplicate":
+        header[col] = header[other]
+    elif kind == "swap":  # two names trade places, the values stay
+        header[col], header[other] = header[other], header[col]
+    else:
+        rng.shuffle(header)
+    lines[0], lines[row] = ",".join(header), ",".join(cells)
+    return "\n".join(lines) + "\n"
+
+
+def test_seeded_input_csv_mutations_exit_0_2_or_3(two_link_setup, capsys):
+    """120 seeded mutations of `estimate`'s three input CSVs: observations, state and link poses.
+
+    Each run returns 0, 2 or 3 with no traceback and no warning (warnings
+    are errors here); a failing run prints one line. A run that exits 0
+    writes only finite cells, and counts every non-finite reading of its
+    observations as missing.
+    """
+    import warnings
+
+    tmp_path, cfg = two_link_setup
+    assert main(["simulate", "--config", write_config(tmp_path, cfg, "sim.json")]) == 0
+    sim = Path(cfg["out"])
+    files = {name: (sim / f"{name}.csv").read_text() for name in ("observations", "trajectory", "link_poses")}
+    est_cfg = dict(cfg, out=str(tmp_path / "est"), sg={"window": 11, "order": 3})
+    configs = {source: write_config(tmp_path, dict(est_cfg, inputs={
+        "observations": str(sim / "observations.csv"), source: str(sim / f"{name}.csv")}), f"{source}.json")
+        for source, name in (("state", "trajectory"), ("link_poses", "link_poses"))}
+
+    rng = random.Random(2701)
+    exits = {0: 0, 2: 0, 3: 0}
+    for _ in range(120):
+        name, kind = rng.choice(list(files)), rng.choice(MUTATIONS)
+        source = {"trajectory": "state", "link_poses": "link_poses"}.get(name) or rng.choice(list(configs))
+        for other, text in files.items():
+            (sim / f"{other}.csv").write_text(_mutate_csv(text, kind, rng) if other == name else text)
+        context = f"{kind} of {name}.csv, {source} run"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            try:
+                rc = main(["estimate", "--config", configs[source], "--workers", "1"])
+            except Exception as exc:
+                raise AssertionError(context) from exc
+        out, err = capsys.readouterr()
+        context += f": exit {rc}, {err!r}"
+        assert rc in exits and "Traceback" not in err, context
+        assert len(err.splitlines()) == (rc != 0), context
+        if rc == 0:
+            for output in ("estimates.csv", "marginal_std.csv"):
+                assert np.isfinite(np.array(read_rows(tmp_path / "est" / output)[1], dtype=float)).all(), context
+            readings = np.array(read_rows(sim / "observations.csv")[1], dtype=float)[:, 1:]
+            missing = json.loads((tmp_path / "est" / "manifest.json").read_text())["missing_readings"]
+            assert missing == np.count_nonzero(~np.isfinite(readings)), context
+            assert f"{missing} missing readings" in out, context
+        exits[rc] += 1
+    assert exits[0] > 20 and exits[2] > 60, exits

@@ -56,6 +56,22 @@ class TestWaveforms:
             waveform_from_config({"kind": "sawtooth"})
 
 
+@pytest.mark.parametrize("past, inside", [(5e-10, True), (2e-9, False)])
+def test_simulate_and_estimate_share_one_joint_limit_rule(two_link_model, past, inside):
+    """An angle within 1e-9 rad past its limit counts as inside, both for the scripted trajectory and for a state."""
+    from mapdyn.model.kinematics import check_joint_angles
+    from mapdyn.simharness import sample_trajectory
+
+    angle = two_link_model.limits()[1][0] + past
+    trajectory = TrajectorySpec([Constant(angle), Constant(0.0)], 0.1, 50.0)
+    assert check_joint_angles(two_link_model, np.array([angle, 0.0])) == (0 if inside else 1)
+    if inside:
+        sample_trajectory(two_link_model, trajectory)
+    else:
+        with pytest.raises(ModelError, match="'joint1'"):
+            sample_trajectory(two_link_model, trajectory)
+
+
 class TestGroundTruth:
     def test_constant_trajectory_static(self, two_link_model):
         scenario = SyntheticScenario(
@@ -131,7 +147,7 @@ class TestObservations:
     def test_zero_noise_round_trips_through_map(self, two_link_model):
         scenario = scenario_for(two_link_model, duration=0.1, rate=50.0)
         truth = generate_ground_truth(scenario)
-        obs = generate_observations(scenario, truth, noiseless=True)
+        obs = truth.readings
         casm = ConstraintAssembler(two_link_model)
         masm = MeasurementAssembler(two_link_model, scenario.sensor_specs)
         for k in range(truth.times.size):
@@ -180,7 +196,7 @@ class TestObservations:
     def test_noise_scaling(self, two_link_model):
         base = scenario_for(two_link_model, duration=6.0, rate=100.0)
         truth = generate_ground_truth(base)
-        clean = generate_observations(base, truth, noiseless=True)
+        clean = truth.readings
 
         def residual_std(scale):
             specs = default_sensor_specs(
