@@ -320,6 +320,11 @@ NON_NEGATIVE = Leaf(lambda v: _number(v) and v >= 0, f"a non-negative finite num
 POSITIVE_INT = Leaf(lambda v: _integer(v) and v > 0, "a positive integer")
 PATH = Leaf(lambda v: isinstance(v, str) and v != "", "a path (a non-empty string)")
 TRIPLE = Leaf(lambda v: isinstance(v, list) and len(v) == 3 and all(map(_number, v)), "a list of three finite numbers")
+# the smallest variance of a sensor channel or of the constraints: a 48-DoF posterior fails to factorize with a
+# wrench or ddq variance of 1e-15
+MIN_VARIANCE = 1e-12
+VARIANCE = Leaf(lambda v: _number(v) and v >= MIN_VARIANCE,
+                f"a positive finite number from {MIN_VARIANCE:g} to {MAX_NUMBER:g}")
 MAX_SAMPLES = 10**7  # of a scenario: over a day at 100 Hz
 MAX_PLATE_OFFSET = 1e3  # m, per coordinate: a 48-DoF posterior fails to factorize with the plate 1e6 m off
 
@@ -333,11 +338,11 @@ WAVEFORM = Kinds({
 LANDMARKS = MapOf(TRIPLE, "landmark")
 SENSORS = Block({
     "include_imus": (Leaf(lambda v: isinstance(v, bool), "true or false"), True),
-    "imu_variance": (POSITIVE, 1e-3),
-    "ddq_variance": (POSITIVE, 1e-3),
-    "wrench_variance": (POSITIVE, 1e-6),
-    "contact_wrench_variance": (POSITIVE, 1e-3),
-    "base_wrench_variance": (POSITIVE, 1e-3),
+    "imu_variance": (VARIANCE, 1e-3),
+    "ddq_variance": (VARIANCE, 1e-3),
+    "wrench_variance": (VARIANCE, 1e-6),
+    "contact_wrench_variance": (VARIANCE, 1e-3),
+    "base_wrench_variance": (VARIANCE, 1e-3),
     "contact_links": (Leaf(lambda v: isinstance(v, list) and all(isinstance(name, str) for name in v),
                            "a list of link names", "link"), []),
     "fixed_base_pose": (Block({"xyz": (Leaf(lambda v: TRIPLE.ok(v) and all(abs(x) <= MAX_PLATE_OFFSET for x in v),
@@ -365,7 +370,7 @@ CONFIG = Block({
         f"'{{path}}.duration' times '{{path}}.rate' must give 1 to {MAX_SAMPLES} samples, got {{duration}} "
         "and {rate}")), None),
     "sensors": (SENSORS, {}),
-    "covariances": (Block({"sigma_D": (POSITIVE, 1e-4), "sigma_d": (POSITIVE, 1e4), "mu_d": (FINITE, 0.0)}), {}),
+    "covariances": (Block({"sigma_D": (VARIANCE, 1e-4), "sigma_d": (POSITIVE, 1e4), "mu_d": (FINITE, 0.0)}), {}),
     "sg": (Block({"window": (POSITIVE_INT, 57), "order": (POSITIVE_INT, 3)}, (
         lambda sg: sg["window"] % 2 == 1 and sg["window"] > sg["order"],
         "'{path}.window' must be odd and larger than '{path}.order' ({order}), got {window}")), {}),
@@ -454,12 +459,6 @@ def scenario_from_config(model, cfg) -> SyntheticScenario:
               for link, channels in cfg["scenario"]["external_forces"].items()}
     return SyntheticScenario(model, trajectory_from_config(model, cfg), sensor_specs_from_config(model, cfg),
                              external_forces=forces, seed=cfg["seed"])
-
-
-def covariances_from_config(cfg):
-    """(sigma_D, sigma_d, mu_d) of the checked config."""
-    cov = cfg["covariances"]
-    return cov["sigma_D"], cov["sigma_d"], cov["mu_d"]
 
 
 # ---------------------------------------------------------------------------
@@ -593,7 +592,7 @@ def _estimate_worker_init(model, specs, covariances, marginal_idx):
     # one BLAS thread per worker: the pool already saturates the cores
     set_blas_threads(1)
     _keep_freed_heap()
-    _estimator = MapEstimator(model, specs, *covariances, marginal_idx)
+    _estimator = MapEstimator(model, specs, marginals=marginal_idx, **covariances)
 
 
 def _marginal_indices(layout, mode):
@@ -610,17 +609,16 @@ def _estimate_chunk(args):
     Returns the chunk's lines of ``estimates.csv`` and ``marginal_std.csv``,
     time column first, formatted by ``csv_lines``: a pool's workers format
     their own samples, and the parent only writes the text. The serial
-    path runs this same function in-process. Also returns the
-    per-sample unobserved dimensions and joint-limit violation counts, the
-    BLAS thread counts read back and the chunk's smallest pivot ratio.
+    path runs this same function in-process. Also returns the posterior's
+    per-sample unobserved dimensions and pivot ratios, and the BLAS thread
+    counts read back.
     """
-    indices, times, q_rows, qd_rows, y_rows = args
+    times, q_rows, qd_rows, y_rows = args
     posterior = _estimator.estimate(q_rows, qd_rows, y_rows)
     # the output rows with the time in column 0, formatted as they stand
     means = np.column_stack([times, posterior.mean])
     stds = np.column_stack([times, np.sqrt(posterior.variances)])
-    return (indices, csv_lines(means), csv_lines(stds), posterior.unobserved,
-            check_joint_angles(_estimator.model, q_rows), blas_threads(), float(posterior.pivot_ratio.min()))
+    return csv_lines(means), csv_lines(stds), posterior.unobserved, posterior.pivot_ratio, blas_threads()
 
 
 @cli.command("estimate")
@@ -634,39 +632,33 @@ def cmd_estimate(config_path, model_override, out_dir, workers):
     model, model_path = load_model_from_config(checked)
     specs = sensor_specs_from_config(model, checked)
     layout = DynLayout(model)
-    covariances = covariances_from_config(checked)
 
     inputs = checked["inputs"]
     # the configured channels, in any order; a non-finite reading is missing: the estimator gives it zero weight
     times, y_series = read_series(inputs["observations"], channel_names(model, specs), finite=False, exact=True)
     missing = int(np.count_nonzero(~np.isfinite(y_series)))
 
+    from_poses = inputs["state"] is None
+    state_path = inputs["link_poses"] if from_poses else inputs["state"]
     # a state has no variance: unlike a reading, a non-finite one cannot be missing
-    state_path = inputs["state"] or inputs["link_poses"]
-    if inputs["state"] is not None:
-        _, state = read_series(state_path, joint_columns(model, "q", "qd"))
-    else:
-        pose_times, state = read_series(state_path, pose_columns(model))
-        _check_pose_times(checked["sg"], state_path, pose_times)
+    state_times, state = read_series(state_path, pose_columns(model) if from_poses else joint_columns(model, "q", "qd"))
     # checked before the IK runs
-    if len(state) != times.size:
-        raise InputError(f"{state_path} holds {len(state)} samples, {inputs['observations']} {times.size}")
-    if inputs["state"] is not None:
-        (q_series, qd_series), ik_unconverged = np.hsplit(state, 2), []
+    _check_state_times(state_path, state_times, inputs["observations"], times, checked["sg"] if from_poses else None)
+    if from_poses:
+        q_series, qd_series, ik_unconverged = _state_from_poses(model, checked["sg"], state_times, state)
     else:
-        q_series, qd_series, ik_unconverged = _state_from_poses(model, checked["sg"], pose_times, state)
+        (q_series, qd_series), ik_unconverged = np.hsplit(state, 2), []
     input_files = [model_path, Path(inputs["observations"]), Path(state_path)]
 
     marg_idx = _marginal_indices(layout, checked["marginals"])
     n_workers = workers or checked["workers"] or (os.cpu_count() or 1)
-    n_samples = times.size
     chunks = _make_chunks(times, q_series, qd_series, y_series, n_workers)
     # a fork pool starts all its workers at the first task: one per chunk at most
     n_workers = min(n_workers, len(chunks))
 
     t_start = time.perf_counter()
     # the pool's parent builds no estimator: each worker builds its own
-    init_args = (model, specs, covariances, marg_idx)
+    init_args = (model, specs, checked["covariances"], marg_idx)
     if n_workers == 1:
         # in-process: hand the caller its own BLAS thread counts back
         previous = blas_threads()
@@ -681,33 +673,26 @@ def cmd_estimate(config_path, model_override, out_dir, workers):
             results = list(pool.map(_estimate_chunk, chunks))
     wall = time.perf_counter() - t_start
 
-    unobserved = np.empty(n_samples)
-    limit_violations = np.empty(n_samples, dtype=int)
+    # the chunks come back in sample order: each column below spans the series
+    est_lines, std_lines, unobserved, pivot_ratio, threads = zip(*results)
+    unobserved = np.concatenate(unobserved)
     # per bundled copy, the most threads any worker read back
     worker_blas = {}
-    min_pivot_ratio = np.inf
-    est_lines, std_lines = [], []
-    for indices, est_text, std_text, unobserved_rows, violation_rows, threads, pivot_ratio in results:
-        est_lines.append(est_text)
-        std_lines.append(std_text)
-        unobserved[indices] = unobserved_rows
-        limit_violations[indices] = violation_rows
-        min_pivot_ratio = min(min_pivot_ratio, pivot_ratio)
-        for name, n in threads.items():
+    for counts in threads:
+        for name, n in counts.items():
             worker_blas[name] = max(n, worker_blas.get(name, n))
 
     col_names = layout.column_names()
     est_path = out / "estimates.csv"
     marg_path = out / "marginal_std.csv"
     marg_names = [col_names[i] for i in marg_idx]
-    # the chunks come back in sample order, their lines already formatted
     for path, names, lines in ((est_path, col_names, est_lines), (marg_path, marg_names, std_lines)):
         with open(path, "w", newline="") as fh:
             csv.writer(fh).writerow(["time"] + names)
             fh.writelines(lines)
     unobserved_samples = np.flatnonzero(unobserved >= UNOBSERVED_TOL)
     # estimation accepts any measured posture; the run reports the samples outside the limits
-    limit_samples = int(np.count_nonzero(limit_violations))
+    limit_samples = int(np.count_nonzero(check_joint_angles(model, q_series)))
 
     manifest = write_manifest(
         out, "estimate", cfg, cfg.get("seed"), inputs=input_files, outputs=[est_path, marg_path],
@@ -717,15 +702,15 @@ def cmd_estimate(config_path, model_override, out_dir, workers):
             "missing_readings": missing,
             "joint_limit_samples": limit_samples,
             "ik_unconverged_frames": ik_unconverged,
-            "min_pivot_ratio": min_pivot_ratio,
+            "min_pivot_ratio": float(np.concatenate(pivot_ratio).min()),
             "max_unobserved_dimension": float(unobserved.max()),
             "unobserved_samples": unobserved_samples.tolist(),
         },
     )
-    per_sample = wall / max(n_samples, 1) * 1e3
+    per_sample = wall / times.size * 1e3
     blas_note = ", ".join(f"{n} {name.split('/')[0]}" for name, n in worker_blas.items()) or "not capped"
     click.echo(
-        f"estimated {n_samples} samples in {wall:.2f} s ({per_sample:.1f} ms/sample, "
+        f"estimated {times.size} samples in {wall:.2f} s ({per_sample:.1f} ms/sample, "
         f"{n_workers} workers, BLAS threads per worker: {blas_note}, {missing} missing readings, "
         f"{limit_samples} samples outside joint limits, {len(ik_unconverged)} IK frames unconverged) "
         f"-> {out} (manifest {manifest.name})"
@@ -754,21 +739,36 @@ def _make_chunks(times, q_series, qd_series, y_series, n_workers):
     n_chunks = -(-n_samples // SAMPLE_CHUNK)
     if n_workers > 1:
         n_chunks = max(n_chunks, min(n_workers * 4, n_samples // CHUNK_MIN))
-    bounds = np.array_split(np.arange(n_samples), max(1, n_chunks))
-    return [(idx, times[idx], q_series[idx], qd_series[idx], y_series[idx]) for idx in bounds if idx.size]
+    return list(zip(*(np.array_split(series, n_chunks) for series in (times, q_series, qd_series, y_series))))
 
 
-def _check_pose_times(sg, poses_path, times):
-    """Enough pose ``times`` for the smoothing order of the checked ``sg`` block, increasing; else an InputError."""
-    order = sg["order"]
-    min_window = order + 1 + order % 2  # the smallest odd window above the order
-    if times.size < min_window:
-        raise InputError(
-            f"{poses_path}: smoothing order {order} needs at least {min_window} pose samples, got {times.size}"
-        )
-    late = np.flatnonzero(~(np.diff(times) > 0))
-    if late.size:
-        raise InputError(f"{poses_path}, line {late[0] + 3}: time {float(times[late[0] + 1])!r} does not increase")
+# s: the most a state or pose file's time may differ from the observations' at the same line
+TIME_TOLERANCE = 1e-6
+
+
+def _check_state_times(path, times, obs_path, obs_times, sg=None):
+    """The ``times`` of the state or pose file at ``path`` against the observations'; an InputError at the first fault.
+
+    A pose file (given the checked ``sg`` block) needs enough samples for
+    the smoothing order, and times that increase. Either file must hold the
+    observations' sample count, each time within TIME_TOLERANCE of theirs.
+    """
+    if sg is not None:
+        order = sg["order"]
+        min_window = order + 1 + order % 2  # the smallest odd window above the order
+        if times.size < min_window:
+            raise InputError(f"{path}: smoothing order {order} needs at least {min_window} pose samples, "
+                             f"got {times.size}")
+        late = np.flatnonzero(~(np.diff(times) > 0))
+        if late.size:
+            raise InputError(f"{path}, line {late[0] + 3}: time {float(times[late[0] + 1])!r} does not increase")
+    if times.size != obs_times.size:
+        raise InputError(f"{path} holds {times.size} samples, {obs_path} {obs_times.size}")
+    off = np.flatnonzero(~(np.abs(times - obs_times) <= TIME_TOLERANCE))
+    if off.size:
+        row = off[0]
+        raise InputError(f"{path}, line {row + 2}, column 'time': {float(times[row])!r} differs from {obs_path}'s "
+                         f"{float(obs_times[row])!r} by more than {TIME_TOLERANCE:g} s")
 
 
 def _state_from_poses(model, sg, times, poses):
@@ -819,7 +819,6 @@ def cmd_fusion(config_path, model_override, out_dir):
     cfg, checked, out = start_run("fusion", config_path, model=model_override, out=out_dir)
     model, model_path = load_model_from_config(checked)
     fusion_cfg = checked["fusion"]
-    covariances = covariances_from_config(checked)
 
     _, q_series, qd_series, _ = sample_trajectory(model, trajectory_from_config(model, checked))
     # evenly spaced, and at most max_states of them
@@ -829,10 +828,8 @@ def cmd_fusion(config_path, model_override, out_dir):
     tau_idx = DynLayout(model).tau_indices()
     names = [case["name"] for case in fusion_cfg["cases"]]
     # one estimator per case: each case has its own layout and variances
-    cases = [
-        MapEstimator(model, sensor_specs_from_config(model, case), *covariances, tau_idx)
-        for case in fusion_cfg["cases"]
-    ]
+    cases = [MapEstimator(model, sensor_specs_from_config(model, case), marginals=tau_idx, **checked["covariances"])
+             for case in fusion_cfg["cases"]]
     # adding channels or tightening them can only shrink a variance; other
     # changes can grow it
     channels = [

@@ -428,6 +428,10 @@ class TestEstimate:
             ("covariances.mu_d", [0, 1]), ("covariances", [1e-4]), ("sensors", "x"),
             ("inputs.state", 7), ("inputs.link_poses", ""), ("inputs.observations", ["a"]), ("model", 7),
             ("out", None),
+            # below MIN_VARIANCE
+            ("sensors.imu_variance", 1e-13), ("sensors.ddq_variance", 1e-13), ("sensors.wrench_variance", 1e-13),
+            ("sensors.contact_wrench_variance", 1e-13), ("sensors.base_wrench_variance", 1e-13),
+            ("covariances.sigma_D", 1e-13),
         ],
     )
     def test_bad_config_value_exits_2_with_its_key(self, two_link_setup, capsys, key, value):
@@ -527,7 +531,7 @@ class TestEstimate:
 
     def test_missing_reading_gets_zero_weight(self, two_link_setup, capsys):
         """A NaN cell drops that channel for that sample; the run counts it."""
-        from mapdyn.cli import check_config, covariances_from_config, sensor_specs_from_config
+        from mapdyn.cli import check_config, sensor_specs_from_config
         from mapdyn.dynamics import ConstraintAssembler
         from mapdyn.estimator import MapProblem, map_solve
         from mapdyn.sensors import MeasurementAssembler, assemble_system
@@ -563,10 +567,8 @@ class TestEstimate:
         mat_d, b_d, mat_y, b_y = casm.matrix(values_d[0]), b_d[0], masm.matrix(values_y[0]), b_y[0]
         y = np.array(cells[1:], dtype=float)
         keep = np.arange(masm.dim) != channel
-        sigma_D, sigma_d, mu_d = covariances_from_config(cfg)
         expected = map_solve(MapProblem(
-            mat_d, b_d, mat_y[keep], b_y[keep], y[keep],
-            sigma_D=sigma_D, sigma_y=masm.variances[keep], mu_d=mu_d, sigma_d=sigma_d,
+            mat_d, b_d, mat_y[keep], b_y[keep], y[keep], sigma_y=masm.variances[keep], **cfg["covariances"],
         )).mean
         assert np.abs(row - expected).max() <= 1e-10 * np.abs(expected).max()
 
@@ -660,6 +662,7 @@ class TestEstimate:
         ("missing pose", "link_poses.csv: no column 'link2_yaw'"),
         ("fewer states", "trajectory.csv holds 29 samples, {obs} 30"),
         ("repeated pose time", "link_poses.csv, line 5: time 0.03333333333333333 does not increase"),
+        ("shifted times", "trajectory.csv, line 2, column 'time': 100.0 differs from {obs}'s 0.0 by more than 1e-06 s"),
     ])
     def test_bad_series_exits_2_with_its_message(self, two_link_setup, capsys, case, message):
         tmp_path, cfg = two_link_setup
@@ -672,6 +675,8 @@ class TestEstimate:
             rows = rows[:-1]
         elif case == "repeated pose time":
             rows[3][0] = rows[2][0]
+        elif case == "shifted times":
+            rows = [[repr(float(row[0]) + 100.0)] + row[1:] for row in rows]
         elif case == "extra channel":
             header, rows = header + ["extra"], [row + ["0.0"] for row in rows]
         else:
@@ -715,6 +720,44 @@ class TestEstimate:
         assert len(rows) == n_samples
         est_header, est_rows = read_rows(tmp_path / "est" / "estimates.csv")
         assert [row[0] for row in rows] == [row[0] for row in est_rows]
+
+    def test_time_within_the_tolerance_is_accepted(self, two_link_setup):
+        """A state time off the observations' by less than TIME_TOLERANCE (1e-6 s) writes the same estimates."""
+        tmp_path, cfg = two_link_setup
+        config, _ = self._simulate(tmp_path, cfg)
+        state = Path(cfg["out"]) / "trajectory.csv"
+        outputs = []
+        for shift in (0.0, 9e-7):
+            header, rows = read_rows(state)
+            with open(state, "w", newline="") as fh:
+                csv.writer(fh).writerows([header] + [[repr(float(row[0]) + shift)] + row[1:] for row in rows])
+            assert main(["estimate", "--config", config, "--workers", "1"]) == 0
+            outputs.append((tmp_path / "est" / "estimates.csv").read_bytes())
+        assert outputs[0] == outputs[1]
+
+    def test_pool_and_serial_report_the_same_run(self, two_link_setup):
+        """One missing reading and one state outside the limits: a pool of two reports what one process does."""
+        tmp_path, cfg = two_link_setup
+        config, _ = self._simulate(tmp_path, cfg)
+        for name, column, value in (("observations.csv", "imu_link2_x", "nan"), ("trajectory.csv", "q_joint1", "2.6")):
+            path = Path(cfg["out"]) / name
+            header, rows = read_rows(path)
+            rows[11][header.index(column)] = value  # joint1's limits are +-2.5
+            with open(path, "w", newline="") as fh:
+                csv.writer(fh).writerows([header] + rows)
+        manifests, estimates = [], []
+        for workers in ("1", "2"):
+            out = tmp_path / f"est{workers}"
+            assert main(["estimate", "--config", config, "--workers", workers, "--out", str(out)]) == 0
+            manifests.append(json.loads((out / "manifest.json").read_text()))
+            estimates.append((out / "estimates.csv").read_bytes())
+        serial, pooled = manifests
+        assert (serial["workers"], pooled["workers"]) == (1, 2)
+        assert serial["missing_readings"] == serial["joint_limit_samples"] == 1
+        keys = ("missing_readings", "joint_limit_samples", "min_pivot_ratio", "max_unobserved_dimension",
+                "unobserved_samples")
+        assert [pooled[key] for key in keys] == [serial[key] for key in keys]
+        assert estimates[0] == estimates[1]
 
     @pytest.mark.parametrize("offset, rc", [(1e3, 0), (-1e3, 0), (1000.5, 2), (-2e3, 2)])
     def test_force_plate_offset_is_bounded(self, two_link_setup, capsys, offset, rc):
@@ -1197,10 +1240,12 @@ class TestFusion:
             ("cases.sensors", {"contact_links": ["Nope"]}, "contact_links name links the model lacks: 'Nope'"),
             ("cases.sensors", {"contact_links": "link2"}, "contact_links must be a list of link names, got 'link2'"),
             ("cases.sensors", {"imu_variance": 0}, "'fusion.cases[1].sensors.imu_variance' must be a positive finite"),
+            ("cases.sensors", {"wrench_variance": 1e-13},
+             "'fusion.cases[1].sensors.wrench_variance' must be a positive finite number from 1e-12 to 1e+12"),
         ],
         ids=[
             "sigma_D-negative", "sigma_D-text", "mu_d-list", "case-sensors-text", "case-unknown-contact-link",
-            "case-contact-links-text", "case-imu-variance-zero",
+            "case-contact-links-text", "case-imu-variance-zero", "case-wrench-variance-tiny",
         ],
     )
     def test_bad_config_value_exits_2(self, two_link_setup, capsys, key, value, message):
