@@ -41,7 +41,7 @@ from mapdyn.model import (
 from mapdyn.model.template import load_body_tables
 from mapdyn.sensors import (
     ExcitationError,
-    channel_names,
+    MeasurementAssembler,
     default_sensor_specs,
     estimate_sensor_pose,
     savitzky_golay_derivatives,
@@ -82,7 +82,7 @@ def _setup_logging():
 def _read(path, what, parse=None):
     """``parse`` of the opened file, else its text; a missing or unreadable file is an InputError naming the path."""
     try:
-        with open(path) as fh:
+        with open(path, encoding="utf-8") as fh:
             return parse(fh) if parse else fh.read()
     except FileNotFoundError as exc:
         raise InputError(f"{what} not found: {path}") from exc
@@ -130,7 +130,7 @@ def write_manifest(out_dir: Path, command: str, cfg: dict, seed, inputs=(), outp
         **(extra or {}),
     }
     path = out_dir / "manifest.json"
-    with open(path, "w") as fh:
+    with open(path, "w", encoding="utf-8") as fh:
         # strict JSON: a NaN or an infinity here is a bug, not a value
         json.dump(manifest, fh, indent=2, sort_keys=True, allow_nan=False)
     return path
@@ -144,7 +144,7 @@ def write_csv(path, header, rows):
     link poses) goes through here; ``estimate``'s workers format their
     samples through ``csv_lines`` themselves.
     """
-    with open(path, "w", newline="") as fh:
+    with open(path, "w", newline="", encoding="utf-8") as fh:
         csv.writer(fh).writerow(header)
         for block in sample_chunks(len(rows)):
             fh.write(csv_lines(rows[block]))
@@ -488,7 +488,7 @@ def cmd_model_gen(config_path, out_dir):
                                   root=checked["root_link"])
     model = parse_model(xml)
     model_path = out / "model.xml"
-    model_path.write_text(xml)
+    model_path.write_text(xml, encoding="utf-8")
     pairs = len(model.sensors_of_kind("accelerometer"))
     click.echo(
         f"wrote {model_path}: {len(model.links)} links ({model.n_moving} moving), "
@@ -515,7 +515,7 @@ def cmd_simulate(config_path, model_override, out_dir, seed):
               np.column_stack([truth.times, truth.q, truth.qd, truth.qdd]))
 
     obs_path = out / "observations.csv"
-    names = channel_names(model, scenario.sensor_specs)
+    names = MeasurementAssembler(model, scenario.sensor_specs).names
     write_csv(obs_path, ["time"] + names, np.column_stack([truth.times, obs]))
 
     layout = DynLayout(model)
@@ -635,7 +635,8 @@ def cmd_estimate(config_path, model_override, out_dir, workers):
 
     inputs = checked["inputs"]
     # the configured channels, in any order; a non-finite reading is missing: the estimator gives it zero weight
-    times, y_series = read_series(inputs["observations"], channel_names(model, specs), finite=False, exact=True)
+    channels = MeasurementAssembler(model, specs).names
+    times, y_series = read_series(inputs["observations"], channels, finite=False, exact=True)
     missing = int(np.count_nonzero(~np.isfinite(y_series)))
 
     from_poses = inputs["state"] is None
@@ -687,7 +688,7 @@ def cmd_estimate(config_path, model_override, out_dir, workers):
     marg_path = out / "marginal_std.csv"
     marg_names = [col_names[i] for i in marg_idx]
     for path, names, lines in ((est_path, col_names, est_lines), (marg_path, marg_names, std_lines)):
-        with open(path, "w", newline="") as fh:
+        with open(path, "w", newline="", encoding="utf-8") as fh:
             csv.writer(fh).writerow(["time"] + names)
             fh.writelines(lines)
     unobserved_samples = np.flatnonzero(unobserved >= UNOBSERVED_TOL)
@@ -832,9 +833,7 @@ def cmd_fusion(config_path, model_override, out_dir):
              for case in fusion_cfg["cases"]]
     # adding channels or tightening them can only shrink a variance; other
     # changes can grow it
-    channels = [
-        dict(zip(channel_names(model, case.measurements.specs), case.measurements.variances)) for case in cases
-    ]
+    channels = [dict(zip(case.measurements.names, case.measurements.variances)) for case in cases]
     for name, earlier, later in zip(names[1:], channels, channels[1:]):
         if not earlier.keys() <= later.keys():
             log.warning(
@@ -858,7 +857,7 @@ def cmd_fusion(config_path, model_override, out_dir):
     per_case /= len(q_states)
 
     table_path = out / "fusion_variances.csv"
-    with open(table_path, "w", newline="") as fh:
+    with open(table_path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
         writer.writerow(["joint"] + names + ["monotonic_non_increasing"])
         for joint, variances, cells in zip(model.joints, per_case.T, csv_lines(per_case.T).splitlines()):
@@ -905,14 +904,14 @@ def cmd_sensor_pose(config_path, model_override, out_dir, seed, patch_model):
         }
 
     calib_path = out / "sensor_poses.json"
-    with open(calib_path, "w") as fh:
+    with open(calib_path, "w", encoding="utf-8") as fh:
         json.dump(results, fh, indent=2, sort_keys=True)
 
     outputs = [calib_path]
     if patch_model:
         patched = _patch_model_sensors(model, results)
         patched_path = out / "model_calibrated.xml"
-        patched_path.write_text(patched)
+        patched_path.write_text(patched, encoding="utf-8")
         outputs.append(patched_path)
     manifest = write_manifest(out, "sensor-pose", cfg, seed, inputs=[model_path], outputs=outputs)
     ok = sum(1 for r in results.values() if r["ok"])

@@ -4,17 +4,18 @@ The posterior over the dynamic-variable vector d combines three information
 sources: the sparse Newton-Euler constraints weighted by a model-confidence
 covariance, the sensor readings weighted per channel, and a regularizing
 Gaussian prior on d (mandatory: without it the constraint-only distribution
-is degenerate). Every posterior goes through one path,
-``PrecisionPlan.posterior``: the plan turns the values of D and Y straight
-into the posterior precision, in the block storage of
-``SparseCholeskySolver``, through a precomputed product plan, and the solver
-gives the mean and then the marginal variances. ``MapEstimator`` runs that
-path on a model's joint states and readings. The solver eliminates d link
-block by link block: the precision couples a link only to its parent and
-siblings, so a block elimination order without fill exists, and every step
-is a small dense factorization or product, batched over a stack of
-samples. A block Takahashi pass then writes the selected inverse over the
-factor, which gives all marginal variances. The elimination order and the
+is degenerate). Constraints and readings form one system, the rows of
+``M = [D; Y]``, each with one variance and one reading (0 on a constraint
+row). Every posterior goes through one path, ``PrecisionPlan.posterior``:
+the plan turns the values of M straight into the posterior precision, in the
+block storage of ``SparseCholeskySolver``, through a precomputed product
+plan, and the solver gives the mean and then the marginal variances.
+``MapEstimator`` runs that path on a model's joint states and readings. The
+solver eliminates d link block by link block: the precision couples a link
+only to its parent and siblings, so a block elimination order without fill
+exists, and every step is a small dense factorization or product, batched
+over a stack of samples. A block Takahashi pass then writes the selected
+inverse over the factor, which gives all marginal variances. The elimination order and the
 plan are computed once per sparsity pattern and reused across time samples.
 The same diagonal gives, per sample, the number of directions of d that the
 constraints and readings leave undetermined (``unobserved_dimension``).
@@ -389,43 +390,40 @@ class MapProblem:
     def plan(self) -> PrecisionPlan:
         """The ``PrecisionPlan`` of this problem's sparsity layout and variances."""
         return PrecisionPlan(
-            _csc_pattern(self.D), _csc_pattern(self.Y), self.sigma_D, self.sigma_y, self.mu_d, self.sigma_d
+            stacked_pattern(_csc_pattern(self.D), _csc_pattern(self.Y)),
+            np.concatenate([self.sigma_D, self.sigma_y]), self.mu_d, self.sigma_d,
         )
 
 
 class PrecisionPlan:
     """Posterior precision blocks and right-hand side from a fixed index plan.
 
-    ``D`` and ``Y`` keep one sparsity layout from sample to sample, so every
-    entry of the posterior precision is a fixed sum of products
-    ``M[r, i] M[r, j] / sigma[r]`` over the rows of the stacked
-    ``M = [D; Y]``. Once per pattern the plan lists, for each pair of stored
-    entries that share a row and land in the lower triangle of the permuted
-    precision, the two entries, the row and the slot in the solver's block
-    storage. A sample then costs one gather and one ``np.bincount``.
+    Row ``r`` of ``M = [D; Y]`` reads ``z_r = M[r] d + b_r`` with variance
+    ``sigma[r]``: 0 on a constraint row, its channel's reading on a
+    measurement row. M keeps one sparsity layout from sample to sample, so
+    every entry of the posterior precision is a fixed sum of products
+    ``M[r, i] M[r, j] / sigma[r]`` over the rows. Once per pattern the plan
+    lists, for each pair of stored entries that share a row and land in the
+    lower triangle of the permuted precision, the two entries, the row and
+    the slot in the solver's block storage. A sample then costs one gather
+    and one ``np.bincount``.
 
-    ``d_pattern`` and ``y_pattern`` describe the layouts: ``rows`` and
-    ``cols``, the row and the column of each stored entry in the order of
-    the values ``terms`` takes, and ``shape``. An assembler's
-    ``BlockPattern`` is one, and ``MapProblem.plan`` makes them from CSC
-    matrices. The variances are as in ``MapProblem`` and are checked the
-    same way. The solver is built from the columns of all those pairs, the
-    pattern of ``M^T M``: it holds every stored entry, zero or not, so it
-    covers every state, and the prior adds only the diagonal.
+    ``pattern`` holds ``rows`` and ``cols``, the row and the column of each
+    stored entry of M in the order of the values ``terms`` takes, and
+    ``shape`` (``stacked_pattern`` makes it). ``variances`` has one entry
+    per row; they and the prior are checked as in ``MapProblem``. The solver
+    is built from the columns of all those pairs, the pattern of ``M^T M``:
+    it holds every stored entry, zero or not, so it covers every state, and
+    the prior adds only the diagonal.
 
-    A non-finite reading is missing: its row gets zero weight for that sample
-    and adds nothing to the right-hand side. A non-finite bias (from a
-    non-finite joint velocity, say) is an ``EstimatorError`` naming its
-    sample.
+    A non-finite reading is missing, whichever half its row lies in: the row
+    gets zero weight for that sample and adds nothing to the right-hand
+    side. A non-finite bias (from a non-finite joint velocity, say) is an
+    ``EstimatorError`` naming its sample.
     """
 
-    def __init__(self, d_pattern, y_pattern, sigma_D, sigma_y, mu_d=0.0, sigma_d=1e4):
-        (n_rows_d, dim), (n_rows_y, dim_y) = d_pattern.shape, y_pattern.shape
-        if dim_y != dim:
-            raise EstimatorError("D and Y column counts disagree")
-        n_rows = n_rows_d + n_rows_y
-        rows = np.concatenate([d_pattern.rows, y_pattern.rows + n_rows_d])
-        cols = np.concatenate([d_pattern.cols, y_pattern.cols])
+    def __init__(self, pattern, variances, mu_d=0.0, sigma_d=1e4):
+        rows, cols, (n_rows, dim) = pattern.rows, pattern.cols, pattern.shape
         # every ordered pair (a, b) of stored entries in one row: each entry a
         # repeats once per entry of its row, and b runs over that row
         order = np.argsort(rows, kind="stable")  # entries grouped by row
@@ -444,38 +442,32 @@ class PrecisionPlan:
         self._slot = solver.slots(pa[lower], pb[lower])
         self._rows = rows
         self._cols = cols
-        self._nnz = (len(d_pattern.rows), len(y_pattern.rows))
-        self._inv_sigma_D = 1.0 / _as_diag_variances(sigma_D, n_rows_d, "sigma_D")
-        self._inv_sigma_y = 1.0 / _as_diag_variances(sigma_y, n_rows_y, "sigma_y")
+        self._inv_variances = 1.0 / _as_diag_variances(variances, n_rows, "variances")
         self._sigma_d = sigma_d = _as_diag_variances(sigma_d, dim, "sigma_d")
         self._prior_diag = (1.0 / sigma_d)[solver.perm]
         self._prior_rhs = np.broadcast_to(np.asarray(mu_d, dtype=float), (dim,)) / sigma_d
         self._stack = None  # the factor stack of ``posterior``, made at its first call
 
-    def terms(self, values_d, b_d, values_y, b_y, y, out=None):
+    def terms(self, values, b, z, out=None):
         """(values, rhs) of the posterior for a stack of samples.
 
-        ``values_d`` and ``values_y`` are (T, nnz) arrays of the values of D
-        and Y in the order of the plan's patterns (what the assemblers
-        fill); ``b_d``, ``b_y`` and ``y`` are (T, rows). The
-        result ``values`` (T, ``solver.size``) is the lower triangle of each
-        sample's permuted precision in the solver's block storage, ready for
+        ``values`` is (T, nnz), the values of M in the order of the plan's
+        pattern (what ``assemble_system`` fills), and ``b`` and ``z`` are
+        (T, rows), the biases and the readings. The result ``values``
+        (T, ``solver.size``) is the lower triangle of each sample's permuted
+        precision in the solver's block storage, ready for
         ``solver.factorize_blocks``; it is written into ``out`` when given,
         so that a caller can reuse one stack. ``rhs`` (T, n) is in the
         caller's ordering. A sample's numbers do not depend on the rest of
         the stack.
         """
-        if (np.shape(values_d)[-1], np.shape(values_y)[-1]) != self._nnz:
-            raise EstimatorError("D or Y does not have the sparsity layout the plan was built for")
-        y = np.asarray(y, dtype=float)
-        n_samples = y.shape[0]
-        missing = ~np.isfinite(y)
-        weights = np.concatenate(
-            [np.broadcast_to(self._inv_sigma_D, (n_samples, self._inv_sigma_D.size)),
-             np.where(missing, 0.0, self._inv_sigma_y)], axis=1,
-        )
-        residual = np.concatenate([-np.asarray(b_d), np.where(missing, 0.0, y - b_y)], axis=1)
-        values = np.concatenate([values_d, values_y], axis=1)
+        if np.shape(values)[-1] != self._rows.size:
+            raise EstimatorError("M does not have the sparsity layout the plan was built for")
+        z = np.asarray(z, dtype=float)
+        n_samples = z.shape[0]
+        missing = ~np.isfinite(z)
+        weights = np.where(missing, 0.0, self._inv_variances)
+        residual = np.where(missing, 0.0, z - b)
         if not np.isfinite(residual).all():
             # a non-finite precision fails at its pivot in the factor; a finite
             # one would pass it and turn a non-finite bias into a NaN mean
@@ -496,7 +488,7 @@ class PrecisionPlan:
         rhs += self._prior_rhs
         return blocks, rhs
 
-    def posterior(self, values_d, b_d, values_y, b_y, y, marginals=None) -> Posterior:
+    def posterior(self, values, b, z, marginals=None) -> Posterior:
         """The ``Posterior`` of a stack of samples (the arrays ``terms`` takes).
 
         ``STACK`` samples at a time, in one reused buffer: ``terms``, the
@@ -505,7 +497,7 @@ class PrecisionPlan:
         variances are returned, all when None; the unobserved dimension reads
         the whole diagonal. A failing pivot raises ``NotPositiveDefiniteError``.
         """
-        solver, n_samples = self.solver, len(y)
+        solver, n_samples = self.solver, len(z)
         if self._stack is None:
             self._stack = np.empty((STACK, solver.size))
         marginals = np.arange(solver.n) if marginals is None else np.asarray(marginals)
@@ -514,13 +506,26 @@ class PrecisionPlan:
         for start in range(0, n_samples, STACK):
             batch = slice(start, min(start + STACK, n_samples))
             stack = self._stack[: batch.stop - start]
-            _, rhs = self.terms(values_d[batch], b_d[batch], values_y[batch], b_y[batch], y[batch], out=stack)
+            _, rhs = self.terms(values[batch], b[batch], z[batch], out=stack)
             out.pivot_ratio[batch] = solver.factorize_blocks(stack)
             out.mean[batch] = solver.solve(stack, rhs)
             variances = solver.selected_inverse(stack)
             out.variances[batch] = variances[:, marginals]
             out.unobserved[batch] = unobserved_dimension(variances, self._sigma_d)
         return out
+
+
+def stacked_pattern(d_pattern, y_pattern):
+    """The pattern of ``M = [D; Y]``, as ``PrecisionPlan`` takes it, from D's and Y's (an assembler's
+    ``BlockPattern`` or ``_csc_pattern``): D's entries and rows first, then Y's, as ``assemble_system`` fills M."""
+    (n_rows_d, dim), (n_rows_y, dim_y) = d_pattern.shape, y_pattern.shape
+    if dim_y != dim:
+        raise EstimatorError("D and Y column counts disagree")
+    return SimpleNamespace(
+        rows=np.concatenate([d_pattern.rows, y_pattern.rows + n_rows_d]),
+        cols=np.concatenate([d_pattern.cols, y_pattern.cols]),
+        shape=(n_rows_d + n_rows_y, dim),
+    )
 
 
 def _csc_pattern(mat):
@@ -541,7 +546,7 @@ def unobserved_dimension(variances, sigma_d):
     the value reaches
     ``UNOBSERVED_TOL``. Unless some direction is determined about as well by
     the data as by the prior (it then adds a fraction), ``round`` of the
-    value is the rank deficiency of the stacked ``[Y; D]`` under that
+    value is the rank deficiency of the stacked ``[D; Y]`` under that
     sample's readings.
     """
     u = np.sum(variances / sigma_d, axis=-1)
@@ -552,7 +557,7 @@ class MapEstimator:
     """MAP estimates of a model's samples, through one kinematic sweep per call.
 
     Holds the constraint and measurement assemblers of ``model`` and the
-    sensor ``specs``, and the ``PrecisionPlan`` of their fixed layouts; the
+    sensor ``specs``, and the ``PrecisionPlan`` of their stacked layout; the
     variances are as in ``MapProblem``, and ``marginals`` as in
     ``PrecisionPlan.posterior``. ``estimate`` takes (T, n_dof) joint angles
     and velocities and (T, channels) readings for any T, and a sample's
@@ -563,15 +568,17 @@ class MapEstimator:
         self.model = model
         self.constraints = ConstraintAssembler(model)
         self.measurements = MeasurementAssembler(model, specs)
-        self.plan = PrecisionPlan(
-            self.constraints.pattern, self.measurements.pattern, sigma_D, self.measurements.variances, mu_d, sigma_d
-        )
+        sigma_D = _as_diag_variances(sigma_D, self.constraints.n_rows, "sigma_D")
+        self.plan = PrecisionPlan(stacked_pattern(self.constraints.pattern, self.measurements.pattern),
+                                  np.concatenate([sigma_D, self.measurements.variances]), mu_d, sigma_d)
         self.marginals = marginals
 
     def estimate(self, q, qd, y) -> Posterior:
-        values_d, b_d, values_y, b_y = assemble_system(self.constraints, self.measurements, q, qd)
-        y = np.reshape(np.asarray(y, dtype=float), b_y.shape)
-        return self.plan.posterior(values_d, b_d, values_y, b_y, y, self.marginals)
+        values, b = assemble_system(self.constraints, self.measurements, q, qd)
+        # the constraint rows read 0, the measurement rows y
+        z = np.zeros(b.shape)
+        z[:, self.constraints.n_rows:] = np.reshape(y, (len(z), self.measurements.dim))
+        return self.plan.posterior(values, b, z, self.marginals)
 
 
 def map_solve(problem: MapProblem) -> Posterior:
@@ -583,7 +590,9 @@ def map_solve(problem: MapProblem) -> Posterior:
     ``NotPositiveDefiniteError``.
     """
     posterior = problem.plan().posterior(
-        problem.D.data[None], problem.b_D[None], problem.Y.data[None], problem.b_Y[None], problem.y[None]
+        np.concatenate([problem.D.data, problem.Y.data])[None],
+        np.concatenate([problem.b_D, problem.b_Y])[None],
+        np.concatenate([np.zeros_like(problem.b_D), problem.y])[None],
     )
     return Posterior(*(field[0] for field in posterior))
 

@@ -32,12 +32,12 @@ class TemplateError(ModelError):
 
 
 def load_body_tables() -> dict:
-    with resources.files("mapdyn.model.data").joinpath("human_body.json").open() as fh:
+    with resources.files("mapdyn.model.data").joinpath("human_body.json").open(encoding="utf-8") as fh:
         return json.load(fh)
 
 
 def example_landmarks() -> dict:
-    with resources.files("mapdyn.model.data").joinpath("example_landmarks.json").open() as fh:
+    with resources.files("mapdyn.model.data").joinpath("example_landmarks.json").open(encoding="utf-8") as fh:
         return {k: np.asarray(v, dtype=float) for k, v in json.load(fh)["landmarks"].items()}
 
 

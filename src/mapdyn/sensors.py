@@ -15,9 +15,9 @@ the fused channels use linear accelerations.
 
 Assembly works on a stack of samples: ``assemble_system`` takes one
 kinematic sweep over a chunk of (T, n_dof) states and fills the values of
-``D`` and ``Y`` as (T, nnz) arrays in CSC data order, with (T, rows) biases,
-ready for ``PrecisionPlan.terms``; all of the sweep's dtype, so complex for
-a complex-step state.
+the stacked ``M = [D; Y]`` as one (T, nnz) array, D's in CSC data order and
+then Y's, with (T, rows) biases, ready for ``PrecisionPlan.terms``; all of
+the sweep's dtype, so complex for a complex-step state.
 """
 
 from __future__ import annotations
@@ -53,6 +53,7 @@ EXTERNAL_WRENCH = "external_wrench"
 
 _KIND_ORDER = {IMU_LINEAR_ACCELERATION: 0, DOF_ACCELERATION: 1, FIXED_BASE_WRENCH: 2, EXTERNAL_WRENCH: 3}
 _KIND_DIM = {IMU_LINEAR_ACCELERATION: 3, DOF_ACCELERATION: 1, FIXED_BASE_WRENCH: 6, EXTERNAL_WRENCH: 6}
+_WRENCH = ("fx", "fy", "fz", "mx", "my", "mz")  # the components of a wrench reading
 
 
 class MeasurementModelError(ModelError):
@@ -91,15 +92,10 @@ class SensorSpec:
         return _KIND_DIM[self.kind]
 
 
-def canonical_order(specs) -> list:
-    """Deterministic channel ordering: IMUs, dof accelerations, fixed-base
-    wrench, external wrenches (each group in stable given order)."""
-    return sorted(specs, key=lambda s: _KIND_ORDER[s.kind])
-
-
 def validate_specs(model: KinematicTreeModel, specs) -> list:
-    """Check the mandatory-channel rule and target existence."""
-    specs = canonical_order(specs)
+    """The specs in channel order (IMUs, dof accelerations, fixed-base wrench, external wrenches,
+    each group in its given order), after checking the mandatory-channel rule and target existence."""
+    specs = sorted(specs, key=lambda s: _KIND_ORDER[s.kind])
     ddq_targets = set()
     fx_targets = set()
     n_base_wrench = 0
@@ -136,44 +132,30 @@ def validate_specs(model: KinematicTreeModel, specs) -> list:
     return specs
 
 
-def measurement_dim(specs) -> int:
-    return sum(s.dim for s in specs)
-
-
-def channel_names(model, specs) -> list:
-    names = []
-    for spec in canonical_order(specs):
-        if spec.kind == IMU_LINEAR_ACCELERATION:
-            names += [f"imu_{spec.target}_{c}" for c in "xyz"]
-        elif spec.kind == DOF_ACCELERATION:
-            names.append(f"ddq_{spec.target}")
-        elif spec.kind == FIXED_BASE_WRENCH:
-            names += [f"fbwrench_{c}" for c in ("fx", "fy", "fz", "mx", "my", "mz")]
-        else:
-            names += [f"extf_{spec.target}_{c}" for c in ("fx", "fy", "fz", "mx", "my", "mz")]
-    return names
-
-
 class MeasurementAssembler:
     """Builds (Y, b_Y) for a stack of states and a fixed, validated spec list.
 
     The sparsity pattern is fixed; only the IMU biases and the fixed-base
-    wrench blocks depend on the state.
+    wrench blocks depend on the state. Each spec's rows are laid out in
+    ``validate_specs``' order and named where they are placed: ``names`` and
+    ``variances`` hold one entry per row, and ``names`` are the reading
+    columns of ``observations.csv``.
     """
 
     def __init__(self, model: KinematicTreeModel, specs):
         self.model = model
         self.specs = validate_specs(model, specs)
         self.layout = DynLayout(model)
-        self.dim = measurement_dim(self.specs)
+        self.dim = sum(spec.dim for spec in self.specs)
         self.variances = np.concatenate([s.variance for s in self.specs])
+        self.names = names = []
         layout = self.layout
         pattern = BlockPattern()
         self._const_bias = np.zeros(self.dim)
         imu_rows, imu_links, imu_adjoints = [], [], []  # per IMU: rows, link, sensor <- link motion adjoint
         base_blocks = []  # per child of the base: its block and the entries of its plate product
-        row0 = 0
         for spec in self.specs:
+            row0 = len(names)
             if spec.kind == IMU_LINEAR_ACCELERATION:
                 li = model.link_index[spec.target]
                 x_sensor = adjoint_motion(spec.pose.inverse())  # sensor <- link
@@ -182,11 +164,11 @@ class MeasurementAssembler:
                 imu_rows.append(row0 + np.arange(3))
                 imu_links.append(li)
                 imu_adjoints.append(x_sensor)
-                row0 += 3
+                names += [f"imu_{spec.target}_{c}" for c in "xyz"]
             elif spec.kind == DOF_ACCELERATION:
                 ji = model.joint_index[spec.target] + 1
                 pattern.add(row0, layout.ddq(ji), 1, 1, 1.0)
-                row0 += 1
+                names.append(f"ddq_{spec.target}")
             elif spec.kind == FIXED_BASE_WRENCH:
                 pose = spec.pose if spec.pose is not None else HomTransform.identity()
                 self._plate = adjoint_force(pose.inverse())  # plate <- base
@@ -197,11 +179,11 @@ class MeasurementAssembler:
                     model.links[0].inertia.matrix() if model.links[0].inertia is not None else np.zeros((6, 6))
                 )
                 self._const_bias[row0: row0 + 6] = -(self._plate @ (base_inertia @ GRAVITY_SPATIAL))
-                row0 += 6
+                names += [f"fbwrench_{c}" for c in _WRENCH]
             else:  # external wrench
                 li = model.link_index[spec.target]
                 pattern.add(row0, layout.base_of(li) + OFF_FX, 6, 6, np.eye(6))
-                row0 += 6
+                names += [f"extf_{spec.target}_{c}" for c in _WRENCH]
         pattern.freeze((self.dim, layout.size))
         self.pattern = pattern
         self._imu_rows = np.array(imu_rows, dtype=np.intp).reshape(-1, 3)
@@ -214,14 +196,14 @@ class MeasurementAssembler:
         """Y as a CSC matrix from one sample's values (CSC data order)."""
         return self.pattern.csc(values)
 
-    def assemble_values(self, sweep):
+    def assemble_values(self, sweep, out=None):
         """(values, b_Y) of a stack of samples from their kinematic sweep.
 
-        ``values`` is (T, nnz) in the CSC data order of ``matrix``, and
-        ``b_Y`` is (T, dim), both of the sweep's dtype.
+        ``values`` is (T, nnz) in the CSC data order of ``matrix``, in ``out``
+        when given, and ``b_Y`` is (T, dim), both of the sweep's dtype.
         """
         n_samples = sweep.v.shape[0]
-        values = self.pattern.stack(sweep.v)
+        values = self.pattern.stack(sweep.v, out)
         # plate <- base <- child: the base <- child force adjoint is the
         # transpose of the child's motion adjoint from the parent
         plate = self._plate @ sweep.x_from_parent[:, self._base_children].swapaxes(-1, -2)
@@ -234,12 +216,13 @@ class MeasurementAssembler:
 
 
 def assemble_system(constraints, measurements, q, qd):
-    """(D values, b_D, Y values, b_Y) of a stack of states from one kinematic sweep.
+    """(values, b) of ``M = [D; Y]`` for a stack of states, from one kinematic sweep.
 
     ``q`` and ``qd`` are (T, n_dof) stacks, or (n_dof,) vectors for one
-    sample (T = 1). The values are (T, nnz) arrays in the CSC data order of
-    ``constraints.matrix`` and ``measurements.matrix``, and the biases are
-    (T, rows): the inputs of ``PrecisionPlan.terms``.
+    sample (T = 1). ``values`` is (T, nnz): D's values in the CSC data order
+    of ``constraints.matrix``, then Y's in that of ``measurements.matrix``.
+    ``b`` is (T, rows): ``b_D``, then ``b_Y``. They are the layout of
+    ``estimator.stacked_pattern`` and the inputs of ``PrecisionPlan.terms``.
 
     A non-finite velocity reaches only the biases, through ``inf * 0``
     products that would warn; they run quietly here, so that
@@ -247,9 +230,11 @@ def assemble_system(constraints, measurements, q, qd):
     """
     with np.errstate(invalid="ignore"):
         sweep = kinematic_sweep(constraints.model, q, qd)
-        values_d, b_d = constraints.assemble_values(sweep)
-        values_y, b_y = measurements.assemble_values(sweep)
-    return values_d, b_d, values_y, b_y
+        nnz = constraints.pattern.nnz
+        values = np.empty((sweep.v.shape[0], nnz + measurements.pattern.nnz), dtype=sweep.v.dtype)
+        _, b_d = constraints.assemble_values(sweep, out=values[:, :nnz])
+        _, b_y = measurements.assemble_values(sweep, out=values[:, nnz:])
+    return values, np.concatenate([b_d, b_y], axis=1)
 
 
 def simulate_readings(assembler, sweep, d):

@@ -15,7 +15,7 @@ import numpy as np
 from mapdyn.dynamics import DynLayout, inverse_dynamics, kinematic_sweep, link_accelerations, sample_chunks
 from mapdyn.model.kinematics import outside_limits
 from mapdyn.model.tree import KinematicTreeModel, ModelError
-from mapdyn.sensors import MeasurementAssembler, canonical_order, simulate_readings
+from mapdyn.sensors import MeasurementAssembler, simulate_readings
 from mapdyn.spatial import GRAVITY_SPATIAL, adjoint_motion, matrix_to_rpy
 
 
@@ -187,7 +187,7 @@ def generate_observations(scenario: SyntheticScenario, truth: GroundTruth):
     """
     if scenario.seed is None:
         return truth.readings.copy()
-    variances = np.concatenate([spec.variance for spec in canonical_order(scenario.sensor_specs)])
+    variances = MeasurementAssembler(scenario.model, scenario.sensor_specs).variances
     return truth.readings + np.random.default_rng(scenario.seed).normal(0.0, np.sqrt(variances), truth.readings.shape)
 
 

@@ -249,9 +249,20 @@ def one_state(assembler, q, qd):
     return assembler.matrix(values[0]), b[0]
 
 
+def split_system(casm, values, b):
+    """(values_d, b_d, values_y, b_y): D's and Y's parts of ``assemble_system``'s stacked (values, b)."""
+    nnz, rows = casm.pattern.nnz, casm.n_rows
+    return values[:, :nnz], b[:, :rows], values[:, nnz:], b[:, rows:]
+
+
+def stacked_readings(casm, y):
+    """z of ``M = [D; Y]`` for a stack of readings y: the constraint rows read 0."""
+    return np.concatenate([np.zeros((len(y), casm.n_rows)), y], axis=1)
+
+
 def one_state_system(casm, masm, q, qd):
     """(D, b_D, Y, b_Y) at one state, from ``assemble_system``'s stack of one sample."""
-    values_d, b_d, values_y, b_y = assemble_system(casm, masm, q, qd)
+    values_d, b_d, values_y, b_y = split_system(casm, *assemble_system(casm, masm, q, qd))
     return casm.matrix(values_d[0]), b_d[0], masm.matrix(values_y[0]), b_y[0]
 
 

@@ -52,6 +52,8 @@ from oracles import (
     one_state,
     one_state_system,
     posterior_precision_terms,
+    split_system,
+    stacked_readings,
 )
 from random_models import random_chain_model, random_state, random_tree_model
 
@@ -183,11 +185,12 @@ def test_04_estimator_identities(two_link_problem, human48, human48_truth, human
     truth = human48_truth
     casm = ConstraintAssembler(human48)
     masm = MeasurementAssembler(human48, human48_scenario.sensor_specs)
-    values_d, b_d, values_y, b_y = assemble_system(casm, masm, truth.q[0], truth.qd[0])
+    system = assemble_system(casm, masm, truth.q[0], truth.qd[0])
+    values_d, b_d, values_y, b_y = split_system(casm, *system)
     y0 = np.zeros((1, masm.dim))
     big = MapProblem(casm.matrix(values_d[0]), b_d[0], masm.matrix(values_y[0]), b_y[0], y0[0], sigma_y=masm.variances)
     plan = big.plan()
-    values, rhs = plan.terms(values_d, b_d, values_y, b_y, y0)
+    values, rhs = plan.terms(*system, stacked_readings(casm, y0))
     plan.solver.factorize_blocks(values)
     x_sparse = plan.solver.solve(values, rhs)[0]
     precision, rhs_oracle = posterior_precision_terms(big)
@@ -224,7 +227,8 @@ def test_05_end_to_end_recovery(human48, human48_scenario, human48_truth):
     truth = human48_truth
     casm = ConstraintAssembler(human48)
     masm = MeasurementAssembler(human48, human48_scenario.sensor_specs)
-    values_d, b_d, values_y, b_y = assemble_system(casm, masm, truth.q, truth.qd)
+    system = assemble_system(casm, masm, truth.q, truth.qd)
+    values_d, b_d, values_y, b_y = split_system(casm, *system)
     mat_d, mat_y = casm.matrix(values_d[0]), masm.matrix(values_y[0])
 
     # zero noise, exact-confidence settings: per-channel recovery of d*
@@ -233,7 +237,7 @@ def test_05_end_to_end_recovery(human48, human48_scenario, human48_truth):
         mat_d, b_d[0], mat_y, b_y[0], clean[0], sigma_D=1e-10, sigma_y=1e-12, sigma_d=1e8,
     ).plan()
     every = slice(0, truth.times.size, 2)
-    values, rhs = plan.terms(values_d[every], b_d[every], values_y[every], b_y[every], clean[every])
+    values, rhs = plan.terms(system[0][every], system[1][every], stacked_readings(casm, clean[every]))
     plan.solver.factorize_blocks(values)
     means = plan.solver.solve(values, rhs)
     worst = np.abs(means - truth.d[every]).max()
@@ -249,7 +253,7 @@ def test_05_end_to_end_recovery(human48, human48_scenario, human48_truth):
     count = 0
     mats_y = [masm.matrix(row) for row in values_y]
     plan = MapProblem(mat_d, b_d[0], mat_y, b_y[0], clean[0], sigma_y=masm.variances).plan()
-    values, rhs_clean = plan.terms(values_d, b_d, values_y, b_y, clean)
+    values, rhs_clean = plan.terms(*system, stacked_readings(casm, clean))
     solver = plan.solver
     for k in range(truth.times.size):
         factor = values[k: k + 1]
@@ -452,15 +456,17 @@ def test_10_performance(human48, human48_scenario, human48_truth, tmp_path):
     casm = ConstraintAssembler(human48)
     masm = MeasurementAssembler(human48, human48_scenario.sensor_specs)
     # sample 0 through estimate's per-sample path, the plan built beforehand
-    values_d, b_d, values_y, b_y = assemble_system(casm, masm, truth.q[:1], truth.qd[:1])
+    system = assemble_system(casm, masm, truth.q[:1], truth.qd[:1])
+    values_d, b_d, values_y, b_y = split_system(casm, *system)
     y = np.zeros((1, masm.dim))
     plan = MapProblem(
         casm.matrix(values_d[0]), b_d[0], masm.matrix(values_y[0]), b_y[0], y[0], sigma_y=masm.variances
     ).plan()
+    z = stacked_readings(casm, y)
     times = []
     for _ in range(15):
         t0 = time.perf_counter()
-        values, rhs = plan.terms(values_d, b_d, values_y, b_y, y)
+        values, rhs = plan.terms(*system, z)
         plan.solver.factorize_blocks(values)
         plan.solver.solve(values, rhs)
         times.append(time.perf_counter() - t0)

@@ -12,7 +12,7 @@ from mapdyn.cli import main
 from mapdyn.model import parse_model
 
 from conftest import TWO_LINK_XML, child_env
-from oracles import repr_csv_lines
+from oracles import repr_csv_lines, split_system
 
 
 def write_config(tmp_path, cfg, name="config.json"):
@@ -561,9 +561,9 @@ class TestEstimate:
         casm, masm = ConstraintAssembler(model), MeasurementAssembler(model, sensor_specs_from_config(model, cfg))
         _, traj = read_rows(Path(cfg["out"]) / "trajectory.csv")
         state = np.array(traj[sample], dtype=float)
-        values_d, b_d, values_y, b_y = assemble_system(
+        values_d, b_d, values_y, b_y = split_system(casm, *assemble_system(
             casm, masm, state[1: 1 + model.n_dof], state[1 + model.n_dof: 1 + 2 * model.n_dof]
-        )
+        ))
         mat_d, b_d, mat_y, b_y = casm.matrix(values_d[0]), b_d[0], masm.matrix(values_y[0]), b_y[0]
         y = np.array(cells[1:], dtype=float)
         keep = np.arange(masm.dim) != channel
@@ -1019,6 +1019,54 @@ def test_state_csv_estimate_and_sine_simulate_skip_optional_scipy_modules(two_li
     packages = {".".join(name.split(".")[:2]) for name in imported}
     forbidden = {"scipy.sparse", "scipy.linalg", "scipy.signal", "scipy.interpolate", "scipy.stats"}
     assert sorted(packages & forbidden) == []
+
+
+def test_five_commands_name_the_encoding_of_every_text_file(tmp_path):
+    """model-gen, simulate, estimate (two workers), fusion and sensor-pose open every text file as UTF-8.
+
+    A child process runs them on a short 48-DoF config with
+    ``-X warn_default_encoding`` and EncodingWarning as an error, which the
+    workers inherit: a text file opened in the locale's encoding fails its
+    command.
+    """
+    import subprocess
+    import sys
+
+    contacts = ["RightFoot", "RightToe", "LeftToe"]
+    cfg = {
+        "subject": {"mass_total": 75.9, "landmarks_file": "landmarks.json"},
+        "root_link": "LeftFoot",
+        "model": "out/model.xml",
+        "out": "out",
+        "seed": 7,
+        "scenario": {"duration": 0.2, "rate": 100.0, "trajectory": {
+            "default": {"kind": "sine", "amplitude": 0.15, "frequency": 0.5},
+            "jRightKnee_roty": {"kind": "sine", "amplitude": 0.15, "frequency": 0.5, "offset": 0.16},
+            "jLeftKnee_roty": {"kind": "sine", "amplitude": 0.15, "frequency": 0.5, "offset": -0.16},
+        }},
+        "sensors": {"contact_links": contacts},
+        "inputs": {"observations": "out/observations.csv", "state": "out/trajectory.csv"},
+        "fusion": {"cases": [{"name": "no_imus", "sensors": {"include_imus": False, "contact_links": contacts}},
+                             {"name": "with_imus", "sensors": {"contact_links": contacts}}], "max_states": 2},
+    }
+    (tmp_path / "cfg.json").write_text(json.dumps(cfg), encoding="utf-8")
+    script = (
+        "import json\n"
+        "from mapdyn.cli import main\n"
+        "from mapdyn.model import example_landmarks\n"
+        "landmarks = {k: list(v) for k, v in example_landmarks().items()}\n"
+        "with open('landmarks.json', 'w', encoding='utf-8') as fh:\n"
+        "    json.dump({'landmarks': landmarks}, fh)\n"
+        "for args in (['model-gen'], ['simulate'], ['estimate', '--workers', '2'],\n"
+        "             ['fusion', '--out', 'out/fusion'], ['sensor-pose', '--out', 'out/sensor-pose']):\n"
+        "    assert main([args[0], '--config', 'cfg.json', *args[1:]]) == 0, args\n"
+    )
+    result = subprocess.run(
+        [sys.executable, "-X", "warn_default_encoding", "-W", "error::EncodingWarning", "-c", script],
+        capture_output=True, text=True, env=child_env(), cwd=tmp_path, timeout=300,
+    )
+    assert result.returncode == 0, result.stderr
+    assert json.loads((tmp_path / "out" / "manifest.json").read_text())["workers"] == 2
 
 
 def _bundled_openblas_files():

@@ -5,9 +5,9 @@ import scipy.sparse as sp
 from mapdyn.dynamics import ConstraintAssembler, DynLayout, rnea
 from mapdyn.estimator import (
     EstimatorError,
+    MapEstimator,
     MapProblem,
     NotPositiveDefiniteError,
-    PrecisionPlan,
     RankDeficiencyError,
     SparseCholeskySolver,
     complex_step_bias_jacobians,
@@ -29,18 +29,27 @@ from oracles import (
     one_state_system,
     posterior_precision_terms,
     prior_precision_terms,
+    split_system,
     stacked_rank_deficiency,
+    stacked_readings,
 )
 from random_models import random_chain_model, random_state, random_tree_model
 
 
-def stack_terms(plan, samples):
-    """``plan.terms`` of a stack of (D, b_D, Y, b_Y, y) samples, as the assemblers hand them over."""
+def stacked_system(samples):
+    """(values, b, z) of ``M = [D; Y]`` for a stack of (D, b_D, Y, b_Y, y) samples, as ``assemble_system``
+    hands M over: D's values and rows first, then Y's, and the constraint rows read 0."""
     mats_d, bs_d, mats_y, bs_y, ys = zip(*samples)
-    return plan.terms(
-        np.stack([m.data for m in mats_d]), np.stack(bs_d), np.stack([m.data for m in mats_y]), np.stack(bs_y),
-        np.stack(ys),
+    return (
+        np.stack([np.concatenate([mat_d.data, mat_y.data]) for mat_d, mat_y in zip(mats_d, mats_y)]),
+        np.concatenate([bs_d, bs_y], axis=1),
+        np.concatenate([np.zeros((len(samples), len(bs_d[0]))), ys], axis=1),
     )
+
+
+def stack_terms(plan, samples):
+    """``plan.terms`` of a stack of (D, b_D, Y, b_Y, y) samples."""
+    return plan.terms(*stacked_system(samples))
 
 
 def one_sample_terms(plan, problem, y=None):
@@ -247,39 +256,44 @@ class TestPrecisionPlan:
         from mapdyn.sensors import assemble_system, default_sensor_specs
 
         model = human_model_foot
-        casm = ConstraintAssembler(model)
-        masm = MeasurementAssembler(model, default_sensor_specs(model))
+        estimator = MapEstimator(model, default_sensor_specs(model))
+        casm, masm, ours = estimator.constraints, estimator.measurements, estimator.plan
         q, qd = rng.uniform(-0.2, 0.2, (3, model.n_dof)), rng.normal(0.0, 0.3, (3, model.n_dof))
         system = assemble_system(casm, masm, q, qd)
+        values_d, b_d, values_y, b_y = split_system(casm, *system)
         y = rng.normal(0.0, 1.0, (3, masm.dim))
-        ours = PrecisionPlan(casm.pattern, masm.pattern, 1e-4, masm.variances)
+        z = stacked_readings(casm, y)
         theirs = MapProblem(
-            casm.matrix(system[0][0]), system[1][0], masm.matrix(system[2][0]), system[3][0], y[0],
+            casm.matrix(values_d[0]), b_d[0], masm.matrix(values_y[0]), b_y[0], y[0],
             sigma_y=masm.variances,
         ).plan()
-        for a, b in zip(ours.terms(*system, y), theirs.terms(*system, y)):
+        for a, b in zip(ours.terms(*system, z), theirs.terms(*system, z)):
             assert a.tobytes() == b.tobytes()
 
     def test_missing_reading_equals_deleted_row(self, two_link_problem):
+        """A non-finite reading drops its row of M = [D; Y]: a measurement row, or a constraint row (which reads 0)."""
         problem, _, _ = two_link_problem
-        y = problem.y.copy()
-        y[2] = np.nan
+        n_rows_d = problem.D.shape[0]
         plan = problem.plan()
-        band, rhs = one_sample_terms(plan, problem, y)
-        assert np.isfinite(band).all() and np.isfinite(rhs).all()
-        stack = band[None]
-        plan.solver.factorize_blocks(stack)
-        mean = plan.solver.solve(stack, rhs[None])[0]
-        keep = np.arange(problem.Y.shape[0]) != 2
-        expected = map_solve(MapProblem(
-            problem.D, problem.b_D, problem.Y[keep], problem.b_Y[keep], problem.y[keep],
-            sigma_D=problem.sigma_D, sigma_y=problem.sigma_y[keep], mu_d=problem.mu_d, sigma_d=problem.sigma_d,
-        ))
-        assert np.abs(mean - expected.mean).max() <= 1e-10 * np.abs(expected.mean).max()
-        idx = np.arange(problem.dim_d)
-        np.testing.assert_allclose(
-            plan.solver.selected_inverse(stack)[0][idx], expected.variances[idx], rtol=1e-10
-        )
+        for row in (n_rows_d + 2, 2):  # reading 2 of Y, then constraint row 2 of D
+            values, b, z = stacked_system([(problem.D, problem.b_D, problem.Y, problem.b_Y, problem.y)])
+            z[0, row] = np.nan
+            stack, rhs = plan.terms(values, b, z)
+            assert np.isfinite(stack).all() and np.isfinite(rhs).all()
+            plan.solver.factorize_blocks(stack)
+            mean = plan.solver.solve(stack, rhs)[0]
+            keep = np.arange(n_rows_d + problem.Y.shape[0]) != row
+            keep_d, keep_y = keep[:n_rows_d], keep[n_rows_d:]
+            expected = map_solve(MapProblem(
+                problem.D[keep_d], problem.b_D[keep_d], problem.Y[keep_y], problem.b_Y[keep_y], problem.y[keep_y],
+                sigma_D=problem.sigma_D[keep_d], sigma_y=problem.sigma_y[keep_y], mu_d=problem.mu_d,
+                sigma_d=problem.sigma_d,
+            ))
+            assert np.abs(mean - expected.mean).max() <= 1e-10 * np.abs(expected.mean).max()
+            idx = np.arange(problem.dim_d)
+            np.testing.assert_allclose(
+                plan.solver.selected_inverse(stack)[0][idx], expected.variances[idx], rtol=1e-10
+            )
 
     def test_non_finite_bias_names_its_sample(self, two_link_problem):
         """A non-finite bias would pass the factor and give a NaN mean: an error instead."""
@@ -318,9 +332,7 @@ class TestPrecisionPlan:
         problem, _, _ = two_link_problem
         plan = problem.plan()
         with pytest.raises(EstimatorError):
-            plan.terms(
-                problem.D[:, :-1].data[None], problem.b_D[None], problem.Y.data[None], problem.b_Y[None], problem.y[None]
-            )
+            stack_terms(plan, [(problem.D[:, :-1], problem.b_D, problem.Y, problem.b_Y, problem.y)])
 
 
 class TestShapePrior:
@@ -849,13 +861,12 @@ class TestBlockSolver:
         from mapdyn.sensors import assemble_system, default_sensor_specs
 
         model = human_model_foot
-        casm = ConstraintAssembler(model)
-        masm = MeasurementAssembler(model, default_sensor_specs(model))
-        plan = PrecisionPlan(casm.pattern, masm.pattern, 1e-4, masm.variances)
+        estimator = MapEstimator(model, default_sensor_specs(model))
+        casm, masm, plan = estimator.constraints, estimator.measurements, estimator.plan
         q, qd = rng.uniform(-0.2, 0.2, (8, model.n_dof)), rng.normal(0.0, 0.3, (8, model.n_dof))
         q[3, 10] = bad
         with np.errstate(invalid="ignore"):
-            values, _ = plan.terms(*assemble_system(casm, masm, q, qd), np.zeros((8, masm.dim)))
+            values, _ = plan.terms(*assemble_system(casm, masm, q, qd), np.zeros((8, casm.n_rows + masm.dim)))
         with pytest.raises(NotPositiveDefiniteError, match="sample 3 of 8"), np.errstate(invalid="ignore"):
             plan.solver.factorize_blocks(values)
 
@@ -864,14 +875,13 @@ class TestBlockSolver:
         from mapdyn.sensors import assemble_system, default_sensor_specs
 
         model = human_model_foot
-        casm = ConstraintAssembler(model)
-        masm = MeasurementAssembler(model, default_sensor_specs(model))
-        plan = PrecisionPlan(casm.pattern, masm.pattern, 1e-4, masm.variances)
+        estimator = MapEstimator(model, default_sensor_specs(model))
+        casm, masm, plan = estimator.constraints, estimator.measurements, estimator.plan
         q, qd = rng.uniform(-0.2, 0.2, (8, model.n_dof)), rng.normal(0.0, 0.3, (8, model.n_dof))
         qd[3, 20] = np.inf
         system = assemble_system(casm, masm, q, qd)
         with pytest.raises(EstimatorError, match="sample 3 of 8: b_D or b_Y is not finite"):
-            plan.terms(*system, np.zeros((8, masm.dim)))
+            plan.terms(*system, np.zeros((8, casm.n_rows + masm.dim)))
 
     def test_one_batch_of_8_allocates_under_1mb_per_sample(self, human_model_foot, rng):
         import tracemalloc

@@ -13,7 +13,6 @@ from mapdyn.sensors import (
     MeasurementModelError,
     SensorSpec,
     assemble_system,
-    channel_names,
     default_sensor_specs,
     estimate_sensor_pose,
     savitzky_golay_derivatives,
@@ -31,7 +30,7 @@ from mapdyn.simharness import (
 )
 from mapdyn.spatial import GRAVITY_SPATIAL, HomTransform, matrix_to_rpy, rotation_about_axis
 
-from oracles import one_state
+from oracles import one_state, split_system
 from random_models import random_chain_model, random_state, random_tree_model
 
 
@@ -68,7 +67,7 @@ class TestMeasurementAssembly:
             if dtype is complex:  # complex-step states, as the bias Jacobians use
                 q = q + 1e-3j * rng.normal(0.0, 1.0, n)
                 qd = qd + 1e-3j * rng.normal(0.0, 1.0, n)
-            values_d, b_d, values_y, b_y = assemble_system(casm, masm, q, qd)
+            values_d, b_d, values_y, b_y = split_system(casm, *assemble_system(casm, masm, q, qd))
             mat_d, mat_y = casm.matrix(values_d[0]), masm.matrix(values_y[0])
             separate = one_state(casm, q, qd) + one_state(masm, q, qd)
             for got, ref in zip((mat_d, b_d[0], mat_y, b_y[0]), separate):
@@ -148,11 +147,35 @@ class TestMeasurementAssembly:
 
     def test_canonical_ordering(self, two_link_model):
         specs = list(reversed(two_link_specs(two_link_model)))
-        names = channel_names(two_link_model, specs)
+        names = MeasurementAssembler(two_link_model, specs).names
         assert names[0].startswith("imu_")
         assert names[3].startswith("ddq_")
         assert names[5].startswith("fbwrench_")
         assert names[11].startswith("extf_")
+
+    def test_each_name_reads_its_row(self, human_model_foot, rng):
+        """On the 48-DoF default specs, each named row of Y touches the slots of d its name gives."""
+        model = human_model_foot
+        masm = MeasurementAssembler(model, default_sensor_specs(model))
+        layout = masm.layout
+        slot = {name: k for k, name in enumerate(layout.column_names())}
+        mat, _ = one_state(masm, *random_state(model, rng, 0.2, 0.3, 0.3)[:2])
+        rows = mat.toarray()
+        assert len(masm.names) == len(set(masm.names)) == len(rows)
+        base_forces = set().union(*(range(layout.size)[layout.joint_force(c)] for c in model.children[0]))
+        kinds = set()
+        for name, row in zip(masm.names, rows):
+            kind, touched = name.split("_")[0], set(np.flatnonzero(row))
+            kinds.add(kind)
+            if kind in ("ddq", "extf"):
+                # ddq_<joint> and extf_<link>_<c> select the slot of d of the same name
+                assert np.array_equal(row, np.eye(layout.size)[slot[name]]), name
+            elif kind == "imu":
+                link = model.link_index[name[len("imu_"): -len("_x")]]
+                assert touched and touched <= set(range(layout.size)[layout.a(link)]), name
+            else:
+                assert kind == "fbwrench" and touched and touched <= base_forces, name
+        assert kinds == {"imu", "ddq", "fbwrench", "extf"}
 
     def test_row_dimension_bookkeeping(self, human_model_foot, rng):
         specs = default_sensor_specs(human_model_foot)
